@@ -17,6 +17,12 @@ Batching convention: all arrays may carry an arbitrary leading batch
 shape (usually the collocation points); the spatial axes of a jet are
 trailing.  Reductions use numpy's fixed summation order, so repeated
 evaluations are bitwise reproducible.
+
+Memory invariant: a vjp closure captures arrays and shapes, never a
+:class:`Var`.  A Var references its tape, so a closure holding one would
+make the tape cyclic and keep it (and every forward array it pins) alive
+until Python's cyclic collector runs; without such cycles a tape is freed
+by reference counting as soon as its evaluation ends.
 """
 
 from __future__ import annotations
@@ -133,11 +139,12 @@ def _tape_of(*vars_):
     return None
 
 
-def _record(op, out_data, operands, vjps):
+def record(op, out_data, operands, vjps):
     """Record ``op`` unless every operand is constant.
 
     ``vjps`` maps operand position -> callable(adjoint) -> contribution;
-    only edges to differentiable parents are kept.
+    only edges to differentiable parents are kept.  The callables must not
+    capture a Var (see the module docstring).
     """
     tape = _tape_of(*operands)
     if tape is None:
@@ -170,35 +177,37 @@ def _unbroadcast(adj, shape):
 def add(a, b):
     a, b = _coerce(a, b)
     out = a.data + b.data
-    return _record(
+    sa, sb = a.data.shape, b.data.shape
+    return record(
         "add",
         out,
         (a, b),
-        (lambda adj: _unbroadcast(adj, a.data.shape), lambda adj: _unbroadcast(adj, b.data.shape)),
+        (lambda adj: _unbroadcast(adj, sa), lambda adj: _unbroadcast(adj, sb)),
     )
 
 
 def sub(a, b):
     a, b = _coerce(a, b)
     out = a.data - b.data
-    return _record(
+    sa, sb = a.data.shape, b.data.shape
+    return record(
         "sub",
         out,
         (a, b),
-        (lambda adj: _unbroadcast(adj, a.data.shape), lambda adj: _unbroadcast(-adj, b.data.shape)),
+        (lambda adj: _unbroadcast(adj, sa), lambda adj: _unbroadcast(-adj, sb)),
     )
 
 
 def neg(a):
     a = constant(a)
-    return _record("neg", -a.data, (a,), (lambda adj: -adj,))
+    return record("neg", -a.data, (a,), (lambda adj: -adj,))
 
 
 def mul(a, b):
     a, b = _coerce(a, b)
     out = a.data * b.data
     ad, bd = a.data, b.data
-    return _record(
+    return record(
         "mul",
         out,
         (a, b),
@@ -213,7 +222,7 @@ def div(a, b):
     a, b = _coerce(a, b)
     out = a.data / b.data
     ad, bd = a.data, b.data
-    return _record(
+    return record(
         "div",
         out,
         (a, b),
@@ -227,19 +236,19 @@ def div(a, b):
 def tanh(a):
     a = constant(a)
     t = np.tanh(a.data)
-    return _record("tanh", t, (a,), (lambda adj: adj * (1.0 - t * t),))
+    return record("tanh", t, (a,), (lambda adj: adj * (1.0 - t * t),))
 
 
 def sin(a):
     a = constant(a)
     c = np.cos(a.data)
-    return _record("sin", np.sin(a.data), (a,), (lambda adj: adj * c,))
+    return record("sin", np.sin(a.data), (a,), (lambda adj: adj * c,))
 
 
 def cos(a):
     a = constant(a)
     s = np.sin(a.data)
-    return _record("cos", np.cos(a.data), (a,), (lambda adj: -adj * s,))
+    return record("cos", np.cos(a.data), (a,), (lambda adj: -adj * s,))
 
 
 def log(a):
@@ -247,13 +256,13 @@ def log(a):
     if np.min(a.data) <= 0.0:
         raise DomainError(f"log of non-positive value (min = {np.min(a.data):g})")
     ad = a.data
-    return _record("log", np.log(ad), (a,), (lambda adj: adj / ad,))
+    return record("log", np.log(ad), (a,), (lambda adj: adj / ad,))
 
 
 def exp(a):
     a = constant(a)
     e = np.exp(a.data)
-    return _record("exp", e, (a,), (lambda adj: adj * e,))
+    return record("exp", e, (a,), (lambda adj: adj * e,))
 
 
 def sum_(a, axis=None):
@@ -266,7 +275,7 @@ def sum_(a, axis=None):
             return np.broadcast_to(adj, shape).copy()
         return np.broadcast_to(np.expand_dims(adj, axis), shape).copy()
 
-    return _record("sum", out, (a,), (back,))
+    return record("sum", out, (a,), (back,))
 
 
 def mean(a, axis=None):
@@ -278,21 +287,21 @@ def mean(a, axis=None):
 def expand_dims(a, axis):
     a = constant(a)
     out = np.expand_dims(a.data, axis)
-    return _record("expand_dims", out, (a,), (lambda adj: np.squeeze(adj, axis=axis),))
+    return record("expand_dims", out, (a,), (lambda adj: np.squeeze(adj, axis=axis),))
 
 
 def reshape(a, shape):
     a = constant(a)
     old = a.data.shape
-    return _record("reshape", a.data.reshape(shape), (a,), (lambda adj: adj.reshape(old),))
+    return record("reshape", a.data.reshape(shape), (a,), (lambda adj: adj.reshape(old),))
 
 
-def take(a, indices, axis=0, unique=None):
+def take(a, indices, axis=0):
     """Select along one axis; integer index drops the axis, array keeps it.
 
-    ``unique`` may assert that array indices are duplicate-free, enabling a
-    fast scatter in the backward pass; duplicated indices over a short axis
-    fall back to a one-hot contraction, anything else to ufunc.at.
+    Duplicate-free array indices scatter directly in the backward pass;
+    duplicated indices over a short axis fall back to a one-hot
+    contraction, anything else to ufunc.at.
     """
     a = constant(a)
     out = np.take(a.data, indices, axis=axis)
@@ -311,9 +320,7 @@ def take(a, indices, axis=0, unique=None):
 
     else:
         idx = np.asarray(indices)
-        if unique is None:
-            unique = idx.size == np.unique(idx).size
-        if unique:
+        if idx.size == np.unique(idx).size:
 
             def back(adj):
                 full = np.zeros(shape)
@@ -336,23 +343,35 @@ def take(a, indices, axis=0, unique=None):
                 np.add.at(np.moveaxis(full, ax, 0), idx, np.moveaxis(adj, ax, 0))
                 return full
 
-    return _record("take", out, (a,), (back,))
+    return record("take", out, (a,), (back,))
+
+
+def _name_batch_axes(spec, ndim, letters):
+    """Replace the ellipsis of ``spec`` by the last of ``letters`` it covers."""
+    if "..." not in spec:
+        return spec
+    n = ndim - (len(spec) - 3)
+    return spec.replace("...", letters[len(letters) - n:])
 
 
 def _einsum_back(out_spec, other_spec, target_spec, adj, other):
     """Adjoint of one einsum operand by swapping its spec with the output's.
 
-    When the target spec carries no ellipsis but the others do, the
-    broadcast batch axes are summed out explicitly (einsum does not reduce
-    ellipsis dimensions on its own).
+    When the target spec carries no ellipsis (a weight shared by the whole
+    batch), the batch axes are named explicitly, right-aligned as
+    broadcasting aligns them, so that a single contraction sums them out
+    instead of materialising the per-point products first.
     """
     if "..." in target_spec:
         return np.einsum(f"{out_spec},{other_spec}->{target_spec}", adj, other, optimize=True)
-    res = np.einsum(f"{out_spec},{other_spec}->...{target_spec}", adj, other, optimize=True)
-    extra = res.ndim - len(target_spec)
-    if extra > 0:
-        res = res.sum(axis=tuple(range(extra)))
-    return res
+    used = set(out_spec + other_spec + target_spec)
+    n_batch = adj.ndim - (len(out_spec) - 3) if "..." in out_spec else 0
+    letters = "".join(c for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ" if c not in used)[:n_batch]
+    spec = (
+        f"{_name_batch_axes(out_spec, adj.ndim, letters)},"
+        f"{_name_batch_axes(other_spec, other.ndim, letters)}->{target_spec}"
+    )
+    return np.einsum(spec, adj, other, optimize=True)
 
 
 def einsum2(spec, a, b):
@@ -367,7 +386,7 @@ def einsum2(spec, a, b):
     sa, sb = ins.split(",")
     out = np.einsum(spec, a.data, b.data, optimize=True)
     ad, bd = a.data, b.data
-    return _record(
+    return record(
         f"einsum[{spec}]",
         out,
         (a, b),
@@ -420,7 +439,10 @@ def dot(a, b):
 def reverse_gradient(loss, wrt):
     """Gradient of a recorded scalar with respect to an input Var.
 
-    The tape is read-only during the sweep; calling this twice gives
+    Nodes are visited from ``loss`` back to ``wrt``; each node's adjoint is
+    released as soon as its vjps have consumed it, so at most the adjoints
+    of the nodes still waiting for contributions are alive at once.  The
+    tape is read-only during the sweep; calling this twice gives
     bitwise-identical results.
     """
     if wrt.tape is None or wrt.node is None:
@@ -434,22 +456,26 @@ def reverse_gradient(loss, wrt):
     if np.ndim(loss.data) != 0:
         raise ValueError("loss must be scalar")
 
+    if wrt.node > loss.node:
+        return np.zeros_like(wrt.data)
     # adjoint arrays are never mutated in place, so contributions may be
     # stored by reference on first touch
     adjoints = [None] * (loss.node + 1)
     adjoints[loss.node] = np.ones(())
     nodes = tape.nodes
-    for nid in range(loss.node, -1, -1):
+    # nodes recorded before wrt cannot contribute to its adjoint
+    for nid in range(loss.node, wrt.node, -1):
         adj = adjoints[nid]
         if adj is None:
             continue
+        adjoints[nid] = None
         for parent, vjp in nodes[nid].edges:
             contrib = vjp(adj)
             if adjoints[parent] is None:
                 adjoints[parent] = contrib
             else:
                 adjoints[parent] = adjoints[parent] + contrib
-    grad = adjoints[wrt.node] if wrt.node <= loss.node else None
+    grad = adjoints[wrt.node]
     if grad is None:
         return np.zeros_like(wrt.data)
     return np.broadcast_to(grad, wrt.data.shape).astype(np.float64)

@@ -167,17 +167,60 @@ def _affine_layer(prev, W, b):
     return LayerJets(val, grad, hess)
 
 
-def _tanh_layer(z):
-    t = ad.tanh(z.val)
-    t1 = ad.sub(1.0, ad.mul(t, t))
-    t2 = ad.mul(ad.mul(-2.0, t), t1)
-    grad = ad.mul(z.grad, ad.expand_dims(t1, -1))
-    gg = ad.mul(ad.take(z.grad, _PACK_A, axis=-1), ad.take(z.grad, _PACK_B, axis=-1))
-    hess = ad.add(
-        ad.mul(z.hess, ad.expand_dims(t1, -1)),
-        ad.mul(gg, ad.expand_dims(t2, -1)),
+def _packed_outer_back(s, G):
+    """Adjoint with respect to G of the packed products G[A] * G[B].
+
+    ``s`` is the adjoint of the six packed products; a diagonal product
+    G_d G_d contributes twice to row d, an off-diagonal one once to each of
+    its two rows.
+    """
+    g0, g1, g2 = G[..., 0], G[..., 1], G[..., 2]
+    return np.stack(
+        [
+            2.0 * s[..., 0] * g0 + s[..., 1] * g1 + s[..., 2] * g2,
+            s[..., 1] * g0 + 2.0 * s[..., 3] * g1 + s[..., 4] * g2,
+            s[..., 2] * g0 + s[..., 4] * g1 + 2.0 * s[..., 5] * g2,
+        ],
+        axis=-1,
     )
-    return LayerJets(val=t, grad=grad, hess=hess)
+
+
+def _tanh_layer(z):
+    """tanh of every unit's jet, recorded as one node per jet slot.
+
+    With t = tanh(z), t1 = 1 - t^2 = t' and t2 = -2 t t1 = t'':
+    val = t, grad = t1 G and hess = t1 H + t2 G[A] G[B] (packed).  The
+    vjps are closed forms in t1, t2 and t3 = t2' = t1 (6 t^2 - 2).
+    """
+    t = np.tanh(z.val.data)
+    t1 = 1.0 - t * t
+    t2 = (-2.0 * t) * t1
+    t3 = t1 * (6.0 * t * t - 2.0)
+    G, H = z.grad.data, z.hess.data
+    gg = G[..., _PACK_A] * G[..., _PACK_B]
+    c1, c2 = t1[..., None], t2[..., None]
+    val = ad.record("tanh_jet[val]", t, (z.val,), (lambda adj: adj * t1,))
+    grad = ad.record(
+        "tanh_jet[grad]",
+        G * c1,
+        (z.val, z.grad),
+        (
+            lambda adj: np.einsum("...d,...d->...", adj, G) * t2,
+            lambda adj: adj * c1,
+        ),
+    )
+    hess = ad.record(
+        "tanh_jet[hess]",
+        H * c1 + gg * c2,
+        (z.val, z.grad, z.hess),
+        (
+            lambda adj: np.einsum("...k,...k->...", adj, H) * t2
+            + np.einsum("...k,...k->...", adj, gg) * t3,
+            lambda adj: _packed_outer_back(adj * c2, G),
+            lambda adj: adj * c1,
+        ),
+    )
+    return LayerJets(val=val, grad=grad, hess=hess)
 
 
 def forward(spec, phi, features):

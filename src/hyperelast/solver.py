@@ -54,7 +54,7 @@ class TrainingObjective:
     search backs off); at an iteration start it aborts the run.
     """
 
-    def __init__(self, problem, net, points=None, normalize=False):
+    def __init__(self, problem, net, points=None):
         self.problem = problem
         self.net = net
         self.points = points if points is not None else problem.point_sets()
@@ -68,12 +68,6 @@ class TrainingObjective:
         self.weights[list(self.active)] = 1.0 / len(self.active)
         self.energy_floor = np.inf
         self.last_terms = np.zeros(N_TERMS)
-        # optional conditioning: divide each term by its first-iteration
-        # magnitude so all terms enter the weighted sum at unit scale.
-        # The adaptive weights themselves are scale-free (loss ratios), so
-        # this changes conditioning, not the weighting statistics.
-        self.normalize = bool(normalize)
-        self.term_scale = np.ones(N_TERMS)
 
     def _breakdown(self, phi_array):
         tape = ad.Tape()
@@ -84,8 +78,7 @@ class TrainingObjective:
         return assemble(u, P, self.problem, self.points), phi
 
     def _finish(self, breakdown, phi):
-        coeffs = self.weights / self.term_scale if self.normalize else self.weights
-        total = total_loss(breakdown, coeffs, active=self.active)
+        total = total_loss(breakdown, self.weights, active=self.active)
         grad = ad.reverse_gradient(total, phi)
         self.last_terms = breakdown.values()
         return float(total.data), grad
@@ -112,9 +105,6 @@ class TrainingObjective:
         else:
             stats[0] = ENERGY_SHIFT_EPS
         self.energy_floor = min(self.energy_floor, values[0])
-        if self.normalize and self.cov.t == 0:
-            self.term_scale = np.maximum(np.abs(values), 1e-12)
-            self.term_scale[0] = max(abs(values[0]), 1e-3)
         w = self.cov.update(stats[list(self.active)])
         self.weights = np.zeros(N_TERMS)
         self.weights[list(self.active)] = w

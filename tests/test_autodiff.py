@@ -1,5 +1,8 @@
 """Tape and spatial-jet engine tests."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -211,6 +214,54 @@ class TestReverseGradient:
         l2, p2 = _two_layer_loss(phi0, x, ((4, 6), (6, 3)))
         assert float(l1.data) == float(l2.data)
         assert np.array_equal(ad.reverse_gradient(l1, p1), ad.reverse_gradient(l2, p2))
+
+
+class TestTapeRelease:
+    """With the cyclic collector off, the tape of an objective evaluation
+    must be freed by reference counting as soon as the call returns."""
+
+    @pytest.fixture
+    def tapes(self, monkeypatch):
+        made = []
+
+        class TrackedTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(ad, "Tape", TrackedTape)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield made
+        finally:
+            if enabled:
+                gc.enable()
+
+    @staticmethod
+    def objective():
+        from hyperelast.bvp import preset
+        from hyperelast.solver import TrainingObjective, build_network
+
+        problem = preset("nh_cantilever_traction", grid=(3, 3, 3))
+        net = build_network(problem, hidden=(6,), fourier_features=2, seed=1)
+        return TrainingObjective(problem, net), net
+
+    def test_iteration_start_and_probe(self, tapes):
+        objective, net = self.objective()
+        phi = net.init_params()
+        objective.begin_iteration(phi)
+        assert len(tapes) == 1 and tapes[0]() is None
+        f, _ = objective(phi)
+        assert np.isfinite(f)
+        assert len(tapes) == 2 and tapes[1]() is None
+
+    def test_inverted_probe(self, tapes):
+        objective, net = self.objective()
+        phi = np.random.default_rng(24).standard_normal(net.n_params)
+        f, _ = objective(phi)
+        assert f == np.inf  # the probe stopped at InvertedState
+        assert len(tapes) == 1 and tapes[0]() is None
 
 
 class TestFdCheck:

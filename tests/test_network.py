@@ -8,11 +8,15 @@ import hyperelast.autodiff as ad
 from hyperelast.bvp import preset
 from hyperelast.errors import ShapeMismatch
 from hyperelast.network import (
+    _PACK_A,
+    _PACK_B,
     BCEnforcer,
     DirichletFace,
     FieldNetwork,
+    LayerJets,
     MLPSpec,
     RFFMap,
+    _tanh_layer,
     forward,
 )
 
@@ -85,6 +89,14 @@ class TestMLPSpec:
         assert np.all(b1 == 0.0)
 
 
+def _jet_loss(out, coeffs):
+    """Fixed linear functional of the three jet slots of a layer."""
+    return ad.add(
+        ad.add(ad.dot(out.val, coeffs[0]), ad.dot(out.grad, coeffs[1])),
+        ad.dot(out.hess, coeffs[2]),
+    )
+
+
 class TestForward:
     def test_zero_weights_constant_output(self):
         rff = RFFMap(m=3, sigma=1.0, seed=2)
@@ -132,6 +144,24 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             forward(spec, ad.Tape().input(np.zeros(3)), rff.features(np.zeros((2, 3))))
 
+    def test_parameter_gradient_with_two_batch_axes(self):
+        # the weight adjoints sum over every batch axis, however many
+        rff = RFFMap(m=3, sigma=1.0, seed=12)
+        spec = MLPSpec(widths=(6, 5, 4, 12))
+        rng = np.random.default_rng(13)
+        phi0 = 0.5 * rng.standard_normal(spec.n_params)
+        X = rng.uniform(-1, 1, size=(3, 4, 3))
+        coeffs = [rng.standard_normal((3, 4, 12) + tail) for tail in ((), (3,), (6,))]
+
+        def gradient(points, cs):
+            tape = ad.Tape()
+            phi = tape.input(phi0)
+            out = forward(spec, phi, rff.features(points))
+            return ad.reverse_gradient(_jet_loss(out, cs), phi)
+
+        flat = gradient(X.reshape(12, 3), [c.reshape((12,) + c.shape[2:]) for c in coeffs])
+        assert_allclose(gradient(X, coeffs), flat, rtol=1e-12, atol=1e-13 * np.abs(flat).max())
+
     def test_c2_continuity_of_hessians(self):
         # smooth activation: Hessians vary continuously between nearby points
         rff = RFFMap(m=4, sigma=1.0, seed=9)
@@ -145,6 +175,48 @@ class TestForward:
         gap = np.abs(out.hess.data - out2.hess.data).max()
         scale = max(np.abs(out.hess.data).max(), 1.0)
         assert gap <= 50.0 * delta * scale
+
+
+class TestTanhLayer:
+    def test_matches_generic_rule_per_unit(self):
+        # reference: ad.jet_tanh applied to each unit's jet on its own
+        n, w = 5, 4
+        shapes = ((n, w), (n, w, 3), (n, w, 6))
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal(sum(int(np.prod(s)) for s in shapes))
+        coeffs = [rng.standard_normal(s) for s in shapes]
+
+        def layer_input(phi):
+            slots, start = [], 0
+            for shape in shapes:
+                size = int(np.prod(shape))
+                slots.append(ad.reshape(ad.take(phi, np.arange(start, start + size)), shape))
+                start += size
+            return LayerJets(*slots)
+
+        tape = ad.Tape()
+        phi = tape.input(x)
+        fused = _tanh_layer(layer_input(phi))
+        g_fused = ad.reverse_gradient(_jet_loss(fused, coeffs), phi)
+
+        tape = ad.Tape()
+        phi = tape.input(x)
+        z = layer_input(phi)
+        packed = _PACK_A * 3 + _PACK_B  # packed entries of a flattened 3x3
+        loss = None
+        for j in range(w):
+            ref = ad.jet_tanh(z.component(j))
+            hess = ad.take(ad.reshape(ref.hess, (n, 9)), packed, axis=-1)
+            assert_allclose(fused.val.data[:, j], ref.val.data, rtol=1e-14)
+            assert_allclose(fused.grad.data[:, j], ref.grad.data, rtol=1e-14)
+            assert_allclose(fused.hess.data[:, j], hess.data, rtol=1e-14)
+            term = _jet_loss(
+                LayerJets(ref.val, ref.grad, hess),
+                [c[:, j] for c in coeffs],
+            )
+            loss = term if loss is None else ad.add(loss, term)
+        g_ref = ad.reverse_gradient(loss, phi)
+        assert_allclose(g_fused, g_ref, rtol=1e-12, atol=1e-13 * np.abs(g_ref).max())
 
 
 def cantilever_net(seed=0, m=3, hidden=(6,)):
