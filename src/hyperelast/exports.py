@@ -117,18 +117,6 @@ def read_fields_csv(path):
     }
 
 
-def write_points_csv(path, points, weights=None):
-    points = np.asarray(points).reshape(-1, 3)
-    with open(path, "w") as fh:
-        header = "X1,X2,X3" + (",weight" if weights is not None else "")
-        fh.write(header + "\n")
-        for k in range(points.shape[0]):
-            row = [_fmt(v) for v in points[k]]
-            if weights is not None:
-                row.append(_fmt(weights[k]))
-            fh.write(",".join(row) + "\n")
-
-
 def write_vtk_structured(path, dims, origin, spacing, fields, title="hyperelast"):
     """Legacy ASCII structured-points file with displacement and von Mises.
 

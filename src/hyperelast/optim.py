@@ -8,6 +8,13 @@ The objective protocol: a callable ``phi -> (loss, gradient)`` for line
 search probes, optionally with ``begin_iteration(phi)`` (called once per
 accepted outer iteration; adaptive loss weighting hooks in there) and
 ``stats()`` returning the latest term values/weights for the history.
+
+``begin_iteration`` must return what a fresh evaluation at ``phi`` under
+the refreshed weights would.  An objective may meet that by reusing the
+work of its last probe: ``strong_wolfe_search`` always returns its last
+probe, so ``lbfgs_minimize`` starts each iteration after the first at the
+point just probed.  ``n_evals`` in the history counts objective calls
+(``begin_iteration`` included), whether or not a call reused a probe.
 """
 
 from __future__ import annotations

@@ -30,9 +30,6 @@ class AffineSolution:
         G = self.F0 - np.eye(3)
         return np.einsum("ij,...j->...i", G, X)
 
-    def displacement_fn(self):
-        return self.displacement
-
 
 def l2_error(u_test, u_ref, weights):
     """Normalized L2 distance between two sampled vector fields.
@@ -71,12 +68,6 @@ def simple_shear_oracle(gamma, material):
     F0 = np.eye(3)
     F0[0, 1] = float(gamma)
     return affine_solution(F0, material)
-
-
-def shear_gradient(gamma):
-    G = np.zeros((3, 3))
-    G[0, 1] = float(gamma)
-    return G
 
 
 def uniaxial_oracle(stretch, material, bracket=(0.2, 2.0), tol=1e-10):

@@ -4,6 +4,14 @@ The training objective owns the per-problem caches (grid, Fourier
 features) and the adaptive-weight state.  Weights are refreshed exactly
 once per accepted optimizer iteration via ``begin_iteration``; line
 search probes reuse the frozen weights.
+
+Reuse contract: the objective holds the tape of its last finite probe.
+When ``begin_iteration`` is called at exactly that point (the line
+search accepts its last probe), it re-weights the held loss terms and
+sweeps the same tape again instead of rebuilding it, with results
+bitwise equal to a fresh evaluation.  At any other point it evaluates
+from scratch.  At most one evaluation tape is alive at a time, and none
+once ``begin_iteration`` has returned.
 """
 
 from __future__ import annotations
@@ -52,6 +60,13 @@ class TrainingObjective:
     the weighted sum applies the resulting weight to the raw energy.
     An inverted deformation state during a probe yields +inf (the line
     search backs off); at an iteration start it aborts the run.
+
+    Each finite probe keeps a copy of its point, its loss breakdown and
+    its input Var until the next call.  ``begin_iteration`` at that very
+    point takes them over: it refreshes the weights from the breakdown,
+    records the new weighted total on the same tape and sweeps it again.
+    Every other call first drops what is held, so the old tape is freed
+    before a new one is built.
     """
 
     def __init__(self, problem, net, points=None):
@@ -68,6 +83,7 @@ class TrainingObjective:
         self.weights[list(self.active)] = 1.0 / len(self.active)
         self.energy_floor = np.inf
         self.last_terms = np.zeros(N_TERMS)
+        self._held = None  # (point, breakdown, input Var) of the last finite probe
 
     def _breakdown(self, phi_array):
         tape = ad.Tape()
@@ -84,17 +100,26 @@ class TrainingObjective:
         return float(total.data), grad
 
     def __call__(self, phi_array):
+        self._held = None
         try:
             breakdown, phi = self._breakdown(phi_array)
         except InvertedState:
             return np.inf, np.zeros_like(phi_array)
-        return self._finish(breakdown, phi)
+        f, grad = self._finish(breakdown, phi)
+        if np.isfinite(f):
+            self._held = (np.array(phi_array, dtype=np.float64), breakdown, phi)
+        return f, grad
 
     def begin_iteration(self, phi_array):
-        try:
-            breakdown, phi = self._breakdown(phi_array)
-        except InvertedState as err:
-            raise NonFiniteObjective(f"inverted state at iteration start: {err}") from err
+        held, self._held = self._held, None
+        if held is not None and np.array_equal(held[0], phi_array):
+            _, breakdown, phi = held
+        else:
+            held = None  # free the held tape before building a new one
+            try:
+                breakdown, phi = self._breakdown(phi_array)
+            except InvertedState as err:
+                raise NonFiniteObjective(f"inverted state at iteration start: {err}") from err
         values = breakdown.values()
         stats = values.copy()
         # distance to the best energy seen before this iterate; updating

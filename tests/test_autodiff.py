@@ -217,8 +217,9 @@ class TestReverseGradient:
 
 
 class TestTapeRelease:
-    """With the cyclic collector off, the tape of an objective evaluation
-    must be freed by reference counting as soon as the call returns."""
+    """With the cyclic collector off, reference counting alone must keep
+    at most one evaluation tape alive: the objective holds only its last
+    finite probe's tape, and none once an iteration start has returned."""
 
     @pytest.fixture
     def tapes(self, monkeypatch):
@@ -226,6 +227,7 @@ class TestTapeRelease:
 
         class TrackedTape(ad.Tape):
             def __init__(self):
+                assert all(ref() is None for ref in made), "an earlier tape is still alive"
                 super().__init__()
                 made.append(weakref.ref(self))
 
@@ -245,23 +247,40 @@ class TestTapeRelease:
 
         problem = preset("nh_cantilever_traction", grid=(3, 3, 3))
         net = build_network(problem, hidden=(6,), fourier_features=2, seed=1)
-        return TrainingObjective(problem, net), net
+        phi = net.init_params()
+        step = 1e-3 * np.random.default_rng(25).standard_normal(phi.shape)
+        return TrainingObjective(problem, net), phi, step
+
+    @staticmethod
+    def alive(tapes):
+        return [i for i, ref in enumerate(tapes) if ref() is not None]
 
     def test_iteration_start_and_probe(self, tapes):
-        objective, net = self.objective()
-        phi = net.init_params()
+        objective, phi, step = self.objective()
         objective.begin_iteration(phi)
-        assert len(tapes) == 1 and tapes[0]() is None
-        f, _ = objective(phi)
+        assert len(tapes) == 1 and self.alive(tapes) == []
+        f, _ = objective(phi + step)
         assert np.isfinite(f)
-        assert len(tapes) == 2 and tapes[1]() is None
+        assert len(tapes) == 2 and self.alive(tapes) == [1]  # the held probe
+        # the iteration start at the probed point sweeps the held tape again
+        objective.begin_iteration(phi + step)
+        assert len(tapes) == 2 and self.alive(tapes) == []
+
+    def test_iteration_start_elsewhere(self, tapes):
+        objective, phi, step = self.objective()
+        objective(phi + step)
+        assert self.alive(tapes) == [0]
+        objective.begin_iteration(phi)  # the tracked Tape checks tape 0 is gone
+        assert len(tapes) == 2 and self.alive(tapes) == []
 
     def test_inverted_probe(self, tapes):
-        objective, net = self.objective()
-        phi = np.random.default_rng(24).standard_normal(net.n_params)
-        f, _ = objective(phi)
+        objective, phi, _ = self.objective()
+        objective(phi)
+        assert self.alive(tapes) == [0]
+        bad = np.random.default_rng(24).standard_normal(phi.shape)
+        f, _ = objective(bad)
         assert f == np.inf  # the probe stopped at InvertedState
-        assert len(tapes) == 1 and tapes[0]() is None
+        assert len(tapes) == 2 and self.alive(tapes) == []
 
 
 class TestFdCheck:

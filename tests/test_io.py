@@ -19,7 +19,6 @@ from hyperelast.exports import (
     save_checkpoint,
     write_fields_csv,
     write_history,
-    write_points_csv,
     write_vtk_structured,
 )
 from hyperelast.optim import HistoryRow, TrainingHistory
@@ -183,13 +182,6 @@ class TestFieldIO:
         text = path.read_text()
         assert "# config_hash: deadbeef" in text
         assert text.startswith("# units:")
-
-    def test_points_csv(self, tmp_path):
-        path = tmp_path / "points.csv"
-        write_points_csv(path, np.zeros((3, 3)), weights=np.ones(3))
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "X1,X2,X3,weight"
-        assert len(lines) == 4
 
 
 class TestVTK:

@@ -1,0 +1,117 @@
+"""Training objective: reuse of the accepted probe's tape, and an
+end-to-end curriculum solve on a built-in preset."""
+
+import numpy as np
+import pytest
+
+from hyperelast.bvp import preset
+from hyperelast.errors import NonFiniteObjective
+from hyperelast.network import FieldNetwork
+from hyperelast.optim import CurriculumSchedule, LBFGSConfig
+from hyperelast.solver import TrainingObjective, build_network, train
+
+
+def tiny_problem():
+    problem = preset("nh_cantilever_traction", grid=(3, 3, 3))
+    net = build_network(problem, hidden=(6,), fourier_features=2, seed=1)
+    return problem, net
+
+
+@pytest.fixture
+def taped_fields_calls(monkeypatch):
+    """Counts FieldNetwork.fields calls whose parameters are on a tape,
+    i.e. the objective evaluations that build a tape."""
+    calls = []
+    inner = FieldNetwork.fields
+
+    def fields(self, phi, *args, **kwargs):
+        if phi.tape is not None:
+            calls.append(1)
+        return inner(self, phi, *args, **kwargs)
+
+    monkeypatch.setattr(FieldNetwork, "fields", fields)
+    return calls
+
+
+def _nearby_points(net):
+    phi0 = net.init_params()
+    d = np.random.default_rng(5).standard_normal(phi0.shape)
+    return phi0, phi0 + 1e-3 * d, phi0 - 1e-3 * d
+
+
+def _same_state(a, b, out_a, out_b):
+    assert out_a[0] == out_b[0]
+    assert np.array_equal(out_a[1], out_b[1])
+    assert np.array_equal(a.weights, b.weights)
+    assert a.energy_floor == b.energy_floor
+    assert np.array_equal(a.last_terms, b.last_terms)
+
+
+class TestProbeReuse:
+    def test_reuse_is_bitwise_exact(self, taped_fields_calls):
+        problem, net = tiny_problem()
+        phi0, phi1, _ = _nearby_points(net)
+        reused, fresh = TrainingObjective(problem, net), TrainingObjective(problem, net)
+        for obj in (reused, fresh):
+            obj.begin_iteration(phi0)
+        reused(phi1)
+        n_before = len(taped_fields_calls)
+        out_reused = reused.begin_iteration(phi1.copy())
+        assert len(taped_fields_calls) == n_before  # no new tape
+        out_fresh = fresh.begin_iteration(phi1)
+        assert len(taped_fields_calls) == n_before + 1
+        _same_state(reused, fresh, out_reused, out_fresh)
+        # a second iteration start at the same point has nothing to reuse
+        reused.begin_iteration(phi1)
+        assert len(taped_fields_calls) == n_before + 2
+
+    def test_probe_elsewhere_evaluates_afresh(self, taped_fields_calls):
+        problem, net = tiny_problem()
+        phi0, phi1, phi2 = _nearby_points(net)
+        probed, fresh = TrainingObjective(problem, net), TrainingObjective(problem, net)
+        for obj in (probed, fresh):
+            obj.begin_iteration(phi0)
+        probed(phi2)
+        n_before = len(taped_fields_calls)
+        out_probed = probed.begin_iteration(phi1)
+        assert len(taped_fields_calls) == n_before + 1
+        _same_state(probed, fresh, out_probed, fresh.begin_iteration(phi1))
+
+    def test_inverted_probe_at_iterate_raises(self):
+        problem, net = tiny_problem()
+        objective = TrainingObjective(problem, net)
+        phi = np.random.default_rng(24).standard_normal(net.n_params)
+        f, _ = objective(phi)
+        assert f == np.inf
+        with pytest.raises(NonFiniteObjective):
+            objective.begin_iteration(phi)
+
+
+class TestCurriculumSolve:
+    def test_two_stage_lbfgs_on_preset(self, taped_fields_calls):
+        problem, net = tiny_problem()
+        schedule = CurriculumSchedule(fractions=(0.5, 1.0), stage_iters=(4, 4))
+        runs = []
+        for _ in range(2):
+            taped_fields_calls.clear()
+            phi, history = train(problem, net, schedule=schedule, opt_config=LBFGSConfig())
+            runs.append((phi, history, len(taped_fields_calls)))
+        (phi_a, hist_a, calls_a), (phi_b, hist_b, calls_b) = runs
+        assert hist_a.status == "max_iters"
+        assert [r.stage for r in hist_a.rows] == [0] * 4 + [1] * 4
+        assert np.all(np.isfinite(hist_a.totals()))
+        # one fresh evaluation per stage start; every later iteration
+        # starts at the probe its line search accepted
+        assert calls_a == sum(r.n_evals - 1 for r in hist_a.rows) + 2
+        assert calls_b == calls_a
+        assert np.array_equal(phi_a, phi_b)
+        assert len(hist_a.rows) == len(hist_b.rows)
+        assert all(_rows_equal(a, b) for a, b in zip(hist_a.rows, hist_b.rows))
+
+
+def _rows_equal(a, b):
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("stage", "iter", "total", "terms", "weights", "grad_norm",
+                     "step", "seconds", "n_evals")
+    )
