@@ -5,13 +5,14 @@ Two layers cooperate here:
 * a reverse-mode tape over numpy arrays (:class:`Tape`, :class:`Var`),
   which makes any scalar built from recorded operations differentiable
   with respect to the flat parameter vector, and
-* forward-propagated second-order spatial jets (:class:`SpatialJet`),
-  which carry value, gradient and Hessian of a field component with
-  respect to the three material coordinates.
+* forward-propagated spatial jets (:class:`Jet`), which carry the value,
+  gradient and packed Hessian of a whole batched field (every point and
+  every component at once) with respect to the three material
+  coordinates.
 
-Every jet propagation rule is expressed in terms of tape primitives, so
-spatial derivatives of network outputs remain differentiable in the
-network parameters without any extra machinery (forward over reverse).
+Jet slots are tape variables and every propagation rule is built from
+tape primitives, so spatial derivatives of network outputs remain
+differentiable in the network parameters (forward over reverse).
 
 Batching convention: all arrays may carry an arbitrary leading batch
 shape (usually the collocation points); the spatial axes of a jet are
@@ -239,30 +240,12 @@ def tanh(a):
     return record("tanh", t, (a,), (lambda adj: adj * (1.0 - t * t),))
 
 
-def sin(a):
-    a = constant(a)
-    c = np.cos(a.data)
-    return record("sin", np.sin(a.data), (a,), (lambda adj: adj * c,))
-
-
-def cos(a):
-    a = constant(a)
-    s = np.sin(a.data)
-    return record("cos", np.cos(a.data), (a,), (lambda adj: -adj * s,))
-
-
 def log(a):
     a = constant(a)
     if np.min(a.data) <= 0.0:
         raise DomainError(f"log of non-positive value (min = {np.min(a.data):g})")
     ad = a.data
     return record("log", np.log(ad), (a,), (lambda adj: adj / ad,))
-
-
-def exp(a):
-    a = constant(a)
-    e = np.exp(a.data)
-    return record("exp", e, (a,), (lambda adj: adj * e,))
 
 
 def sum_(a, axis=None):
@@ -284,12 +267,6 @@ def mean(a, axis=None):
     return mul(sum_(a, axis=axis), 1.0 / n)
 
 
-def expand_dims(a, axis):
-    a = constant(a)
-    out = np.expand_dims(a.data, axis)
-    return record("expand_dims", out, (a,), (lambda adj: np.squeeze(adj, axis=axis),))
-
-
 def reshape(a, shape):
     a = constant(a)
     old = a.data.shape
@@ -297,51 +274,32 @@ def reshape(a, shape):
 
 
 def take(a, indices, axis=0):
-    """Select along one axis; integer index drops the axis, array keeps it.
+    """Select along one axis by a 1-D index array.
 
-    Duplicate-free array indices scatter directly in the backward pass;
-    duplicated indices over a short axis fall back to a one-hot
-    contraction, anything else to ufunc.at.
+    Duplicate-free indices scatter directly in the backward pass;
+    duplicated ones (unpacking a symmetric Hessian) contract with a
+    one-hot matrix.
     """
     a = constant(a)
-    out = np.take(a.data, indices, axis=axis)
+    idx = np.asarray(indices)
+    if idx.ndim != 1:
+        raise ValueError("take needs a 1-D index array")
+    out = np.take(a.data, idx, axis=axis)
     shape = a.data.shape
     ax = axis % a.data.ndim
-    scalar_idx = np.isscalar(indices) or np.ndim(indices) == 0
-
-    if scalar_idx:
-        sl = [slice(None)] * len(shape)
-        sl[ax] = indices
+    if idx.size == np.unique(idx).size:
 
         def back(adj):
             full = np.zeros(shape)
-            full[tuple(sl)] = adj
+            np.moveaxis(full, ax, 0)[idx] = np.moveaxis(adj, ax, 0)
             return full
 
     else:
-        idx = np.asarray(indices)
-        if idx.size == np.unique(idx).size:
+        onehot = np.zeros((idx.size, shape[ax]))
+        onehot[np.arange(idx.size), idx] = 1.0
 
-            def back(adj):
-                full = np.zeros(shape)
-                np.moveaxis(full, ax, 0)[idx] = np.moveaxis(adj, ax, 0)
-                return full
-
-        elif shape[ax] <= 32:
-            onehot = np.zeros((idx.size, shape[ax]))
-            onehot[np.arange(idx.size), idx] = 1.0
-
-            def back(adj):
-                return np.moveaxis(
-                    np.tensordot(adj, onehot, axes=([ax], [0])), -1, ax
-                )
-
-        else:
-
-            def back(adj):
-                full = np.zeros(shape)
-                np.add.at(np.moveaxis(full, ax, 0), idx, np.moveaxis(adj, ax, 0))
-                return full
+        def back(adj):
+            return np.moveaxis(np.tensordot(adj, onehot, axes=([ax], [0])), -1, ax)
 
     return record("take", out, (a,), (back,))
 
@@ -397,38 +355,76 @@ def einsum2(spec, a, b):
     )
 
 
-def powi(a, p):
-    """Integer power by repeated multiplication (any-sign base)."""
-    a = constant(a)
-    if p == 0:
-        return constant(np.ones_like(a.data), a.tape)
-    if p < 0:
-        return div(1.0, powi(a, -p))
-    result = a
-    for _ in range(p - 1):
-        result = mul(result, a)
-    return result
-
-
 def pow_(a, p):
-    """Power with constant exponent.
+    """Power with a constant exponent array ``p``, broadcast against ``a``.
 
-    Non-integer exponents require a positive base and route through
-    exp(p*log a); small integer exponents stay exact via multiplication.
+    Non-integer exponents require a positive base.
     """
     a = constant(a)
-    if float(p) == int(p) and abs(int(p)) <= 8:
-        return powi(a, int(p))
-    if np.min(a.data) <= 0.0:
+    p = np.asarray(p, dtype=np.float64)
+    if np.any(p != np.round(p)) and np.min(a.data) <= 0.0:
         raise DomainError(
-            f"non-integer power {p} of non-positive base (min = {np.min(a.data):g})"
+            f"non-integer power of non-positive base (min = {np.min(a.data):g})"
         )
-    return exp(mul(log(a), float(p)))
+    ad_ = a.data
+    return record(
+        "pow",
+        np.power(ad_, p),
+        (a,),
+        (lambda adj: _unbroadcast(adj * p * np.power(ad_, p - 1.0), ad_.shape),),
+    )
 
 
-def dot(a, b):
-    """Full contraction of two equally-shaped arrays to a scalar."""
-    return sum_(mul(a, b))
+def stack(operands):
+    """Stack equally-shaped operands along a new leading axis."""
+    operands = [constant(v) for v in operands]
+    out = np.stack([v.data for v in operands])
+    vjps = tuple((lambda adj, i=i: adj[i]) for i in range(len(operands)))
+    return record("stack", out, tuple(operands), vjps)
+
+
+def transpose(a):
+    """Swap the last two axes."""
+    a = constant(a)
+    return record(
+        "transpose", np.swapaxes(a.data, -1, -2), (a,), (lambda adj: np.swapaxes(adj, -1, -2),)
+    )
+
+
+def _cofactor3(m):
+    """Cofactor matrices of a batch of 3x3 matrices (..., 3, 3)."""
+    r0, r1, r2 = m[..., 0, :], m[..., 1, :], m[..., 2, :]
+    return np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-2)
+
+
+def _det3(m, cof):
+    # expansion along the first row
+    row, c = m[..., 0, :], cof[..., 0, :]
+    return (row[..., 0] * c[..., 0] + row[..., 1] * c[..., 1]) + row[..., 2] * c[..., 2]
+
+
+def det3(a):
+    """Determinant of 3x3 matrices (..., 3, 3); d det / dA = cof(A)."""
+    a = constant(a)
+    cof = _cofactor3(a.data)
+    return record("det3", _det3(a.data, cof), (a,), (lambda adj: adj[..., None, None] * cof,))
+
+
+def inv3(a):
+    """Inverse of 3x3 matrices (..., 3, 3) by adjugate over determinant.
+
+    Raises SingularMatrix where |det| is at or below ``DET_FLOOR``.  The
+    vjp is -B^T adj B^T with B = A^{-1}.
+    """
+    a = constant(a)
+    cof = _cofactor3(a.data)
+    det = np.atleast_1d(_det3(a.data, cof))
+    if np.min(np.abs(det)) <= DET_FLOOR:
+        idx = int(np.argmin(np.abs(det)))
+        raise SingularMatrix(f"|det| at or below {DET_FLOOR:g} (first offender: index {idx})")
+    inv_t = cof * (1.0 / det).reshape(np.shape(a.data)[:-2] + (1, 1))
+    inv = np.swapaxes(inv_t, -1, -2)
+    return record("inv3", inv, (a,), (lambda adj: -(inv_t @ adj @ inv_t),))
 
 
 # ---------------------------------------------------------------------------
@@ -485,29 +481,22 @@ def reverse_gradient(loss, wrt):
 # spatial jets
 # ---------------------------------------------------------------------------
 
-
-def _outer(g1, g2):
-    # broadcasted product; cheaper than an einsum for these small axes
-    return mul(expand_dims(g1, -1), expand_dims(g2, -2))
-
-
-def _gcol(v):
-    # (...,) -> (..., 1) for broadcasting against a gradient
-    return expand_dims(v, -1)
+# symmetric Hessians are stored packed as their six unique entries
+# (00, 01, 02, 11, 12, 22); PACK_A/PACK_B give the two axes of each entry
+# and UNPACK maps the row-major 3x3 entries back to the packed ones
+PACK_A = np.array([0, 0, 0, 1, 1, 2])
+PACK_B = np.array([0, 1, 2, 1, 2, 2])
+UNPACK = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 
 
-def _hcol(v):
-    # (...,) -> (..., 1, 1) for broadcasting against a Hessian
-    return expand_dims(expand_dims(v, -1), -1)
+class Jet:
+    """Value, spatial gradient and packed spatial Hessian of a field.
 
-
-class SpatialJet:
-    """Value, spatial gradient and spatial Hessian of one field component.
-
-    ``grad``/``hess`` hold derivatives with respect to the three material
-    coordinates with shapes (..., 3) and (..., 3, 3); either may be None,
-    in which case the jet is truncated at that order.  All three slots are
-    tape variables, so the jet is differentiable in network parameters.
+    ``val`` has shape (..., *comp), ``grad`` (..., *comp, 3) and ``hess``
+    (..., *comp, 6), derivatives being taken with respect to the three
+    material coordinates.  ``hess`` (or both) may be None, truncating the
+    jet at that order.  Every slot is a Var, so the jet stays
+    differentiable in the network parameters.
     """
 
     __slots__ = ("val", "grad", "hess")
@@ -516,295 +505,6 @@ class SpatialJet:
         self.val = val
         self.grad = grad
         self.hess = hess
-
-    @property
-    def order(self):
-        if self.hess is not None:
-            return 2
-        return 1 if self.grad is not None else 0
-
-    def __add__(self, other):
-        return jet_add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return jet_sub(self, other)
-
-    def __rsub__(self, other):
-        return jet_sub(jet_const_like(other, self), self)
-
-    def __mul__(self, other):
-        return jet_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return jet_div(self, other)
-
-    def __rtruediv__(self, other):
-        return jet_div(jet_const_like(other, self), self)
-
-    def __neg__(self):
-        return SpatialJet(
-            neg(self.val),
-            None if self.grad is None else neg(self.grad),
-            None if self.hess is None else neg(self.hess),
-        )
-
-
-def jet_const(value, batch_shape=()):
-    """Spatially constant jet (zero gradient and Hessian)."""
-    val = np.broadcast_to(np.asarray(value, dtype=np.float64), batch_shape)
-    return SpatialJet(
-        constant(val),
-        constant(np.zeros(batch_shape + (3,))),
-        constant(np.zeros(batch_shape + (3, 3))),
-    )
-
-
-def jet_const_like(value, template):
-    return jet_const(value, np.shape(template.val.data))
-
-
-def lift_coordinate(X, k):
-    """Seed the jet of coordinate k of points X with shape (..., 3).
-
-    value = X_k, gradient = e_k, Hessian = 0.
-    """
-    if k not in (0, 1, 2):
-        raise ValueError(f"axis index must be 0, 1 or 2, got {k}")
-    X = np.asarray(X, dtype=np.float64)
-    batch = X.shape[:-1]
-    grad = np.zeros(batch + (3,))
-    grad[..., k] = 1.0
-    return SpatialJet(
-        constant(X[..., k].copy()),
-        constant(grad),
-        constant(np.zeros(batch + (3, 3))),
-    )
-
-
-def lift_point(X):
-    """Lift all three coordinates at once."""
-    return tuple(lift_coordinate(X, k) for k in range(3))
-
-
-def _min_order(a, b):
-    return min(a.order, b.order)
-
-
-def _coerce_jet_pair(a, b):
-    """Allow a plain scalar/array in the first slot of binary jet ops."""
-    if not isinstance(a, SpatialJet):
-        if isinstance(b, SpatialJet):
-            return jet_const_like(a, b), b
-        raise TypeError("at least one operand must be a SpatialJet")
-    return a, b
-
-
-def jet_add(a, b):
-    a, b = _coerce_jet_pair(a, b)
-    if not isinstance(b, SpatialJet):
-        return SpatialJet(
-            add(a.val, b),
-            a.grad,
-            a.hess,
-        )
-    order = _min_order(a, b)
-    return SpatialJet(
-        add(a.val, b.val),
-        add(a.grad, b.grad) if order >= 1 else None,
-        add(a.hess, b.hess) if order >= 2 else None,
-    )
-
-
-def jet_sub(a, b):
-    a, b = _coerce_jet_pair(a, b)
-    if not isinstance(b, SpatialJet):
-        return SpatialJet(sub(a.val, b), a.grad, a.hess)
-    order = _min_order(a, b)
-    return SpatialJet(
-        sub(a.val, b.val),
-        sub(a.grad, b.grad) if order >= 1 else None,
-        sub(a.hess, b.hess) if order >= 2 else None,
-    )
-
-
-def jet_mul(a, b):
-    if not isinstance(a, SpatialJet):
-        a, b = b, a  # scalar factors commute
-    if not isinstance(b, SpatialJet):
-        # scalar/array constant factor
-        return SpatialJet(
-            mul(a.val, b),
-            None if a.grad is None else mul(a.grad, b),
-            None if a.hess is None else mul(a.hess, b),
-        )
-    order = _min_order(a, b)
-    val = mul(a.val, b.val)
-    grad = hess = None
-    if order >= 1:
-        grad = add(mul(a.grad, _gcol(b.val)), mul(b.grad, _gcol(a.val)))
-    if order >= 2:
-        cross = add(_outer(a.grad, b.grad), _outer(b.grad, a.grad))
-        hess = add(
-            add(mul(a.hess, _hcol(b.val)), mul(b.hess, _hcol(a.val))),
-            cross,
-        )
-    return SpatialJet(val, grad, hess)
-
-
-def jet_chain(a, f0, f1, f2):
-    """Unary chain rule: f applied to jet ``a``.
-
-    ``f0``/``f1``/``f2`` map the value Var to f, f' and f'' Vars.
-    """
-    val = f0(a.val)
-    if a.grad is None:
-        return SpatialJet(val)
-    d1 = f1(a.val)
-    grad = mul(a.grad, _gcol(d1))
-    if a.hess is None:
-        return SpatialJet(val, grad)
-    d2 = f2(a.val)
-    hess = add(mul(a.hess, _hcol(d1)), mul(_outer(a.grad, a.grad), _hcol(d2)))
-    return SpatialJet(val, grad, hess)
-
-
-def jet_tanh(a):
-    t = tanh(a.val)
-    one_minus_t2 = sub(1.0, mul(t, t))
-    return jet_chain(
-        a,
-        lambda v: t,
-        lambda v: one_minus_t2,
-        lambda v: mul(mul(-2.0, t), one_minus_t2),
-    )
-
-
-def jet_sin(a):
-    return jet_chain(a, sin, cos, lambda v: neg(sin(v)))
-
-
-def jet_cos(a):
-    return jet_chain(a, cos, lambda v: neg(sin(v)), lambda v: neg(cos(v)))
-
-
-def jet_log(a):
-    return jet_chain(
-        a,
-        log,
-        lambda v: div(1.0, v),
-        lambda v: div(-1.0, mul(v, v)),
-    )
-
-
-def jet_pow(a, p):
-    """Jet power with constant exponent (see :func:`pow_` for domain rules)."""
-    if float(p) == int(p) and abs(int(p)) <= 8:
-        p = int(p)
-        if p == 0:
-            return jet_const(1.0, np.shape(a.val.data))
-        if p < 0:
-            return jet_div(jet_const(1.0, np.shape(a.val.data)), jet_pow(a, -p))
-        out = a
-        for _ in range(p - 1):
-            out = jet_mul(out, a)
-        return out
-    return jet_chain(
-        a,
-        lambda v: pow_(v, p),
-        lambda v: mul(pow_(v, p - 1.0), float(p)),
-        lambda v: mul(pow_(v, p - 2.0), float(p * (p - 1.0))),
-    )
-
-
-def jet_reciprocal(a):
-    return jet_chain(
-        a,
-        lambda v: div(1.0, v),
-        lambda v: div(-1.0, mul(v, v)),
-        lambda v: div(2.0, mul(mul(v, v), v)),
-    )
-
-
-def jet_div(a, b):
-    if not isinstance(b, SpatialJet):
-        return jet_mul(a, 1.0 / np.asarray(b, dtype=np.float64))
-    return jet_mul(a, jet_reciprocal(b))
-
-
-# ---------------------------------------------------------------------------
-# 3x3 jet matrices (nested tuples of SpatialJet, row major)
-# ---------------------------------------------------------------------------
-
-
-def jet_mat(entries):
-    return tuple(tuple(entries[i][j] for j in range(3)) for i in range(3))
-
-
-def jet_identity(batch_shape=()):
-    return jet_mat(
-        [[jet_const(1.0 if i == j else 0.0, batch_shape) for j in range(3)] for i in range(3)]
-    )
-
-
-def jet_transpose(A):
-    return tuple(tuple(A[j][i] for j in range(3)) for i in range(3))
-
-
-def jet_trace(A):
-    return jet_add(jet_add(A[0][0], A[1][1]), A[2][2])
-
-
-def jet_matmul(A, B):
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            s = jet_mul(A[i][0], B[0][j])
-            s = jet_add(s, jet_mul(A[i][1], B[1][j]))
-            s = jet_add(s, jet_mul(A[i][2], B[2][j]))
-            row.append(s)
-        out.append(row)
-    return jet_mat(out)
-
-
-def jet_det3(A):
-    def two_by_two(a, b, c, d):
-        return jet_sub(jet_mul(a, d), jet_mul(b, c))
-
-    m0 = two_by_two(A[1][1], A[1][2], A[2][1], A[2][2])
-    m1 = two_by_two(A[1][0], A[1][2], A[2][0], A[2][2])
-    m2 = two_by_two(A[1][0], A[1][1], A[2][0], A[2][1])
-    return jet_add(
-        jet_sub(jet_mul(A[0][0], m0), jet_mul(A[0][1], m1)),
-        jet_mul(A[0][2], m2),
-    )
-
-
-def jet_inv3(A, det=None):
-    """Inverse by adjugate over determinant; raises below the det floor."""
-    if det is None:
-        det = jet_det3(A)
-    if np.min(np.abs(det.val.data)) <= DET_FLOOR:
-        idx = int(np.argmin(np.abs(np.atleast_1d(det.val.data))))
-        raise SingularMatrix(f"|det| at or below {DET_FLOOR:g} (first offender: index {idx})")
-    inv_det = jet_reciprocal(det)
-
-    def cof(i, j):
-        rows = [r for r in range(3) if r != i]
-        cols = [c for c in range(3) if c != j]
-        minor = jet_sub(
-            jet_mul(A[rows[0]][cols[0]], A[rows[1]][cols[1]]),
-            jet_mul(A[rows[0]][cols[1]], A[rows[1]][cols[0]]),
-        )
-        return jet_mul(minor, -1.0) if (i + j) % 2 else minor
-
-    # inverse = adj(A)^T / det, adj_ij = cofactor_ji
-    return jet_mat([[jet_mul(cof(j, i), inv_det) for j in range(3)] for i in range(3)])
-
 
 # ---------------------------------------------------------------------------
 # finite-difference verification harness

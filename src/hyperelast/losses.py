@@ -81,86 +81,64 @@ def potential_energy(u, problem, points, state=None):
     """Total potential: internal strain energy minus external work.
 
     Volume integrals use the Simpson weights of the point set; the
-    traction work integrates u . t over every traction face.  Returns
-    (total, internal, external) tape scalars.
+    traction work integrates u . t over every traction face.  Both works
+    are folded into one nodal load array, so the external work is a single
+    contraction with u.  Returns (total, internal, external) tape scalars.
     """
     if state is None:
         state = deformation_gradient(displacement_gradient(u))
     psi = problem.material.psi(state)
-    if psi.val.data.shape[0] != points.vol_weights.shape[0]:
+    if psi.data.shape[0] != points.vol_weights.shape[0]:
         raise LengthMismatch("energy density not aligned with volume weights")
-    internal = ad.sum_(ad.mul(psi.val, points.vol_weights))
+    internal = ad.einsum2("n,n->", psi, points.vol_weights)
 
-    external = ad.constant(0.0)
-    fb = problem.body_force_values(points.points)
-    if np.any(fb):
-        work = None
-        for i in range(3):
-            wi = ad.mul(u[i].val, fb[:, i])
-            work = wi if work is None else ad.add(work, wi)
-        external = ad.add(external, ad.sum_(ad.mul(work, points.vol_weights)))
+    load = problem.body_force_values(points.points) * points.vol_weights[:, None]
     for face in points.faces:
-        if not np.any(face.tbar):
-            continue
-        work = None
-        for i in range(3):
-            ui = ad.take(u[i].val, face.idx, axis=0)
-            wi = ad.mul(ui, face.tbar[:, i])
-            work = wi if work is None else ad.add(work, wi)
-        external = ad.add(external, ad.sum_(ad.mul(work, face.weights)))
+        load[face.idx] += face.tbar * face.weights[:, None]
+    external = ad.einsum2("ni,ni->", u.val, load) if np.any(load) else ad.constant(0.0)
     return ad.sub(internal, external), internal, external
 
 
 def mse_constitutive(P_net, P_u):
     """Mean squared Frobenius mismatch between the two stress fields."""
-    if P_net[0][0].val.data.shape != P_u[0][0].val.data.shape:
+    if P_net.val.data.shape != P_u.val.data.shape:
         raise LengthMismatch("stress fields sampled on different point sets")
-    total = None
-    for i in range(3):
-        for j in range(3):
-            d = ad.sub(P_net[i][j].val, P_u[i][j].val)
-            sq = ad.mul(d, d)
-            total = sq if total is None else ad.add(total, sq)
-    return ad.mean(total)
+    d = ad.sub(P_net.val, P_u.val)
+    n_points = d.data.size // 9
+    return ad.mul(ad.einsum2("...ij,...ij->", d, d), 1.0 / n_points)
 
 
 def mse_traction(P_u, P_net, points):
     """Traction residual mean ||P N - t||^2 for both stress branches.
 
     Every traction-face point contributes once per face it belongs to,
-    with that face's outward normal and patch traction.
+    with that face's outward normal and patch traction.  The residual is
+    formed for every point and face at once and masked to face membership.
     """
     if not points.faces:
         z = ad.constant(0.0)
         return z, z
-    n_total = points.n_traction
+    n_faces = len(points.faces)
+    normals = np.empty((n_faces, 3))
+    load = np.zeros((points.n_points, n_faces, 3))
+    member = np.zeros((points.n_points, n_faces, 1))
+    for f, face in enumerate(points.faces):
+        if not np.all(np.isfinite(face.normal)) or not np.any(face.normal):
+            raise MissingNormal(f"face ({face.axis}, {face.side}) has no usable normal")
+        normals[f] = face.normal
+        load[face.idx, f] = face.tbar
+        member[face.idx, f] = 1.0
     sums = []
     for P in (P_u, P_net):
-        acc = None
-        for face in points.faces:
-            if not np.all(np.isfinite(face.normal)) or not np.any(face.normal):
-                raise MissingNormal(f"face ({face.axis}, {face.side}) has no usable normal")
-            k = int(np.argmax(np.abs(face.normal)))
-            sign = float(face.normal[k])
-            for i in range(3):
-                Pik = ad.take(P[i][k].val, face.idx, axis=0)
-                r = ad.sub(ad.mul(Pik, sign), face.tbar[:, i])
-                sq = ad.sum_(ad.mul(r, r))
-                acc = sq if acc is None else ad.add(acc, sq)
-        sums.append(ad.mul(acc, 1.0 / n_total))
+        PN = ad.einsum2("nij,fj->nfi", P.val, normals)
+        r = ad.mul(ad.sub(PN, load), member)
+        sums.append(ad.mul(ad.einsum2("nfi,nfi->", r, r), 1.0 / points.n_traction))
     return sums[0], sums[1]
 
 
 def divergence_at(P, idx):
     """Row divergence (div P)_i = sum_j dP_ij/dX_j at selected points."""
-    out = []
-    for i in range(3):
-        acc = None
-        for j in range(3):
-            dij = ad.take(ad.take(P[i][j].grad, j, axis=-1), idx, axis=0)
-            acc = dij if acc is None else ad.add(acc, dij)
-        out.append(acc)
-    return out
+    return ad.einsum2("nijk,jk->ni", ad.take(P.grad, idx, axis=0), np.eye(3))
 
 
 def mse_interior(P_u, P_net, points, body_force):
@@ -171,13 +149,8 @@ def mse_interior(P_u, P_net, points, body_force):
         fb = fb[idx]
     sums = []
     for P in (P_u, P_net):
-        div = divergence_at(P, idx)
-        acc = None
-        for i in range(3):
-            r = ad.add(div[i], fb[:, i]) if fb.ndim == 2 else ad.add(div[i], float(fb[i]))
-            sq = ad.mul(r, r)
-            acc = sq if acc is None else ad.add(acc, sq)
-        sums.append(ad.mean(acc))
+        r = ad.add(divergence_at(P, idx), fb)
+        sums.append(ad.mul(ad.einsum2("ni,ni->", r, r), 1.0 / idx.size))
     return sums[0], sums[1]
 
 
@@ -210,14 +183,11 @@ def total_loss(breakdown, weights, mask="full", active=None):
     """
     if active is None:
         active = active_term_indices(mask)
-    terms = breakdown.terms()
-    total = None
-    for i in active:
-        contrib = ad.mul(terms[i], float(weights[i]))
-        total = contrib if total is None else ad.add(total, contrib)
-    if total is None:
+    if not active:
         raise ValueError("no active loss terms")
-    return total
+    terms = breakdown.terms()
+    w = np.array([float(weights[i]) for i in active])
+    return ad.einsum2("t,t->", ad.stack([terms[i] for i in active]), w)
 
 
 class CoVState:

@@ -2,10 +2,17 @@
 
 Implements the strain energy density psi(F) and the analytic first
 Piola-Kirchhoff stress P(F) for two isotropic compressible models, plus
-the Cauchy push-forward and von Mises post-processing.  All evaluators
-work on 3x3 matrices of :class:`~hyperelast.autodiff.SpatialJet`, so the
-same code serves loss assembly (where spatial derivatives of the stress
-are needed) and plain numeric evaluation (constant jets).
+the Cauchy push-forward and von Mises post-processing.
+
+The kinematic state holds batched first-order jets
+(:class:`~hyperelast.autodiff.Jet`): F (..., 3, 3), J and I1 (...,) and
+F^{-T} (..., 3, 3), each with its gradient in the material coordinates
+from the closed forms dJ = J tr(F^{-1} dF), dI1 = 2 F : dF and
+d(F^{-T}) = -F^{-T} dF^T F^{-T}.  Both stresses have the form
+P = a F + b F^{-T} with scalar fields a, b, so their spatial gradients
+(needed for div P) follow from the product rule.  The energy density is
+returned as values only.  A state without gradients (order 0) serves
+plain numeric evaluation.
 
 The stress formulas are hard-coded rather than produced by run-time
 differentiation of psi; the consistency P = d psi / dF is pinned by
@@ -15,7 +22,7 @@ finite-difference tests.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,35 +98,56 @@ class LopezPamies:
 
 @dataclass
 class DeformationState:
-    """Deformation gradient and derived quantities as jets.
+    """Deformation gradient and derived quantities as first-order jets.
 
-    F = I + grad u, J = det F, C = F^T F, I1 = trace C.  F_inv_T is cached
-    because both models need it for the stress.
+    F = I + grad u, J = det F, I1 = trace(F^T F) = F : F, F_inv_T = F^{-T}.
     """
 
-    F: tuple
-    J: ad.SpatialJet
-    I1: ad.SpatialJet
-    F_inv_T: tuple = field(default=None)
+    F: ad.Jet
+    J: ad.Jet
+    I1: ad.Jet
+    F_inv_T: ad.Jet
 
-    def inverse_transpose(self):
-        if self.F_inv_T is None:
-            self.F_inv_T = ad.jet_transpose(ad.jet_inv3(self.F, det=self.J))
-        return self.F_inv_T
+
+def _scalar_times(s, M):
+    """Product of a scalar jet (or float) s with a matrix jet M (..., 3, 3)."""
+    if not isinstance(s, ad.Jet):
+        return ad.Jet(ad.mul(M.val, s), None if M.grad is None else ad.mul(M.grad, s))
+    val = ad.einsum2("...,...ij->...ij", s.val, M.val)
+    if M.grad is None:
+        return ad.Jet(val)
+    grad = ad.add(
+        ad.einsum2("...,...ijk->...ijk", s.val, M.grad),
+        ad.einsum2("...ij,...k->...ijk", M.val, s.grad),
+    )
+    return ad.Jet(val, grad)
+
+
+def _stress(a, b, state):
+    """P = a F + b F^{-T} with its spatial gradient."""
+    aF = _scalar_times(a, state.F)
+    bG = _scalar_times(b, state.F_inv_T)
+    grad = None if aF.grad is None else ad.add(aF.grad, bG.grad)
+    return ad.Jet(ad.add(aF.val, bG.val), grad)
+
+
+def _scalar_jet(val, d_val, d_arg):
+    """Jet of f(arg) from the values f and f' and the gradient of arg."""
+    if d_arg is None:
+        return ad.Jet(val)
+    return ad.Jet(val, ad.einsum2("...,...k->...k", d_val, d_arg))
 
 
 def deformation_gradient(grad_u):
-    """Build a DeformationState from the 3x3 displacement-gradient jets.
+    """Build a DeformationState from the displacement-gradient jet.
 
     Raises InvertedState if det F falls at or below the floor anywhere in
     the batch; logs a warning when det F approaches zero.
     """
-    eye = ad.jet_identity(np.shape(grad_u[0][0].val.data))
-    F = ad.jet_mat(
-        [[ad.jet_add(eye[i][j], grad_u[i][j]) for j in range(3)] for i in range(3)]
-    )
-    J = ad.jet_det3(F)
-    Jdata = np.atleast_1d(J.val.data)
+    F = ad.add(grad_u.val, np.eye(3))
+    dF = grad_u.grad
+    J = ad.det3(F)
+    Jdata = np.atleast_1d(J.data)
     if np.min(Jdata) <= J_FLOOR:
         idx = int(np.argmin(Jdata))
         raise InvertedState(
@@ -132,86 +160,82 @@ def deformation_gradient(grad_u):
             np.min(Jdata),
             int(np.argmin(Jdata)),
         )
-    # I1 = trace(F^T F) = sum of squared entries
-    I1 = None
-    for i in range(3):
-        for j in range(3):
-            sq = ad.jet_mul(F[i][j], F[i][j])
-            I1 = sq if I1 is None else ad.jet_add(I1, sq)
-    return DeformationState(F=F, J=J, I1=I1)
+    FiT = ad.transpose(ad.inv3(F))
+    I1 = ad.einsum2("...ij,...ij->...", F, F)
+    if dF is None:
+        return DeformationState(ad.Jet(F), ad.Jet(J), ad.Jet(I1), ad.Jet(FiT))
+    dJ = ad.einsum2("...,...k->...k", J, ad.einsum2("...ij,...ijk->...k", FiT, dF))
+    dI1 = ad.mul(ad.einsum2("...ij,...ijk->...k", F, dF), 2.0)
+    # d(F^-T)_ab = -F^-T_cb dF_cd F^-T_ad
+    dFiT = ad.neg(
+        ad.einsum2("...cak,...cb->...abk", ad.einsum2("...cdk,...ad->...cak", dF, FiT), FiT)
+    )
+    return DeformationState(
+        F=ad.Jet(F, dF), J=ad.Jet(J, dJ), I1=ad.Jet(I1, dI1), F_inv_T=ad.Jet(FiT, dFiT)
+    )
 
 
 def psi_nh(mat, state):
     """psi = lam/2 (ln J)^2 - mu ln J + mu/2 (I1 - 3)."""
-    lnJ = ad.jet_log(state.J)
-    return ad.jet_add(
-        ad.jet_sub(
-            ad.jet_mul(ad.jet_mul(lnJ, lnJ), 0.5 * mat.lam),
-            ad.jet_mul(lnJ, mat.mu),
-        ),
-        ad.jet_mul(ad.jet_sub(state.I1, 3.0), 0.5 * mat.mu),
+    lnJ = ad.log(state.J.val)
+    return ad.add(
+        ad.sub(ad.mul(ad.mul(lnJ, lnJ), 0.5 * mat.lam), ad.mul(lnJ, mat.mu)),
+        ad.mul(ad.sub(state.I1.val, 3.0), 0.5 * mat.mu),
     )
 
 
 def P_nh(mat, state):
     """P = mu F + (lam ln J - mu) F^{-T}."""
-    lnJ = ad.jet_log(state.J)
-    coeff = ad.jet_sub(ad.jet_mul(lnJ, mat.lam), mat.mu)
-    FiT = state.inverse_transpose()
-    return ad.jet_mat(
-        [
-            [
-                ad.jet_add(ad.jet_mul(state.F[i][j], mat.mu), ad.jet_mul(FiT[i][j], coeff))
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
+    J = state.J
+    coeff = _scalar_jet(
+        ad.sub(ad.mul(ad.log(J.val), mat.lam), mat.mu), ad.div(mat.lam, J.val), J.grad
     )
+    return _stress(mat.mu, coeff, state)
+
+
+def _batched(values, state):
+    """Per-term constants shaped (M, 1, ...) to broadcast against I1."""
+    return np.asarray(values, dtype=np.float64).reshape((-1,) + (1,) * state.I1.val.data.ndim)
 
 
 def psi_lp(mat, state):
     """Power-law sum over I1 plus volumetric ln J and (J-1)^2 terms."""
     if np.min(np.atleast_1d(state.I1.val.data)) <= 0.0:
         raise DomainError("I1 must be positive")
-    total = None
-    for a_r, mu_r in zip(mat.alphas, mat.mus):
-        coeff = 3.0 ** (1.0 - a_r) / (2.0 * a_r) * mu_r
-        term = ad.jet_mul(ad.jet_sub(ad.jet_pow(state.I1, a_r), 3.0**a_r), coeff)
-        total = term if total is None else ad.jet_add(total, term)
-    lnJ = ad.jet_log(state.J)
-    total = ad.jet_sub(total, ad.jet_mul(lnJ, sum(mat.mus)))
-    Jm1 = ad.jet_sub(state.J, 1.0)
-    return ad.jet_add(total, ad.jet_mul(ad.jet_mul(Jm1, Jm1), 0.5 * mat.lam))
+    alphas = np.array(mat.alphas)
+    coeffs = 3.0 ** (1.0 - alphas) / (2.0 * alphas) * np.array(mat.mus)
+    powers = ad.sub(ad.pow_(state.I1.val, _batched(alphas, state)), _batched(3.0**alphas, state))
+    total = ad.einsum2("r...,r->...", powers, coeffs)
+    J = state.J.val
+    total = ad.sub(total, ad.mul(ad.log(J), sum(mat.mus)))
+    Jm1 = ad.sub(J, 1.0)
+    return ad.add(total, ad.mul(ad.mul(Jm1, Jm1), 0.5 * mat.lam))
 
 
 def P_lp(mat, state):
     """P = sum_r 3^{1-a_r} mu_r I1^{a_r-1} F - sum_r mu_r F^{-T} + lam (J^2 - J) F^{-T}."""
-    scale = None
-    for a_r, mu_r in zip(mat.alphas, mat.mus):
-        coeff = 3.0 ** (1.0 - a_r) * mu_r
-        term = ad.jet_mul(ad.jet_pow(state.I1, a_r - 1.0), coeff)
-        scale = term if scale is None else ad.jet_add(scale, term)
-    J2mJ = ad.jet_sub(ad.jet_mul(state.J, state.J), state.J)
-    coeff_iT = ad.jet_sub(ad.jet_mul(J2mJ, mat.lam), sum(mat.mus))
-    FiT = state.inverse_transpose()
-    return ad.jet_mat(
-        [
-            [
-                ad.jet_add(
-                    ad.jet_mul(state.F[i][j], scale), ad.jet_mul(FiT[i][j], coeff_iT)
-                )
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
+    alphas = np.array(mat.alphas)
+    coeffs = 3.0 ** (1.0 - alphas) * np.array(mat.mus)
+    I1, J = state.I1, state.J
+    powers = ad.pow_(I1.val, _batched(alphas - 1.0, state))
+    scale = _scalar_jet(
+        ad.einsum2("r...,r->...", powers, coeffs),
+        # d/dI1 of sum_r c_r I1^(a_r - 1) = sum_r c_r (a_r - 1) I1^(a_r - 1) / I1
+        ad.div(ad.einsum2("r...,r->...", powers, coeffs * (alphas - 1.0)), I1.val),
+        I1.grad,
     )
+    J2mJ = ad.sub(ad.mul(J.val, J.val), J.val)
+    coeff_iT = _scalar_jet(
+        ad.sub(ad.mul(J2mJ, mat.lam), sum(mat.mus)),
+        ad.sub(ad.mul(J.val, 2.0 * mat.lam), mat.lam),
+        J.grad,
+    )
+    return _stress(scale, coeff_iT, state)
 
 
-def cauchy(P, state):
-    """Cauchy stress S = (1/J) P F^T."""
-    PFt = ad.jet_matmul(P, ad.jet_transpose(state.F))
-    invJ = ad.jet_reciprocal(state.J)
-    return ad.jet_mat([[ad.jet_mul(PFt[i][j], invJ) for j in range(3)] for i in range(3)])
+def cauchy(P, F, J):
+    """Cauchy stress S = (1/J) P F^T from arrays P, F (..., 3, 3) and J (...)."""
+    return np.einsum("...ij,...kj->...ik", P, F) / np.asarray(J)[..., None, None]
 
 
 def von_mises(S):
@@ -243,38 +267,24 @@ def material_from_config(model, **params):
 def state_from_array(F):
     """DeformationState from a plain ndarray F with shape (..., 3, 3).
 
-    Convenience for tests and post-processing: entries become constant jets
-    of order 0 (values only).
+    Convenience for tests and post-processing: the state carries values
+    only (order 0).
     """
     F = np.asarray(F, dtype=np.float64)
-    grad_u = [
-        [ad.SpatialJet(ad.constant(F[..., i, j] - (1.0 if i == j else 0.0))) for j in range(3)]
-        for i in range(3)
-    ]
-    return deformation_gradient(grad_u)
+    return deformation_gradient(ad.Jet(ad.constant(F - np.eye(3))))
 
 
 def eval_psi(mat, F):
     """Numeric psi for an ndarray F (..., 3, 3)."""
-    return np.asarray(mat.psi(state_from_array(F)).val.data)
+    return np.asarray(mat.psi(state_from_array(F)).data)
 
 
 def eval_stress(mat, F):
     """Numeric P for an ndarray F (..., 3, 3)."""
-    P = mat.stress(state_from_array(F))
-    out = np.empty(F.shape, dtype=np.float64)
-    for i in range(3):
-        for j in range(3):
-            out[..., i, j] = P[i][j].val.data
-    return out
+    return mat.stress(state_from_array(F)).val.data
 
 
 def eval_cauchy(mat, F):
     """Numeric Cauchy stress for an ndarray F (..., 3, 3)."""
     state = state_from_array(F)
-    S = cauchy(mat.stress(state), state)
-    out = np.empty(F.shape, dtype=np.float64)
-    for i in range(3):
-        for j in range(3):
-            out[..., i, j] = S[i][j].val.data
-    return out
+    return cauchy(mat.stress(state).val.data, state.F.val.data, state.J.val.data)

@@ -6,6 +6,12 @@ feature map, then a tanh multilayer perceptron with a linear head.
 Displacement outputs are composed with distance functions so essential
 boundary conditions hold exactly; stress outputs pass through unchanged
 up to a fixed conditioning scale.
+
+Every layer is carried as one :class:`~hyperelast.autodiff.Jet` of the
+whole batch: values (..., w), gradients (..., w, 3) and packed Hessians
+(..., w, 6).  The head is split into the displacement jet u (..., 3), of
+order 2, and the stress jet P (..., 3, 3), of order 1, because only the
+divergence of the stress is ever needed.
 """
 
 from __future__ import annotations
@@ -18,12 +24,8 @@ from . import autodiff as ad
 from .errors import ShapeMismatch
 
 N_OUTPUTS = 12  # 3 displacement + 9 stress components
-
-# the layer pipeline stores symmetric Hessians packed as the 6 unique
-# entries (00, 01, 02, 11, 12, 22); these index tables pack and unpack
-_PACK_A = np.array([0, 0, 0, 1, 1, 2])
-_PACK_B = np.array([0, 1, 2, 1, 2, 2])
-_UNPACK = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
+_U_ROWS = np.arange(3)
+_P_ROWS = np.arange(3, N_OUTPUTS)
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class RFFMap:
         val = np.empty(batch + (2 * self.m,))
         grad = np.empty(batch + (2 * self.m, 3))
         hess = np.empty(batch + (2 * self.m, 6))  # packed symmetric
-        WW = W[:, _PACK_A] * W[:, _PACK_B]  # (m, 6)
+        WW = W[:, ad.PACK_A] * W[:, ad.PACK_B]  # (m, 6)
         val[..., 0::2] = cw
         val[..., 1::2] = sw
         grad[..., 0::2, :] = np.einsum("...m,md->...md", -sw, W, optimize=True)
@@ -133,38 +135,11 @@ class MLPSpec:
         return phi
 
 
-class LayerJets:
-    """Jets of a whole layer: value (..., w), gradient (..., w, 3) and
-    Hessian (..., w, 6) in packed symmetric storage."""
-
-    __slots__ = ("val", "grad", "hess")
-
-    def __init__(self, val, grad, hess):
-        self.val = val
-        self.grad = grad
-        self.hess = hess
-
-    @property
-    def width(self):
-        return self.val.data.shape[-1]
-
-    def component(self, j):
-        """Extract one output as a SpatialJet (Hessian unpacked to 3x3)."""
-        packed = ad.take(self.hess, j, axis=-2)
-        flat = ad.take(packed, _UNPACK, axis=-1)
-        batch = packed.data.shape[:-1]
-        return ad.SpatialJet(
-            ad.take(self.val, j, axis=-1),
-            ad.take(self.grad, j, axis=-2),
-            ad.reshape(flat, batch + (3, 3)),
-        )
-
-
 def _affine_layer(prev, W, b):
     val = ad.add(ad.einsum2("...i,oi->...o", prev.val, W), b)
     grad = ad.einsum2("...id,oi->...od", prev.grad, W)
     hess = ad.einsum2("...ik,oi->...ok", prev.hess, W)
-    return LayerJets(val, grad, hess)
+    return ad.Jet(val, grad, hess)
 
 
 def _packed_outer_back(s, G):
@@ -197,7 +172,7 @@ def _tanh_layer(z):
     t2 = (-2.0 * t) * t1
     t3 = t1 * (6.0 * t * t - 2.0)
     G, H = z.grad.data, z.hess.data
-    gg = G[..., _PACK_A] * G[..., _PACK_B]
+    gg = G[..., ad.PACK_A] * G[..., ad.PACK_B]
     c1, c2 = t1[..., None], t2[..., None]
     val = ad.record("tanh_jet[val]", t, (z.val,), (lambda adj: adj * t1,))
     grad = ad.record(
@@ -220,14 +195,14 @@ def _tanh_layer(z):
             lambda adj: adj * c1,
         ),
     )
-    return LayerJets(val=val, grad=grad, hess=hess)
+    return ad.Jet(val, grad, hess)
 
 
 def forward(spec, phi, features):
     """Propagate feature jets through the perceptron.
 
     ``phi`` is the flat parameter Var; ``features`` the (val, grad, hess)
-    arrays from :meth:`RFFMap.features`.  Returns the 12-wide LayerJets.
+    arrays from :meth:`RFFMap.features`.  Returns the 12-wide Jet.
     """
     if phi.data.shape != (spec.n_params,):
         raise ShapeMismatch(
@@ -238,7 +213,7 @@ def forward(spec, phi, features):
         raise ShapeMismatch(
             f"feature width {fval.shape[-1]} != input width {spec.widths[0]}"
         )
-    y = LayerJets(ad.constant(fval), ad.constant(fgrad), ad.constant(fhess))
+    y = ad.Jet(ad.constant(fval), ad.constant(fgrad), ad.constant(fhess))
     slices = spec.layer_slices()
     for li, (ws, bs, fi, fo) in enumerate(slices):
         W = ad.reshape(ad.take(phi, np.arange(ws.start, ws.stop)), (fo, fi))
@@ -288,59 +263,74 @@ class BCEnforcer:
         g = tuple(tuple(factor * v for v in row) for row in self.lift_lin)
         return BCEnforcer(self.origin, self.lengths, self.faces, c, g)
 
-    def lift_values(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        G = np.asarray(self.lift_lin)
-        return np.asarray(self.lift_const) + np.einsum("ij,...j->...i", G, X, optimize=True)
-
     def lift_jets(self, X):
-        """A(X) as three constant jets (exact gradient = rows of G)."""
+        """A(X) = c + G X as a constant first-order jet (..., 3)."""
         X = np.asarray(X, dtype=np.float64)
-        batch = X.shape[:-1]
-        vals = self.lift_values(X)
         G = np.asarray(self.lift_lin)
-        jets = []
-        for i in range(3):
-            grad = np.broadcast_to(G[i], batch + (3,)).copy()
-            jets.append(
-                ad.SpatialJet(
-                    ad.constant(vals[..., i]),
-                    ad.constant(grad),
-                    ad.constant(np.zeros(batch + (3, 3))),
-                )
-            )
-        return jets
+        val = np.asarray(self.lift_const) + np.einsum("ij,...j->...i", G, X, optimize=True)
+        grad = np.broadcast_to(G, X.shape[:-1] + (3, 3)).copy()
+        return ad.Jet(ad.constant(val), ad.constant(grad))
 
     def mask_jets(self, X):
-        """B(X) per component, as constant jets built by jet arithmetic."""
+        """B(X) per component as a constant second-order jet (..., 3).
+
+        Each factor is a normalized face distance, linear in one
+        coordinate, so the product rule needs no Hessian of the factor.
+        """
         X = np.asarray(X, dtype=np.float64)
-        coords = ad.lift_point(X)
-        masks = []
-        for i in range(3):
-            prod = None
-            for f in self.faces:
-                if i not in f.components:
-                    continue
-                xi = ad.jet_mul(
-                    ad.jet_sub(coords[f.axis], self.origin[f.axis]),
-                    1.0 / self.lengths[f.axis],
+        batch = X.shape[:-1]
+        val = np.ones(batch + (3,))
+        grad = np.zeros(batch + (3, 3))
+        hess = np.zeros(batch + (3, 6))
+        for f in self.faces:
+            inv_len = 1.0 / self.lengths[f.axis]
+            xi = (X[..., f.axis] - self.origin[f.axis]) * inv_len
+            dxi = np.zeros(3)
+            dxi[f.axis] = inv_len
+            if f.side == "hi":
+                xi, dxi = 1.0 - xi, -dxi
+            for i in f.components:
+                hess[..., i, :] = (
+                    hess[..., i, :] * xi[..., None]
+                    + grad[..., i, ad.PACK_A] * dxi[ad.PACK_B]
+                    + grad[..., i, ad.PACK_B] * dxi[ad.PACK_A]
                 )
-                factor = ad.jet_sub(1.0, xi) if f.side == "hi" else xi
-                prod = factor if prod is None else ad.jet_mul(prod, factor)
-            if prod is None:
-                prod = ad.jet_const(1.0, X.shape[:-1])
-            masks.append(prod)
-        return masks
+                grad[..., i, :] = grad[..., i, :] * xi[..., None] + val[..., i, None] * dxi
+                val[..., i] = val[..., i] * xi
+        return ad.Jet(ad.constant(val), ad.constant(grad), ad.constant(hess))
 
     def bc_jets(self, X):
-        """Constant (A, B) jets, cacheable per point set."""
-        return self.lift_jets(X), self.mask_jets(X)
+        """Constant lift and mask jets, cacheable per point set.
+
+        The third entry holds the packed products of the mask gradient
+        with a unit gradient, so that the cross term of the product rule,
+        grad B (x) grad y + grad y (x) grad B, is one contraction.
+        """
+        mask = self.mask_jets(X)
+        Bg = mask.grad.data
+        cross = np.zeros(Bg.shape[:-1] + (6, 3))
+        for k, (a, b) in enumerate(zip(ad.PACK_A, ad.PACK_B)):
+            cross[..., k, b] += Bg[..., a]
+            cross[..., k, a] += Bg[..., b]
+        return self.lift_jets(X), mask, cross
 
     def apply(self, X, y_u, y_P, bc=None):
-        """(u, P) from raw outputs; stress is returned unchanged."""
-        A, B = bc if bc is not None else self.bc_jets(X)
-        u = [ad.jet_add(A[i], ad.jet_mul(B[i], y_u[i])) for i in range(3)]
-        return u, y_P
+        """(u, P) from the raw output jets; stress is returned unchanged.
+
+        u = A + B y by the product rule, with A of zero Hessian.
+        """
+        lift, mask, cross = bc if bc is not None else self.bc_jets(X)
+        Bv, Bg, Bh = mask.val.data, mask.grad.data, mask.hess.data
+        val = ad.add(lift.val, ad.mul(y_u.val, Bv))
+        grad = ad.add(
+            lift.grad,
+            ad.add(ad.mul(y_u.grad, Bv[..., None]), ad.einsum2("...i,...id->...id", y_u.val, Bg)),
+        )
+        hess = ad.add(
+            ad.add(ad.mul(y_u.hess, Bv[..., None]), ad.einsum2("...i,...ik->...ik", y_u.val, Bh)),
+            ad.einsum2("...id,...ikd->...ik", y_u.grad, cross),
+        )
+        return ad.Jet(val, grad, hess), y_P
 
 
 @dataclass(frozen=True)
@@ -365,41 +355,37 @@ class FieldNetwork:
         return self.mlp.init_params(rng)
 
     def raw_outputs(self, phi, X, features=None):
+        """Head jets: displacement (..., 3) of order 2 and stress (..., 3, 3)
+        of order 1."""
         if features is None:
             features = self.rff.features(X)
         out = forward(self.mlp, phi, features)
-        y_u = [out.component(i) for i in range(3)]
-        y_P = ad.jet_mat(
-            [[out.component(3 + 3 * i + j) for j in range(3)] for i in range(3)]
+        batch = out.val.data.shape[:-1]
+        y_u = ad.Jet(
+            ad.take(out.val, _U_ROWS, axis=-1),
+            ad.take(out.grad, _U_ROWS, axis=-2),
+            ad.take(out.hess, _U_ROWS, axis=-2),
+        )
+        y_P = ad.Jet(
+            ad.reshape(ad.take(out.val, _P_ROWS, axis=-1), batch + (3, 3)),
+            ad.reshape(ad.take(out.grad, _P_ROWS, axis=-2), batch + (3, 3, 3)),
         )
         return y_u, y_P
 
     def fields(self, phi, X, features=None, bc=None):
-        """Displacement jets and scaled stress jets at points X (..., 3)."""
+        """Displacement jet and scaled stress jet at points X (..., 3)."""
         y_u, y_P = self.raw_outputs(phi, X, features)
         u, y_P = self.enforcer.apply(X, y_u, y_P, bc=bc)
-        P = ad.jet_mat(
-            [[ad.jet_mul(y_P[i][j], self.stress_scale) for j in range(3)] for i in range(3)]
-        )
+        P = ad.Jet(ad.mul(y_P.val, self.stress_scale), ad.mul(y_P.grad, self.stress_scale))
         return u, P
 
 
 def displacement_gradient(u):
-    """3x3 first-order jets of grad u, rows from the displacement jets.
+    """First-order jet of grad u (..., 3, 3) from the displacement jet.
 
-    Entry (i, j) carries value du_i/dX_j and gradient d2u_i/dX_j dX; the
-    Hessian row of u_i supplies the gradient (third spatial derivatives are
-    out of scope).
+    Entry (i, j) carries value du_i/dX_j and gradient d2u_i/dX_j dX, read
+    off the packed Hessian of u_i (third spatial derivatives are out of
+    scope).
     """
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            row.append(
-                ad.SpatialJet(
-                    ad.take(u[i].grad, j, axis=-1),
-                    ad.take(u[i].hess, j, axis=-2),
-                )
-            )
-        rows.append(row)
-    return ad.jet_mat(rows)
+    hess = ad.take(u.hess, ad.UNPACK, axis=-1)
+    return ad.Jet(u.grad, ad.reshape(hess, hess.data.shape[:-1] + (3, 3)))

@@ -31,14 +31,8 @@ from .losses import (
     assemble,
     total_loss,
 )
-from .materials import deformation_gradient, von_mises
-from .network import (
-    BCEnforcer,
-    FieldNetwork,
-    MLPSpec,
-    RFFMap,
-    displacement_gradient,
-)
+from .materials import cauchy, deformation_gradient, von_mises
+from .network import BCEnforcer, FieldNetwork, MLPSpec, RFFMap
 from .optim import (
     CurriculumSchedule,
     GDConfig,
@@ -205,32 +199,20 @@ def evaluate_fields(net, phi, X, material=None):
     X = np.asarray(X, dtype=np.float64)
     phi_const = ad.constant(np.asarray(phi, dtype=np.float64))
     u, P = net.fields(phi_const, X)
-    state = deformation_gradient(displacement_gradient(u))
-    n = X.shape[:-1]
-    u_arr = np.stack([u[i].val.data for i in range(3)], axis=-1)
-    P_arr = np.empty(n + (3, 3))
-    F_arr = np.empty(n + (3, 3))
-    for i in range(3):
-        for j in range(3):
-            P_arr[..., i, j] = P[i][j].val.data
-            F_arr[..., i, j] = state.F[i][j].val.data
-    J = np.asarray(state.J.val.data)
-    S_arr = np.einsum("...ij,...kj->...ik", P_arr, F_arr) / J[..., None, None]
+    # values only: sampling needs no spatial derivatives of the state
+    state = deformation_gradient(ad.Jet(u.grad))
+    F, J = state.F.val.data, state.J.val.data
+    S = cauchy(P.val.data, F, J)
     out = {
-        "u": u_arr,
-        "P": P_arr,
-        "F": F_arr,
+        "u": u.val.data,
+        "P": P.val.data,
+        "F": F,
         "J": J,
-        "S": S_arr,
-        "von_mises": von_mises(S_arr),
+        "S": S,
+        "von_mises": von_mises(S),
     }
     if material is not None:
-        P_u = material.stress(state)
-        Pu_arr = np.empty(n + (3, 3))
-        for i in range(3):
-            for j in range(3):
-                Pu_arr[..., i, j] = P_u[i][j].val.data
-        out["P_u"] = Pu_arr
+        out["P_u"] = material.stress(state).val.data
     return out
 
 

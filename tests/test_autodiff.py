@@ -1,4 +1,4 @@
-"""Tape and spatial-jet engine tests."""
+"""Tape, tape primitive and spatial-jet tests."""
 
 import gc
 import weakref
@@ -11,142 +11,150 @@ import hyperelast.autodiff as ad
 from hyperelast.errors import DomainError, EmptyTape, SingularMatrix
 
 
-def lifted(X):
-    return ad.lift_point(np.asarray(X, dtype=np.float64))
-
-
-class TestLiftCoordinate:
-    def test_origin_axis0(self):
-        j = ad.lift_coordinate(np.zeros(3), 0)
-        assert j.val.data == 0.0
-        assert_allclose(j.grad.data, [1.0, 0.0, 0.0])
-        assert np.all(j.hess.data == 0.0)
-
-    def test_point_axis2(self):
-        j = ad.lift_coordinate(np.array([1.0, 2.0, 3.0]), 2)
-        assert j.val.data == 3.0
-        assert_allclose(j.grad.data, [0.0, 0.0, 1.0])
-
-    def test_unit_self_derivative(self):
-        j = ad.lift_coordinate(np.array([0.7, -0.1, 0.4]), 1)
-        assert j.grad.data[1] == 1.0
-
-    def test_bad_axis(self):
-        with pytest.raises(ValueError):
-            ad.lift_coordinate(np.zeros(3), 3)
-
-
 class TestJetPrimitives:
     def test_tanh_at_zero(self):
-        j = ad.jet_tanh(ad.lift_coordinate(np.zeros(3), 0))
-        assert j.val.data == 0.0
-        assert_allclose(j.grad.data, [1.0, 0.0, 0.0])
+        from hyperelast.network import _tanh_layer
+
+        z = ad.Jet(ad.constant(np.zeros(1)), ad.constant(np.eye(3)[:1]),
+                   ad.constant(np.zeros((1, 6))))
+        j = _tanh_layer(z)
+        assert j.val.data[0] == 0.0
+        assert_allclose(j.grad.data[0], [1.0, 0.0, 0.0])
         assert np.all(j.hess.data == 0.0)
 
     def test_det_of_constant_identity(self):
-        eye = ad.jet_identity()
-        d = ad.jet_det3(eye)
-        assert d.val.data == 1.0
-        assert np.all(d.grad.data == 0.0)
+        d = ad.det3(ad.constant(np.eye(3)))
+        assert d.data == 1.0 and d.node is None
+        tape = ad.Tape()
+        A = tape.input(np.eye(3))
+        assert np.array_equal(ad.reverse_gradient(ad.det3(A), A), np.eye(3))
 
     def test_log_det_rank_one_update(self):
-        # d/dX1 ln det(I + X1 e1 x e1) = 1/(1 + X1) = 1 at X1 = 0
-        def make(X):
-            x0, _, _ = lifted(X)
-            eye = ad.jet_identity(())
-            F = [[ad.jet_add(eye[0][0], x0) if (i, j) == (0, 0) else eye[i][j]
-                  for j in range(3)] for i in range(3)]
-            return ad.jet_log(ad.jet_det3(ad.jet_mat(F)))
+        # d/dX1 ln det(I + X1 e1 x e1) = 1/(1 + X1) = 1 at X1 = 0, and the
+        # log-det vjp A^{-T} against central differences at a general A
+        def log_det(A):
+            tape = ad.Tape()
+            a = tape.input(A)
+            out = ad.log(ad.det3(a))
+            return float(out.data), ad.reverse_gradient(out, a)
 
-        j = make(np.zeros(3))
-        assert_allclose(j.grad.data[0], 1.0, rtol=1e-12)
-        h = 1e-5
-        fd = (make(np.array([h, 0, 0])).val.data - make(np.array([-h, 0, 0])).val.data) / (2 * h)
-        assert abs(j.grad.data[0] - fd) / abs(fd) <= 1e-6
+        _, g = log_det(np.eye(3))
+        assert_allclose(g[0, 0], 1.0, rtol=1e-12)
+        A = np.eye(3) + 0.3 * np.random.default_rng(2).standard_normal((3, 3))
+        _, g = log_det(A)
+        assert_allclose(g, np.linalg.inv(A).T, rtol=1e-12)
+        assert ad.fd_check(lambda x: log_det(x)[0], A, g, h=1e-6) <= 1e-6
+
+    def test_inverse_vjp_matches_fd(self):
+        rng = np.random.default_rng(5)
+        A = np.eye(3) + 0.3 * rng.standard_normal((4, 3, 3))
+        C = rng.standard_normal((4, 3, 3))
+
+        def loss(x):
+            tape = ad.Tape()
+            a = tape.input(x)
+            out = ad.einsum2("nij,nij->", ad.inv3(a), C)
+            return float(out.data), ad.reverse_gradient(out, a)
+
+        _, g = loss(A)
+        assert ad.fd_check(lambda x: loss(x)[0], A, g, h=1e-6) <= 1e-6
 
     def test_log_domain_error(self):
         with pytest.raises(DomainError):
-            ad.jet_log(ad.jet_const(-1.0))
+            ad.log(ad.constant(-1.0))
 
     def test_noninteger_pow_domain_error(self):
         with pytest.raises(DomainError):
-            ad.jet_pow(ad.jet_const(-2.0), 0.5)
+            ad.pow_(ad.constant(-2.0), 0.5)
 
     def test_singular_matrix(self):
-        zero = ad.jet_mat([[ad.jet_const(0.0)] * 3 for _ in range(3)])
         with pytest.raises(SingularMatrix):
-            ad.jet_inv3(zero)
+            ad.inv3(ad.constant(np.zeros((3, 3))))
 
     def test_mul_hess_symmetric_bitwise(self):
+        # the Hessian of the product u = A + B y, unpacked into the
+        # gradient of grad u, is symmetric bit for bit
+        from hyperelast.bvp import preset
+        from hyperelast.network import displacement_gradient
+        from hyperelast.solver import build_network
+
+        problem = preset("lp_cantilever_displacement", grid=(5, 3, 3))
+        net = build_network(problem, hidden=(8,), fourier_features=3, seed=7)
         rng = np.random.default_rng(7)
-        X = rng.standard_normal((11, 3))
-        x0, x1, x2 = lifted(X)
-        prod = ad.jet_mul(ad.jet_sin(x0), ad.jet_mul(x1, ad.jet_cos(x2)))
-        H = prod.hess.data
+        X = rng.uniform(0.1, 0.9, size=(11, 3))
+        u, _ = net.fields(ad.constant(rng.standard_normal(net.n_params)), X)
+        H = displacement_gradient(u).grad.data
+        assert np.any(H != 0.0)
         assert np.array_equal(H, np.swapaxes(H, -1, -2))
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            A = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
-            jm = ad.jet_mat([[ad.jet_const(A[i, j]) for j in range(3)] for i in range(3)])
-            back = ad.jet_inv3(ad.jet_inv3(jm))
-            for i in range(3):
-                for j in range(3):
-                    assert_allclose(back[i][j].val.data, A[i, j], atol=1e-12)
+        A = np.eye(3) + 0.3 * rng.standard_normal((20, 3, 3))
+        back = ad.inv3(ad.inv3(ad.constant(A)))
+        assert_allclose(back.data, A, atol=1e-12)
 
     def test_matmul_trace_transpose(self):
         rng = np.random.default_rng(4)
         A = rng.standard_normal((3, 3))
         B = rng.standard_normal((3, 3))
-        ja = ad.jet_mat([[ad.jet_const(A[i, j]) for j in range(3)] for i in range(3)])
-        jb = ad.jet_mat([[ad.jet_const(B[i, j]) for j in range(3)] for i in range(3)])
-        prod = ad.jet_matmul(ja, ad.jet_transpose(jb))
-        expected = A @ B.T
-        for i in range(3):
-            for j in range(3):
-                assert_allclose(prod[i][j].val.data, expected[i, j], rtol=1e-14)
-        assert_allclose(ad.jet_trace(ja).val.data, np.trace(A), rtol=1e-14)
+        prod = ad.einsum2("ij,jk->ik", ad.constant(A), ad.transpose(ad.constant(B)))
+        assert_allclose(prod.data, A @ B.T, rtol=1e-14)
+        trace = ad.einsum2("ij,ij->", ad.constant(A), np.eye(3))
+        assert_allclose(trace.data, np.trace(A), rtol=1e-14)
+        # the transpose vjp transposes the adjoint back
+        tape = ad.Tape()
+        b = tape.input(B)
+        g = ad.reverse_gradient(ad.einsum2("ij,ij->", ad.transpose(b), A), b)
+        assert np.array_equal(g, A.T)
 
 
-def _rich_composition(X):
-    """Exercise every primitive in one scalar expression."""
-    x0, x1, x2 = lifted(X)
-    a = ad.jet_mul(ad.jet_sin(x0), ad.jet_cos(x1))
-    b = ad.jet_div(ad.jet_tanh(x2), ad.jet_add(ad.jet_const(2.0, X.shape[:-1]), ad.jet_mul(x1, x1)))
-    c = ad.jet_log(ad.jet_add(ad.jet_pow(x0, 2), 1.5))
-    d = ad.jet_pow(ad.jet_add(ad.jet_mul(x2, x2), 1.2), 0.75)
-    return ad.jet_add(ad.jet_add(a, b), ad.jet_sub(c, d))
+def _field_jets(X):
+    """Displacement and stress jets of a small random network with hard BCs."""
+    from hyperelast.bvp import preset
+    from hyperelast.solver import build_network
+
+    problem = preset("lp_cantilever_displacement", grid=(5, 3, 3))
+    net = build_network(problem, hidden=(10, 10), fourier_features=4, seed=11)
+    phi = 0.5 * np.random.default_rng(11).standard_normal(net.n_params)
+    return net.fields(ad.constant(phi), X)
 
 
 class TestSpatialDerivatives:
+    # the network's feature -> tanh layers -> head -> BC composition chain,
+    # against central differences at 100 random points
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(12)
+        return rng.uniform([0.2, 0.1, 0.1], [3.8, 0.9, 0.9], size=(100, 3))
+
     def test_gradient_matches_fd(self):
-        rng = np.random.default_rng(11)
-        X = rng.uniform(-1.0, 1.0, size=(100, 3))
-        jet = _rich_composition(X)
+        X = self.points()
+        u, P = _field_jets(X)
         h = 1e-5
         for k in range(3):
             Xp, Xm = X.copy(), X.copy()
             Xp[:, k] += h
             Xm[:, k] -= h
-            fd = (_rich_composition(Xp).val.data - _rich_composition(Xm).val.data) / (2 * h)
-            err = np.abs(jet.grad.data[:, k] - fd) / np.maximum(np.abs(fd), 1e-8)
-            assert err.max() <= 1e-6
+            (up, Pp), (um, Pm) = _field_jets(Xp), _field_jets(Xm)
+            for jet, plus, minus in ((u, up, um), (P, Pp, Pm)):
+                fd = (plus.val.data - minus.val.data) / (2 * h)
+                err = np.abs(jet.grad.data[..., k] - fd) / np.abs(jet.grad.data).max()
+                assert err.max() <= 1e-6
 
     def test_hessian_matches_fd_of_gradient(self):
         # second derivatives against central differences of first
-        # derivatives, 100 random points, step 1e-4
-        rng = np.random.default_rng(12)
-        X = rng.uniform(-1.0, 1.0, size=(100, 3))
-        jet = _rich_composition(X)
+        # derivatives, step 1e-4
+        X = self.points()
+        u, _ = _field_jets(X)
+        hess = u.hess.data[..., ad.UNPACK].reshape(u.hess.data.shape[:-1] + (3, 3))
         h = 1e-4
-        scale = np.abs(jet.hess.data).max()
+        scale = np.abs(hess).max()
         for k in range(3):
             Xp, Xm = X.copy(), X.copy()
             Xp[:, k] += h
             Xm[:, k] -= h
-            fd = (_rich_composition(Xp).grad.data - _rich_composition(Xm).grad.data) / (2 * h)
-            err = np.abs(jet.hess.data[:, k, :] - fd) / scale
+            fd = (_field_jets(Xp)[0].grad.data - _field_jets(Xm)[0].grad.data) / (2 * h)
+            err = np.abs(hess[..., k, :] - fd) / scale
             assert err.max() <= 1e-4
 
 

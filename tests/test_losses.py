@@ -1,6 +1,6 @@
 """Loss assembly and adaptive-weighting tests.
 
-Manufactured fields are built directly from coordinate jets, so every
+Manufactured fields are built directly as constant jets, so every
 expected value here comes from hand algebra or a brute-force
 recomputation independent of the production code path.
 """
@@ -30,25 +30,26 @@ NH = NeoHookean(lam=577.0, mu=385.0)
 
 
 def linear_u_jets(X, G):
-    """u_i = sum_j G_ij X_j as order-2 jets."""
-    coords = ad.lift_point(X)
-    out = []
-    for i in range(3):
-        ui = None
-        for j in range(3):
-            term = ad.jet_mul(coords[j], float(G[i, j]))
-            ui = term if ui is None else ad.jet_add(ui, term)
-        out.append(ui)
-    return out
+    """u = G X as an order-2 jet (zero Hessian)."""
+    G = np.asarray(G, dtype=np.float64)
+    batch = X.shape[:-1]
+    return ad.Jet(
+        ad.constant(X @ G.T),
+        ad.constant(np.broadcast_to(G, batch + (3, 3))),
+        ad.constant(np.zeros(batch + (3, 6))),
+    )
 
 
 def zero_u_jets(X):
-    return [ad.jet_const(0.0, X.shape[:-1]) for _ in range(3)]
+    return linear_u_jets(X, np.zeros((3, 3)))
 
 
 def const_P_jets(X, P0):
-    return ad.jet_mat(
-        [[ad.jet_const(float(P0[i][j]), X.shape[:-1]) for j in range(3)] for i in range(3)]
+    """Spatially constant stress as an order-1 jet."""
+    batch = X.shape[:-1]
+    return ad.Jet(
+        ad.constant(np.broadcast_to(np.asarray(P0, dtype=np.float64), batch + (3, 3))),
+        ad.constant(np.zeros(batch + (3, 3, 3))),
     )
 
 
@@ -117,11 +118,7 @@ class TestMSEConstitutive:
         A = rng.standard_normal((N, 3, 3))
         B = rng.standard_normal((N, 3, 3))
         X = np.zeros((N, 3))
-        jA = ad.jet_mat([[ad.SpatialJet(ad.constant(A[:, i, j])) for j in range(3)]
-                         for i in range(3)])
-        jB = ad.jet_mat([[ad.SpatialJet(ad.constant(B[:, i, j])) for j in range(3)]
-                         for i in range(3)])
-        got = mse_constitutive(jA, jB).data
+        got = mse_constitutive(ad.Jet(ad.constant(A)), ad.Jet(ad.constant(B))).data
         brute = 0.0
         for n in range(N):
             for i in range(3):
@@ -207,10 +204,12 @@ class TestMSEInterior:
     def test_linear_stress_unit_divergence(self):
         # P = X1 e1 x e1 has div P = e1, so the residual is 1 everywhere
         problem, ps = cantilever_points()
-        coords = ad.lift_point(ps.points)
-        zero = ad.jet_const(0.0, ps.points.shape[:-1])
-        P = ad.jet_mat([[coords[0] if (i, j) == (0, 0) else zero for j in range(3)]
-                        for i in range(3)])
+        n = ps.n_points
+        val = np.zeros((n, 3, 3))
+        val[:, 0, 0] = ps.points[:, 0]
+        grad = np.zeros((n, 3, 3, 3))
+        grad[:, 0, 0, 0] = 1.0
+        P = ad.Jet(ad.constant(val), ad.constant(grad))
         iu, inn = mse_interior(P, P, ps, np.zeros(3))
         assert_allclose(iu.data, 1.0, rtol=1e-14)
 

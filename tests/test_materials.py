@@ -27,8 +27,7 @@ LP = LopezPamies(alphas=(1.0, -2.0), mus=(100.0, 50.0), lam=100.0)
 
 
 def jet_grad_u(G):
-    G = np.asarray(G, dtype=np.float64)
-    return [[ad.SpatialJet(ad.constant(G[i, j])) for j in range(3)] for i in range(3)]
+    return ad.Jet(ad.constant(np.asarray(G, dtype=np.float64)))
 
 
 def random_rotation(rng):
@@ -57,6 +56,54 @@ class TestDeformationGradient:
         with pytest.raises(InvertedState) as info:
             deformation_gradient(jet_grad_u(np.diag([-1.0, 0.0, 0.0])))
         assert info.value.point_index is not None
+
+
+def wavy_field(X):
+    """Smooth non-affine displacement u_i = 0.1 sin(w_i . X + c_i): its
+    gradient (..., 3, 3) and its Hessian (..., 3, 3, 3)."""
+    W = np.array([[1.3, -0.7, 0.4], [0.5, 1.1, -0.9], [-0.8, 0.6, 1.2]])
+    c = np.array([0.3, -0.2, 0.5])
+    arg = X @ W.T + c
+    grad = 0.1 * np.cos(arg)[..., None] * W
+    hess = -0.1 * np.sin(arg)[..., None, None] * np.einsum("ij,ik->ijk", W, W)
+    return grad, hess
+
+
+class TestSpatialTangents:
+    """The first-order spatial jets carried by the state and by P_u, against
+    central differences in X of the value-only evaluation."""
+
+    @staticmethod
+    def state_at(X, with_gradients=True):
+        grad, hess = wavy_field(X)
+        return deformation_gradient(
+            ad.Jet(ad.constant(grad), ad.constant(hess) if with_gradients else None)
+        )
+
+    @pytest.mark.parametrize("mat", [NH, LP], ids=["neo_hookean", "lopez_pamies"])
+    def test_gradients_match_fd(self, mat):
+        X = np.random.default_rng(17).uniform(-1.0, 1.0, size=(40, 3))
+        state = self.state_at(X)
+        P = mat.stress(state)
+
+        def values(st):
+            return {"F": st.F.val.data, "J": st.J.val.data, "I1": st.I1.val.data,
+                    "F_inv_T": st.F_inv_T.val.data, "P_u": mat.stress(st).val.data}
+
+        jets = {"F": state.F, "J": state.J, "I1": state.I1,
+                "F_inv_T": state.F_inv_T, "P_u": P}
+        h = 1e-5
+        for k in range(3):
+            Xp, Xm = X.copy(), X.copy()
+            Xp[:, k] += h
+            Xm[:, k] -= h
+            plus = values(self.state_at(Xp, with_gradients=False))
+            minus = values(self.state_at(Xm, with_gradients=False))
+            for name, jet in jets.items():
+                fd = (plus[name] - minus[name]) / (2 * h)
+                scale = np.abs(jet.grad.data).max()
+                err = np.abs(jet.grad.data[..., k] - fd).max() / scale
+                assert err <= 1e-8, (name, err)
 
 
 class TestNeoHookean:
@@ -167,18 +214,15 @@ class TestLopezPamies:
 
 class TestCauchy:
     def test_zero_stress(self):
-        state = state_from_array(np.diag([1.3, 0.9, 1.1]))
-        zero = [[ad.SpatialJet(ad.constant(0.0)) for _ in range(3)] for _ in range(3)]
-        S = cauchy(zero, state)
-        assert all(S[i][j].val.data == 0.0 for i in range(3) for j in range(3))
+        F = np.diag([1.3, 0.9, 1.1])
+        S = cauchy(np.zeros((3, 3)), F, np.linalg.det(F))
+        assert np.all(S == 0.0)
 
     def test_identity_returns_p(self):
         state = state_from_array(np.eye(3))
-        P = NH.stress(state)
-        S = cauchy(P, state)
-        for i in range(3):
-            for j in range(3):
-                assert S[i][j].val.data == P[i][j].val.data
+        P = NH.stress(state).val.data
+        S = cauchy(P, state.F.val.data, state.J.val.data)
+        assert np.array_equal(S, P)
 
     def test_shear_value(self):
         F = np.eye(3)

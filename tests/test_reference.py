@@ -22,20 +22,22 @@ NH = NeoHookean(lam=577.0, mu=385.0)
 
 
 def linear_u_jets(X, G):
-    coords = ad.lift_point(X)
-    out = []
-    for i in range(3):
-        ui = None
-        for j in range(3):
-            term = ad.jet_mul(coords[j], float(G[i, j]))
-            ui = term if ui is None else ad.jet_add(ui, term)
-        out.append(ui)
-    return out
+    """u = G X as an order-2 jet (zero Hessian)."""
+    G = np.asarray(G, dtype=np.float64)
+    batch = X.shape[:-1]
+    return ad.Jet(
+        ad.constant(X @ G.T),
+        ad.constant(np.broadcast_to(G, batch + (3, 3))),
+        ad.constant(np.zeros(batch + (3, 6))),
+    )
 
 
 def const_P_jets(X, P0):
-    return ad.jet_mat(
-        [[ad.jet_const(float(P0[i][j]), X.shape[:-1]) for j in range(3)] for i in range(3)]
+    """Spatially constant stress as an order-1 jet."""
+    batch = X.shape[:-1]
+    return ad.Jet(
+        ad.constant(np.broadcast_to(np.asarray(P0, dtype=np.float64), batch + (3, 3))),
+        ad.constant(np.zeros(batch + (3, 3, 3))),
     )
 
 
@@ -123,7 +125,7 @@ class TestAffineDirichletProblem:
     def test_identity_state_zero_loss(self):
         problem = affine_dirichlet_problem(np.eye(3), NH, grid=(3, 3, 3))
         ps = problem.point_sets()
-        u = [ad.jet_const(0.0, ps.points.shape[:-1]) for _ in range(3)]
+        u = linear_u_jets(ps.points, np.zeros((3, 3)))
         br = assemble(u, const_P_jets(ps.points, np.zeros((3, 3))), problem, ps)
         assert np.all(br.values() == 0.0)
 

@@ -115,3 +115,28 @@ def _rows_equal(a, b):
         for name in ("stage", "iter", "total", "terms", "weights", "grad_norm",
                      "step", "seconds", "n_evals")
     )
+
+
+# every field is one batched jet from the network head to the loss, so an
+# evaluation records a few dozen nodes per stage rather than one per
+# scalar entry of a 3x3 matrix; this bound guards against regrowth
+TAPE_NODE_BUDGET = 150
+
+
+@pytest.mark.parametrize("name", ["nh_cantilever_traction", "lp_cantilever_displacement"])
+def test_tape_node_budget(name, monkeypatch):
+    import hyperelast.autodiff as ad
+
+    tapes = []
+
+    class CountedTape(ad.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(ad, "Tape", CountedTape)
+    problem = preset(name, grid=(5, 5, 5))
+    net = build_network(problem)  # default (64, 64, 64) perceptron
+    f, _ = TrainingObjective(problem, net)(net.init_params())
+    assert np.isfinite(f) and len(tapes) == 1
+    assert len(tapes[0]) <= TAPE_NODE_BUDGET
