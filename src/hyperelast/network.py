@@ -302,9 +302,10 @@ class BCEnforcer:
     def bc_jets(self, X):
         """Constant lift and mask jets, cacheable per point set.
 
-        The third entry holds the packed products of the mask gradient
-        with a unit gradient, so that the cross term of the product rule,
-        grad B (x) grad y + grad y (x) grad B, is one contraction.
+        The third entry, cross (..., 3, 6, 3), holds the coefficient of
+        d y_i / dX_d in packed entry k of grad B_i (x) grad y_i +
+        grad y_i (x) grad B_i, so that this term of the product rule is
+        one contraction.
         """
         mask = self.mask_jets(X)
         Bg = mask.grad.data
