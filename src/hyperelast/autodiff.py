@@ -94,32 +94,6 @@ class Var:
         tag = "const" if self.node is None else f"node {self.node}"
         return f"Var({tag}, shape={self.data.shape})"
 
-    # arithmetic sugar; scalars/arrays are coerced to constants
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(constant(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(constant(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
 
 def constant(value, tape=None):
     if isinstance(value, Var):

@@ -37,6 +37,13 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _write_rows(fh, table, format_row, block=4096):
+    """Write ``format_row(row)`` for each row of an array, as Python floats,
+    ``block`` rows per write so the text of the whole table never exists."""
+    for start in range(0, table.shape[0], block):
+        fh.write("".join(map(format_row, table[start:start + block].tolist())))
+
+
 def write_history(history, path):
     """One CSV row per accepted iteration, stable column order."""
     if not history.rows:
@@ -84,18 +91,15 @@ def write_fields_csv(path, X, fields, metadata=None):
     ``metadata`` key/value pairs go into '#' comment lines (units, config
     hash, seed); readers skip them.
     """
-    X = np.asarray(X, dtype=np.float64).reshape(-1, 3)
-    u = np.asarray(fields["u"]).reshape(-1, 3)
-    P = np.asarray(fields["P"]).reshape(-1, 9)
-    vm = np.asarray(fields["von_mises"]).reshape(-1)
+    n = np.asarray(X).size // 3
+    cols = (X, fields["u"], fields["P"], fields["von_mises"])
+    table = np.hstack([np.asarray(a, dtype=np.float64).reshape(n, -1) for a in cols])
     with open(path, "w") as fh:
         fh.write("# units: X in m, u in m, P and von_mises in Pa\n")
         for key, val in (metadata or {}).items():
             fh.write(f"# {key}: {val}\n")
         fh.write(",".join(FIELD_COLUMNS) + "\n")
-        for k in range(X.shape[0]):
-            row = list(X[k]) + list(u[k]) + list(P[k]) + [vm[k]]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_rows(fh, table, lambda row: ",".join(map(repr, row)) + "\n")
 
 
 def read_fields_csv(path):
@@ -139,12 +143,10 @@ def write_vtk_structured(path, dims, origin, spacing, fields, title="hyperelast"
         fh.write(f"SPACING {spacing[0]:.12g} {spacing[1]:.12g} {spacing[2]:.12g}\n")
         fh.write(f"POINT_DATA {n1 * n2 * n3}\n")
         fh.write("VECTORS displacement double\n")
-        for row in u_vtk:
-            fh.write(f"{row[0]:.12g} {row[1]:.12g} {row[2]:.12g}\n")
+        _write_rows(fh, u_vtk, lambda row: "%.12g %.12g %.12g\n" % tuple(row))
         fh.write("SCALARS von_mises double 1\n")
         fh.write("LOOKUP_TABLE default\n")
-        for v in vm_vtk:
-            fh.write(f"{v:.12g}\n")
+        _write_rows(fh, vm_vtk, "%.12g\n".__mod__)
 
 
 def save_checkpoint(path, cfg, phi):

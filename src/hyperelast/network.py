@@ -9,9 +9,10 @@ up to a fixed conditioning scale.
 
 Every layer is carried as one :class:`~hyperelast.autodiff.Jet` of the
 whole batch: values (..., w), gradients (..., w, 3) and packed Hessians
-(..., w, 6).  The head is split into the displacement jet u (..., 3), of
-order 2, and the stress jet P (..., 3, 3), of order 1, because only the
-divergence of the stress is ever needed.
+(..., w, 6).  The head is split into the displacement jet u (..., 3) and
+the stress jet P (..., 3, 3), one order lower, because only the divergence
+of the stress is ever needed.  Training asks for u at order 2, sampling at
+order 1, where every stage passes a None Hessian slot through.
 """
 
 from __future__ import annotations
@@ -54,12 +55,13 @@ class RFFMap:
     def out_dim(self):
         return 2 * self.m
 
-    def features(self, X):
+    def features(self, X, order=2):
         """Feature values and exact spatial derivatives at points X (..., 3).
 
         Returns plain arrays of shapes (..., 2m), (..., 2m, 3) and
-        (..., 2m, 3, 3); the map has no trainable parameters, so these are
-        constants with respect to the network weights.
+        (..., 2m, 6) (packed Hessians, None at order 1); the map has no
+        trainable parameters, so these are constants with respect to the
+        network weights.
         """
         X = np.asarray(X, dtype=np.float64)
         W = 2.0 * np.pi * self.freq  # (m, 3)
@@ -68,12 +70,14 @@ class RFFMap:
         batch = X.shape[:-1]
         val = np.empty(batch + (2 * self.m,))
         grad = np.empty(batch + (2 * self.m, 3))
-        hess = np.empty(batch + (2 * self.m, 6))  # packed symmetric
-        WW = W[:, ad.PACK_A] * W[:, ad.PACK_B]  # (m, 6)
         val[..., 0::2] = cw
         val[..., 1::2] = sw
         grad[..., 0::2, :] = np.einsum("...m,md->...md", -sw, W, optimize=True)
         grad[..., 1::2, :] = np.einsum("...m,md->...md", cw, W, optimize=True)
+        if order < 2:
+            return val, grad, None
+        hess = np.empty(batch + (2 * self.m, 6))  # packed symmetric
+        WW = W[:, ad.PACK_A] * W[:, ad.PACK_B]  # (m, 6)
         hess[..., 0::2, :] = np.einsum("...m,mk->...mk", -cw, WW, optimize=True)
         hess[..., 1::2, :] = np.einsum("...m,mk->...mk", -sw, WW, optimize=True)
         return val, grad, hess
@@ -138,8 +142,9 @@ class MLPSpec:
 def _affine_layer(prev, W, b):
     val = ad.add(ad.einsum2("...i,oi->...o", prev.val, W), b)
     grad = ad.einsum2("...id,oi->...od", prev.grad, W)
-    hess = ad.einsum2("...ik,oi->...ok", prev.hess, W)
-    return ad.Jet(val, grad, hess)
+    if prev.hess is None:
+        return ad.Jet(val, grad)
+    return ad.Jet(val, grad, ad.einsum2("...ik,oi->...ok", prev.hess, W))
 
 
 def _packed_outer_back(s, G):
@@ -165,15 +170,14 @@ def _tanh_layer(z):
 
     With t = tanh(z), t1 = 1 - t^2 = t' and t2 = -2 t t1 = t'':
     val = t, grad = t1 G and hess = t1 H + t2 G[A] G[B] (packed).  The
-    vjps are closed forms in t1, t2 and t3 = t2' = t1 (6 t^2 - 2).
+    vjps are closed forms in t1, t2 and t3 = t2' = t1 (6 t^2 - 2).  A
+    None Hessian slot stays None.
     """
     t = np.tanh(z.val.data)
     t1 = 1.0 - t * t
     t2 = (-2.0 * t) * t1
-    t3 = t1 * (6.0 * t * t - 2.0)
-    G, H = z.grad.data, z.hess.data
-    gg = G[..., ad.PACK_A] * G[..., ad.PACK_B]
-    c1, c2 = t1[..., None], t2[..., None]
+    G = z.grad.data
+    c1 = t1[..., None]
     val = ad.record("tanh_jet[val]", t, (z.val,), (lambda adj: adj * t1,))
     grad = ad.record(
         "tanh_jet[grad]",
@@ -184,6 +188,12 @@ def _tanh_layer(z):
             lambda adj: adj * c1,
         ),
     )
+    if z.hess is None:
+        return ad.Jet(val, grad)
+    t3 = t1 * (6.0 * t * t - 2.0)
+    H = z.hess.data
+    gg = G[..., ad.PACK_A] * G[..., ad.PACK_B]
+    c2 = t2[..., None]
     hess = ad.record(
         "tanh_jet[hess]",
         H * c1 + gg * c2,
@@ -202,18 +212,19 @@ def forward(spec, phi, features):
     """Propagate feature jets through the perceptron.
 
     ``phi`` is the flat parameter Var; ``features`` the (val, grad, hess)
-    arrays from :meth:`RFFMap.features`.  Returns the 12-wide Jet.
+    arrays from :meth:`RFFMap.features`.  Returns the 12-wide Jet, of the
+    features' order.
     """
     if phi.data.shape != (spec.n_params,):
         raise ShapeMismatch(
             f"parameter vector has length {phi.data.size}, layout needs {spec.n_params}"
         )
-    fval, fgrad, fhess = features
+    fval = features[0]
     if fval.shape[-1] != spec.widths[0]:
         raise ShapeMismatch(
             f"feature width {fval.shape[-1]} != input width {spec.widths[0]}"
         )
-    y = ad.Jet(ad.constant(fval), ad.constant(fgrad), ad.constant(fhess))
+    y = ad.Jet(*(a if a is None else ad.constant(a) for a in features))
     slices = spec.layer_slices()
     for li, (ws, bs, fi, fo) in enumerate(slices):
         W = ad.reshape(ad.take(phi, np.arange(ws.start, ws.stop)), (fo, fi))
@@ -271,8 +282,8 @@ class BCEnforcer:
         grad = np.broadcast_to(G, X.shape[:-1] + (3, 3)).copy()
         return ad.Jet(ad.constant(val), ad.constant(grad))
 
-    def mask_jets(self, X):
-        """B(X) per component as a constant second-order jet (..., 3).
+    def mask_jets(self, X, order=2):
+        """B(X) per component as a constant jet (..., 3) of order 2 or 1.
 
         Each factor is a normalized face distance, linear in one
         coordinate, so the product rule needs no Hessian of the factor.
@@ -281,7 +292,7 @@ class BCEnforcer:
         batch = X.shape[:-1]
         val = np.ones(batch + (3,))
         grad = np.zeros(batch + (3, 3))
-        hess = np.zeros(batch + (3, 6))
+        hess = np.zeros(batch + (3, 6)) if order == 2 else None
         for f in self.faces:
             inv_len = 1.0 / self.lengths[f.axis]
             xi = (X[..., f.axis] - self.origin[f.axis]) * inv_len
@@ -290,24 +301,28 @@ class BCEnforcer:
             if f.side == "hi":
                 xi, dxi = 1.0 - xi, -dxi
             for i in f.components:
-                hess[..., i, :] = (
-                    hess[..., i, :] * xi[..., None]
-                    + grad[..., i, ad.PACK_A] * dxi[ad.PACK_B]
-                    + grad[..., i, ad.PACK_B] * dxi[ad.PACK_A]
-                )
+                if hess is not None:
+                    hess[..., i, :] = (
+                        hess[..., i, :] * xi[..., None]
+                        + grad[..., i, ad.PACK_A] * dxi[ad.PACK_B]
+                        + grad[..., i, ad.PACK_B] * dxi[ad.PACK_A]
+                    )
                 grad[..., i, :] = grad[..., i, :] * xi[..., None] + val[..., i, None] * dxi
                 val[..., i] = val[..., i] * xi
-        return ad.Jet(ad.constant(val), ad.constant(grad), ad.constant(hess))
+        return ad.Jet(*(a if a is None else ad.constant(a) for a in (val, grad, hess)))
 
-    def bc_jets(self, X):
+    def bc_jets(self, X, order=2):
         """Constant lift and mask jets, cacheable per point set.
 
         The third entry, cross (..., 3, 6, 3), holds the coefficient of
         d y_i / dX_d in packed entry k of grad B_i (x) grad y_i +
         grad y_i (x) grad B_i, so that this term of the product rule is
-        one contraction.
+        one contraction.  At order 1 the mask has no Hessian and cross is
+        None.
         """
-        mask = self.mask_jets(X)
+        mask = self.mask_jets(X, order)
+        if order < 2:
+            return self.lift_jets(X), mask, None
         Bg = mask.grad.data
         cross = np.zeros(Bg.shape[:-1] + (6, 3))
         for k, (a, b) in enumerate(zip(ad.PACK_A, ad.PACK_B)):
@@ -318,15 +333,20 @@ class BCEnforcer:
     def apply(self, X, y_u, y_P, bc=None):
         """(u, P) from the raw output jets; stress is returned unchanged.
 
-        u = A + B y by the product rule, with A of zero Hessian.
+        u = A + B y by the product rule, with A of zero Hessian.  u has the
+        order of y_u (2 or 1); ``bc`` must carry at least that order.
         """
-        lift, mask, cross = bc if bc is not None else self.bc_jets(X)
-        Bv, Bg, Bh = mask.val.data, mask.grad.data, mask.hess.data
+        order = 1 if y_u.hess is None else 2
+        lift, mask, cross = bc if bc is not None else self.bc_jets(X, order)
+        Bv, Bg = mask.val.data, mask.grad.data
         val = ad.add(lift.val, ad.mul(y_u.val, Bv))
         grad = ad.add(
             lift.grad,
             ad.add(ad.mul(y_u.grad, Bv[..., None]), ad.einsum2("...i,...id->...id", y_u.val, Bg)),
         )
+        if order < 2:
+            return ad.Jet(val, grad), y_P
+        Bh = mask.hess.data
         hess = ad.add(
             ad.add(ad.mul(y_u.hess, Bv[..., None]), ad.einsum2("...i,...ik->...ik", y_u.val, Bh)),
             ad.einsum2("...id,...ikd->...ik", y_u.grad, cross),
@@ -355,29 +375,32 @@ class FieldNetwork:
         rng = np.random.default_rng(self.rff.seed if seed is None else seed)
         return self.mlp.init_params(rng)
 
-    def raw_outputs(self, phi, X, features=None):
-        """Head jets: displacement (..., 3) of order 2 and stress (..., 3, 3)
-        of order 1."""
+    def raw_outputs(self, phi, X, features=None, order=2):
+        """Head jets: displacement (..., 3) of ``order`` (2 or 1) and stress
+        (..., 3, 3) one order lower; ``features`` carry at least ``order``."""
         if features is None:
-            features = self.rff.features(X)
+            features = self.rff.features(X, order)
         out = forward(self.mlp, phi, features)
         batch = out.val.data.shape[:-1]
         y_u = ad.Jet(
             ad.take(out.val, _U_ROWS, axis=-1),
             ad.take(out.grad, _U_ROWS, axis=-2),
-            ad.take(out.hess, _U_ROWS, axis=-2),
+            ad.take(out.hess, _U_ROWS, axis=-2) if order == 2 else None,
         )
         y_P = ad.Jet(
             ad.reshape(ad.take(out.val, _P_ROWS, axis=-1), batch + (3, 3)),
-            ad.reshape(ad.take(out.grad, _P_ROWS, axis=-2), batch + (3, 3, 3)),
+            ad.reshape(ad.take(out.grad, _P_ROWS, axis=-2), batch + (3, 3, 3))
+            if order == 2 else None,
         )
         return y_u, y_P
 
-    def fields(self, phi, X, features=None, bc=None):
-        """Displacement jet and scaled stress jet at points X (..., 3)."""
-        y_u, y_P = self.raw_outputs(phi, X, features)
+    def fields(self, phi, X, features=None, bc=None, order=2):
+        """Displacement jet of ``order`` and scaled stress jet one order
+        lower at points X (..., 3)."""
+        y_u, y_P = self.raw_outputs(phi, X, features, order)
         u, y_P = self.enforcer.apply(X, y_u, y_P, bc=bc)
-        P = ad.Jet(ad.mul(y_P.val, self.stress_scale), ad.mul(y_P.grad, self.stress_scale))
+        s = self.stress_scale
+        P = ad.Jet(ad.mul(y_P.val, s), None if y_P.grad is None else ad.mul(y_P.grad, s))
         return u, P
 
 
@@ -386,7 +409,9 @@ def displacement_gradient(u):
 
     Entry (i, j) carries value du_i/dX_j and gradient d2u_i/dX_j dX, read
     off the packed Hessian of u_i (third spatial derivatives are out of
-    scope).
+    scope).  Without a Hessian slot the jet is values only.
     """
+    if u.hess is None:
+        return ad.Jet(u.grad)
     hess = ad.take(u.hess, ad.UNPACK, axis=-1)
     return ad.Jet(u.grad, ad.reshape(hess, hess.data.shape[:-1] + (3, 3)))

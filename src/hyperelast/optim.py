@@ -283,11 +283,17 @@ def lbfgs_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
     phi = np.array(phi0, dtype=np.float64, copy=True)
     history = TrainingHistory()
     s_list, y_list, rho_list = [], [], []
+
+    def probe(x):
+        nonlocal n_evals
+        n_evals += 1
+        return obj(x)
+
     history.status = "max_iters"
     for it in range(1, config.max_iters + 1):
         tic = time.perf_counter() if timing else 0.0
         f, g = obj.begin_iteration(phi)
-        n_evals = 1
+        n_evals = 1  # probe adds every line-search call, failed searches' too
         if not np.isfinite(f):
             raise NonFiniteObjective(f"objective is {f} at the current iterate")
         gnorm = float(np.linalg.norm(g))
@@ -300,32 +306,23 @@ def lbfgs_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
             s_list, y_list, rho_list = [], [], []
             d = -g
             dg = -gnorm * gnorm
-        alpha0 = config.init_step / gnorm if it == 1 else config.init_step
-        try:
-            alpha, f_new, g_new, evals = strong_wolfe_search(
-                obj, phi, d, f, g,
-                c1=config.c1, c2=config.c2, alpha0=alpha0,
-                max_probes=config.max_probes,
-            )
-        except LineSearchFailure:
-            if s_list:
-                # stale curvature is the usual culprit; restart once
-                s_list, y_list, rho_list = [], [], []
-                try:
-                    alpha, f_new, g_new, evals = strong_wolfe_search(
-                        obj, phi, -g, f, g,
-                        c1=config.c1, c2=config.c2,
-                        alpha0=config.init_step / gnorm,
-                        max_probes=config.max_probes,
-                    )
-                    d = -g
-                except LineSearchFailure:
-                    history.status = "line_search_failure"
-                    break
-            else:
-                history.status = "line_search_failure"
+        attempts = [(d, dg, config.init_step / gnorm if it == 1 else config.init_step)]
+        if s_list:
+            # stale curvature is the usual culprit; retry along steepest descent
+            attempts.append((-g, -gnorm * gnorm, config.init_step / gnorm))
+        for d, dg, alpha0 in attempts:
+            try:
+                alpha, f_new, g_new, _ = strong_wolfe_search(
+                    probe, phi, d, f, g,
+                    c1=config.c1, c2=config.c2, alpha0=alpha0,
+                    max_probes=config.max_probes,
+                )
                 break
-        n_evals += evals
+            except LineSearchFailure:
+                s_list, y_list, rho_list = [], [], []
+        else:
+            history.status = "line_search_failure"
+            break
         s = alpha * d
         y = g_new - g
         sy = float(np.dot(s, y))

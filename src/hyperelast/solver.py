@@ -32,7 +32,7 @@ from .losses import (
     total_loss,
 )
 from .materials import cauchy, deformation_gradient, von_mises
-from .network import BCEnforcer, FieldNetwork, MLPSpec, RFFMap
+from .network import FieldNetwork, MLPSpec, RFFMap, displacement_gradient
 from .optim import (
     CurriculumSchedule,
     GDConfig,
@@ -194,13 +194,13 @@ def evaluate_fields(net, phi, X, material=None):
 
     Returns displacement, the stress-head prediction, the Cauchy stress
     pushed forward from the head, and its von Mises intensity; passing a
-    material adds the constitutive-branch stress "P_u".
+    material adds the constitutive-branch stress "P_u".  Only first-order
+    jets are built: sampling needs no spatial derivatives of the state.
     """
     X = np.asarray(X, dtype=np.float64)
     phi_const = ad.constant(np.asarray(phi, dtype=np.float64))
-    u, P = net.fields(phi_const, X)
-    # values only: sampling needs no spatial derivatives of the state
-    state = deformation_gradient(ad.Jet(u.grad))
+    u, P = net.fields(phi_const, X, order=1)
+    state = deformation_gradient(displacement_gradient(u))
     F, J = state.F.val.data, state.J.val.data
     S = cauchy(P.val.data, F, J)
     out = {

@@ -201,6 +201,32 @@ class TestVTK:
         assert len(lines[vec_start].split()) == 3
 
 
+
+def test_writers_exact_text_for_edge_values(tmp_path):
+    # negative zero, the smallest subnormal, a float that needs an
+    # exponent, a sum with no short decimal form, and a whole number
+    table = np.resize([-0.0, 5e-324, 1e16, 0.1 + 0.2, 1.0], (2, 16))
+    fields = {"u": table[:, 3:6], "P": table[:, 6:15], "von_mises": table[:, 15]}
+    write_fields_csv(tmp_path / "f.csv", table[:, :3], fields)
+    a, b, c, d, e = "-0.0", "5e-324", "1e+16", "0.30000000000000004", "1.0"
+    assert (tmp_path / "f.csv").read_text() == (
+        "# units: X in m, u in m, P and von_mises in Pa\n"
+        + ",".join(FIELD_COLUMNS) + "\n"
+        + ",".join([a, b, c, d, e] * 3 + [a]) + "\n"
+        + ",".join([b, c, d, e, a] * 3 + [b]) + "\n"
+    )
+    vtk = {"u": table[:, :3], "von_mises": table[:, 3]}
+    write_vtk_structured(tmp_path / "f.vtk", (2, 1, 1), (0, 0, 0), (0.5, 1, 1), vtk)
+    assert (tmp_path / "f.vtk").read_text() == (
+        "# vtk DataFile Version 3.0\nhyperelast\nASCII\nDATASET STRUCTURED_POINTS\n"
+        "DIMENSIONS 2 1 1\nORIGIN 0 0 0\nSPACING 0.5 1 1\nPOINT_DATA 2\n"
+        "VECTORS displacement double\n"
+        "-0 4.94065645841e-324 1e+16\n"
+        "4.94065645841e-324 1e+16 0.3\n"
+        "SCALARS von_mises double 1\nLOOKUP_TABLE default\n"
+        "0.3\n1\n"
+    )
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         cfg = RunConfig({"problem.affine": "shear:0.3"})

@@ -177,6 +177,25 @@ class TestForward:
         assert gap <= 50.0 * delta * scale
 
 
+    def test_order_one_matches_order_two_without_hessian_nodes(self):
+        rff = RFFMap(m=3, sigma=1.0, seed=14)
+        spec = MLPSpec(widths=(6, 5, 4, 12))
+        rng = np.random.default_rng(15)
+        phi = 0.5 * rng.standard_normal(spec.n_params)
+        X = rng.uniform(-1, 1, size=(7, 3))
+        f1 = rff.features(X, order=1)
+        assert f1[2] is None
+        tape1, tape2 = ad.Tape(), ad.Tape()
+        o1 = forward(spec, tape1.input(phi), f1)
+        o2 = forward(spec, tape2.input(phi), rff.features(X))
+        assert o1.hess is None
+        assert np.array_equal(o1.val.data, o2.val.data)
+        assert np.array_equal(o1.grad.data, o2.grad.data)
+        ops1 = {n.op for n in tape1.nodes}
+        ops2 = {n.op for n in tape2.nodes}
+        hess_ops = {"tanh_jet[hess]", "einsum[...ik,oi->...ok]"}
+        assert hess_ops <= ops2 and not hess_ops & ops1
+
 class TestTanhLayer:
     def test_matches_generic_rule_per_unit(self):
         # reference: the chain rule composed from the generic tape
@@ -280,6 +299,20 @@ class TestHardBC:
         assert_allclose(P.val.data, 385.0 * y_P.val.data, rtol=1e-15)
         assert_allclose(P.grad.data, 385.0 * y_P.grad.data, rtol=1e-15)
         assert P.hess is None
+
+    def test_apply_accepts_first_order_jets(self):
+        problem, net = cantilever_net(seed=4)
+        rng = np.random.default_rng(16)
+        phi = ad.constant(rng.standard_normal(net.n_params))
+        X = rng.uniform(0.1, 0.9, size=(6, 3))
+        y_u, y_P = net.raw_outputs(phi, X)
+        u2, _ = net.enforcer.apply(X, y_u, y_P)
+        y1 = ad.Jet(y_u.val, y_u.grad)
+        for bc in (None, net.enforcer.bc_jets(X), net.enforcer.bc_jets(X, order=1)):
+            u1, _ = net.enforcer.apply(X, y1, y_P, bc=bc)
+            assert u1.hess is None
+            assert np.array_equal(u1.val.data, u2.val.data)
+            assert np.array_equal(u1.grad.data, u2.grad.data)
 
     def test_mask_vanishes_only_on_dirichlet_faces(self):
         problem = preset("lp_cantilever_displacement", grid=(5, 5, 5))

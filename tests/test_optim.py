@@ -94,6 +94,41 @@ class TestLBFGS:
         assert hist.status == "line_search_failure"
         assert np.array_equal(phi, phi0)
 
+    def test_steepest_descent_retry_bookkeeping(self):
+        # the first line search of iteration 2 sees only NaN probes and
+        # fails; the retry along -g must be what the history records, and
+        # the failed search's probes must still count as evaluations
+        fn, _ = spd_quadratic(8, seed=6, cond=20.0)
+        config = LBFGSConfig(max_iters=3, max_probes=5)
+
+        class Objective:
+            def __init__(self):
+                self.calls, self.nan_left, self.begins = 0, 0, []
+
+            def __call__(self, phi):
+                self.calls += 1
+                if self.nan_left:
+                    self.nan_left -= 1
+                    return np.nan, np.zeros_like(phi)
+                return fn(phi)
+
+            def begin_iteration(self, phi):
+                self.calls += 1
+                self.begins.append(fn(phi)[1])
+                if len(self.begins) == 2:
+                    self.nan_left = config.max_probes
+                return fn(phi)
+
+            def stats(self):
+                return None
+
+        obj = Objective()
+        _, hist = lbfgs_minimize(obj, np.ones(8), config)
+        assert len(hist) == 3 and obj.nan_left == 0
+        g2 = obj.begins[1]
+        assert_allclose(hist.wolfe[1][1], -float(g2 @ g2), rtol=1e-12)
+        assert sum(row.n_evals for row in hist.rows) == obj.calls
+
     def test_nonfinite_at_start(self):
         with pytest.raises(NonFiniteObjective):
             lbfgs_minimize(lambda p: (np.inf, p), np.ones(2), LBFGSConfig())

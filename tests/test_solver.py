@@ -4,11 +4,13 @@ end-to-end curriculum solve on a built-in preset."""
 import numpy as np
 import pytest
 
+import hyperelast.autodiff as ad
 from hyperelast.bvp import preset
 from hyperelast.errors import NonFiniteObjective
-from hyperelast.network import FieldNetwork
+from hyperelast.materials import cauchy, deformation_gradient, von_mises
+from hyperelast.network import FieldNetwork, displacement_gradient
 from hyperelast.optim import CurriculumSchedule, LBFGSConfig
-from hyperelast.solver import TrainingObjective, build_network, train
+from hyperelast.solver import TrainingObjective, build_network, evaluate_fields, train
 
 
 def tiny_problem():
@@ -140,3 +142,28 @@ def test_tape_node_budget(name, monkeypatch):
     f, _ = TrainingObjective(problem, net)(net.init_params())
     assert np.isfinite(f) and len(tapes) == 1
     assert len(tapes[0]) <= TAPE_NODE_BUDGET
+
+
+@pytest.mark.parametrize("name", ["nh_cantilever_traction", "lp_cantilever_displacement"])
+def test_evaluate_fields_bitwise_equal_to_second_order_pass(name):
+    # sampling builds first-order jets only; every value it returns must
+    # equal the one read off the training-order (second-order) fields
+    problem = preset(name, grid=(3, 3, 3))
+    net = build_network(problem, hidden=(6, 6), fourier_features=3, seed=2)
+    rng = np.random.default_rng(17)
+    phi = net.init_params() + 1e-3 * rng.standard_normal(net.n_params)
+    dom = problem.domain
+    X = np.asarray(dom.origin) + rng.uniform(0, 1, size=(40, 3)) * np.asarray(dom.lengths)
+    u, P = net.fields(ad.constant(phi), X)
+    assert u.hess is not None
+    state = deformation_gradient(displacement_gradient(u))
+    F, J = state.F.val.data, state.J.val.data
+    S = cauchy(P.val.data, F, J)
+    expected = {
+        "u": u.val.data, "P": P.val.data, "F": F, "J": J, "S": S,
+        "von_mises": von_mises(S), "P_u": problem.material.stress(state).val.data,
+    }
+    out = evaluate_fields(net, phi, X, material=problem.material)
+    assert out.keys() == expected.keys()
+    for key, value in expected.items():
+        assert np.array_equal(out[key], value), key
