@@ -52,7 +52,8 @@ def active_term_indices(mask, has_traction=True):
 
 @dataclass
 class LossBreakdown:
-    """The six tape scalars plus the separable energy parts."""
+    """The six tape scalars plus the separable energy parts, and det F
+    per point (plain values) for inversion diagnostics."""
 
     energy: ad.Var
     energy_internal: ad.Var
@@ -62,6 +63,7 @@ class LossBreakdown:
     mse_traction_net: ad.Var
     mse_interior_u: ad.Var
     mse_interior_net: ad.Var
+    det_F: np.ndarray
 
     def terms(self):
         return (
@@ -172,6 +174,7 @@ def assemble(u, P_net, problem, points):
         mse_traction_net=mse_t_net,
         mse_interior_u=mse_i_u,
         mse_interior_net=mse_i_net,
+        det_F=state.J.val.data,
     )
 
 

@@ -21,7 +21,6 @@ finite-difference tests.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +28,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import DomainError, InvertedState
 
-log = logging.getLogger(__name__)
-
 J_FLOOR = 1e-12  # determinant at or below this is a hard inversion error
-J_WARN = 0.05  # near-inversion threshold, logged but not fatal
+J_WARN = 0.05  # near-inversion threshold, logged per accepted iterate but not fatal
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ def deformation_gradient(grad_u):
     """Build a DeformationState from the displacement-gradient jet.
 
     Raises InvertedState if det F falls at or below the floor anywhere in
-    the batch; logs a warning when det F approaches zero.
+    the batch.
     """
     F = ad.add(grad_u.val, np.eye(3))
     dF = grad_u.grad
@@ -153,12 +150,6 @@ def deformation_gradient(grad_u):
         raise InvertedState(
             f"det F = {Jdata[idx]:.3e} <= {J_FLOOR:g} (point index {idx})",
             point_index=idx,
-        )
-    if np.min(Jdata) < J_WARN:
-        log.warning(
-            "near-inverted state: min det F = %.3e at point index %d",
-            np.min(Jdata),
-            int(np.argmin(Jdata)),
         )
     FiT = ad.transpose(ad.inv3(F))
     I1 = ad.einsum2("...ij,...ij->...", F, F)

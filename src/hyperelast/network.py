@@ -7,12 +7,22 @@ Displacement outputs are composed with distance functions so essential
 boundary conditions hold exactly; stress outputs pass through unchanged
 up to a fixed conditioning scale.
 
-Every layer is carried as one :class:`~hyperelast.autodiff.Jet` of the
-whole batch: values (..., w), gradients (..., w, 3) and packed Hessians
-(..., w, 6).  The head is split into the displacement jet u (..., 3) and
-the stress jet P (..., 3, 3), one order lower, because only the divergence
-of the stress is ever needed.  Training asks for u at order 2, sampling at
-order 1, where every stage passes a None Hessian slot through.
+The perceptron takes its input jets as one channel-major array (N, C, w):
+channel 0 holds the values, 1-3 the spatial gradient and 4-9 the packed
+Hessian (C = 10, or 4 without a Hessian).  The whole perceptron is one
+tape node that runs its forward pass and its vjp over blocks of
+``BLOCK_POINTS`` points, so every temporary stays cache-sized and is
+reused instead of being allocated afresh.  Within a block the jets are
+(C, b, w): an affine layer is one matrix product with the bias on
+channel 0, and the tanh rules scale whole contiguous channels by
+per-unit factors.
+
+The perceptron's output is a 12-wide :class:`~hyperelast.autodiff.Jet`:
+values (..., 12), gradients (..., 12, 3) and packed Hessians (..., 12, 6).
+The head is split into the displacement jet u (..., 3) and the stress jet
+P (..., 3, 3), one order lower, because only the divergence of the stress
+is ever needed.  Training asks for u at order 2, sampling at order 1,
+where every stage passes a None Hessian slot through.
 """
 
 from __future__ import annotations
@@ -27,6 +37,29 @@ from .errors import ShapeMismatch
 N_OUTPUTS = 12  # 3 displacement + 9 stress components
 _U_ROWS = np.arange(3)
 _P_ROWS = np.arange(3, N_OUTPUTS)
+# points per block of the perceptron node: a block's (10, 128, 64) jets
+# take 0.66 MB, so a layer's temporaries fit in L2 and are reused from
+# block to block.  One default-cantilever evaluation (25x9x9 points,
+# (64, 64, 64) network, one core) took 157 / 149 / 170 / 188 ms with
+# blocks of 64 / 128 / 256 / 512 points.
+BLOCK_POINTS = 128
+
+
+class Features(tuple):
+    """(val, grad, hess) feature arrays, views of one channel-major array.
+
+    ``stack`` has shape (..., C, w); ``val`` (..., w), ``grad`` (..., w, 3)
+    and ``hess`` (..., w, 6) (None when C = 4) read its channels, so the
+    perceptron consumes ``stack`` without a copy.
+    """
+
+    def __new__(cls, stack):
+        hess = np.swapaxes(stack[..., 4:, :], -1, -2) if stack.shape[-2] > 4 else None
+        jets = super().__new__(
+            cls, (stack[..., 0, :], np.swapaxes(stack[..., 1:4, :], -1, -2), hess)
+        )
+        jets.stack = stack
+        return jets
 
 
 @dataclass(frozen=True)
@@ -58,29 +91,25 @@ class RFFMap:
     def features(self, X, order=2):
         """Feature values and exact spatial derivatives at points X (..., 3).
 
-        Returns plain arrays of shapes (..., 2m), (..., 2m, 3) and
-        (..., 2m, 6) (packed Hessians, None at order 1); the map has no
-        trainable parameters, so these are constants with respect to the
-        network weights.
+        Returns :class:`Features`: arrays of shapes (..., 2m), (..., 2m, 3)
+        and (..., 2m, 6) (packed Hessians, None at order 1), filled in one
+        channel-major buffer.  The map has no trainable parameters, so
+        these are constants with respect to the network weights.
         """
         X = np.asarray(X, dtype=np.float64)
         W = 2.0 * np.pi * self.freq  # (m, 3)
         w = np.einsum("...d,md->...m", X, W, optimize=True)
-        cw, sw = np.cos(w), np.sin(w)
-        batch = X.shape[:-1]
-        val = np.empty(batch + (2 * self.m,))
-        grad = np.empty(batch + (2 * self.m, 3))
-        val[..., 0::2] = cw
-        val[..., 1::2] = sw
-        grad[..., 0::2, :] = np.einsum("...m,md->...md", -sw, W, optimize=True)
-        grad[..., 1::2, :] = np.einsum("...m,md->...md", cw, W, optimize=True)
-        if order < 2:
-            return val, grad, None
-        hess = np.empty(batch + (2 * self.m, 6))  # packed symmetric
-        WW = W[:, ad.PACK_A] * W[:, ad.PACK_B]  # (m, 6)
-        hess[..., 0::2, :] = np.einsum("...m,mk->...mk", -cw, WW, optimize=True)
-        hess[..., 1::2, :] = np.einsum("...m,mk->...mk", -sw, WW, optimize=True)
-        return val, grad, hess
+        cw, sw = np.cos(w)[..., None, :], np.sin(w)[..., None, :]
+        stack = np.empty(X.shape[:-1] + (10 if order == 2 else 4, 2 * self.m))
+        stack[..., :1, 0::2] = cw
+        stack[..., :1, 1::2] = sw
+        stack[..., 1:4, 0::2] = -sw * W.T
+        stack[..., 1:4, 1::2] = cw * W.T
+        if order == 2:
+            WW = (W[:, ad.PACK_A] * W[:, ad.PACK_B]).T  # (6, m)
+            stack[..., 4:, 0::2] = -cw * WW
+            stack[..., 4:, 1::2] = -sw * WW
+        return Features(stack)
 
 
 @dataclass(frozen=True)
@@ -139,81 +168,145 @@ class MLPSpec:
         return phi
 
 
-def _affine_layer(prev, W, b):
-    val = ad.add(ad.einsum2("...i,oi->...o", prev.val, W), b)
-    grad = ad.einsum2("...id,oi->...od", prev.grad, W)
-    if prev.hess is None:
-        return ad.Jet(val, grad)
-    return ad.Jet(val, grad, ad.einsum2("...ik,oi->...ok", prev.hess, W))
+def _packed_square(G, out=None):
+    """Packed products G[A] * G[B] (6, b, o) of gradient channels (3, b, o)."""
+    gg = np.empty((6,) + G.shape[1:]) if out is None else out
+    np.multiply(G[:1], G, out=gg[0:3])
+    np.multiply(G[1:2], G[1:], out=gg[3:5])
+    np.multiply(G[2:], G[2:], out=gg[5:])
+    return gg
 
 
-def _packed_outer_back(s, G):
-    """Adjoint with respect to G of the packed products G[A] * G[B].
-
-    ``s`` is the adjoint of the six packed products; a diagonal product
-    G_d G_d contributes twice to row d, an off-diagonal one once to each of
-    its two rows.
-    """
-    g0, g1, g2 = G[..., 0], G[..., 1], G[..., 2]
-    return np.stack(
-        [
-            2.0 * s[..., 0] * g0 + s[..., 1] * g1 + s[..., 2] * g2,
-            s[..., 1] * g0 + 2.0 * s[..., 3] * g1 + s[..., 4] * g2,
-            s[..., 2] * g0 + s[..., 4] * g1 + 2.0 * s[..., 5] * g2,
-        ],
-        axis=-1,
-    )
-
-
-def _tanh_layer(z):
-    """tanh of every unit's jet, recorded as one node per jet slot.
+def _tanh_jet(Z):
+    """tanh of every unit's jet (C, b, o).
 
     With t = tanh(z), t1 = 1 - t^2 = t' and t2 = -2 t t1 = t'':
-    val = t, grad = t1 G and hess = t1 H + t2 G[A] G[B] (packed).  The
-    vjps are closed forms in t1, t2 and t3 = t2' = t1 (6 t^2 - 2).  A
-    None Hessian slot stays None.
+    value t, gradient t1 G and Hessian t1 H + t2 G[A] G[B] (packed).
     """
-    t = np.tanh(z.val.data)
+    T = np.empty_like(Z)
+    t = np.tanh(Z[0], out=T[0])
+    t1 = 1.0 - t * t
+    np.multiply(Z[1:4], t1, out=T[1:4])
+    if Z.shape[0] > 4:
+        t2 = (-2.0 * t) * t1
+        hess = _packed_square(Z[1:4], out=T[4:])
+        hess *= t2
+        hess += Z[4:] * t1
+    return T
+
+
+def _tanh_jet_back(Z, T, dT):
+    """Adjoint of the tanh jet's input Z from that of its output T = tanh(Z).
+
+    Closed forms in t1, t2 and t3 = t2' = t1 (6 t^2 - 2); the adjoint of
+    the packed products G[A] G[B] is written into the gradient channels,
+    where a diagonal product G_d G_d counts twice in row d and an
+    off-diagonal one once in each of its two rows.
+    """
+    t = T[0]
     t1 = 1.0 - t * t
     t2 = (-2.0 * t) * t1
-    G = z.grad.data
-    c1 = t1[..., None]
-    val = ad.record("tanh_jet[val]", t, (z.val,), (lambda adj: adj * t1,))
-    grad = ad.record(
-        "tanh_jet[grad]",
-        G * c1,
-        (z.val, z.grad),
-        (
-            lambda adj: np.einsum("...d,...d->...", adj, G) * t2,
-            lambda adj: adj * c1,
-        ),
-    )
-    if z.hess is None:
-        return ad.Jet(val, grad)
-    t3 = t1 * (6.0 * t * t - 2.0)
-    H = z.hess.data
-    gg = G[..., ad.PACK_A] * G[..., ad.PACK_B]
-    c2 = t2[..., None]
-    hess = ad.record(
-        "tanh_jet[hess]",
-        H * c1 + gg * c2,
-        (z.val, z.grad, z.hess),
-        (
-            lambda adj: np.einsum("...k,...k->...", adj, H) * t2
-            + np.einsum("...k,...k->...", adj, gg) * t3,
-            lambda adj: _packed_outer_back(adj * c2, G),
-            lambda adj: adj * c1,
-        ),
-    )
-    return ad.Jet(val, grad, hess)
+    G, dG = Z[1:4], dT[1:4]
+    A = np.empty_like(Z)
+    dz = (dG * G).sum(axis=0) * t2
+    if Z.shape[0] > 4:
+        t3 = t1 * (6.0 * t * t - 2.0)
+        dH = dT[4:]
+        prod = _packed_square(G)
+        prod *= dH
+        hz = prod.sum(axis=0) * t3
+        np.multiply(dH, Z[4:], out=prod)
+        dz = (prod.sum(axis=0) * t2 + hz) + dz
+        s = np.multiply(dH, t2, out=A[4:])  # scratch until the last line
+        g0, g1, g2 = G
+        A[1] = 2.0 * s[0] * g0 + s[1] * g1 + s[2] * g2
+        A[2] = s[1] * g0 + 2.0 * s[3] * g1 + s[4] * g2
+        A[3] = s[2] * g0 + s[4] * g1 + 2.0 * s[5] * g2
+        np.multiply(dH, t1, out=A[4:])
+        A[1:4] += dG * t1
+    else:
+        np.multiply(dG, t1, out=A[1:4])
+    A[0] = dz + dT[0] * t1
+    return A
+
+
+def _block_forward(layers, S, out):
+    """One block of jets S (b, C, i) through every layer into ``out``.
+
+    Inside the block the jets are (C, b, w).  Returns, per layer, its
+    input jet and (hidden layers) its pre-activation jet: all the vjp needs.
+    """
+    acts = []
+    S = S.transpose(1, 0, 2)
+    for W, bias in layers[:-1]:
+        Z = np.matmul(S, W.T)
+        Z[0] += bias
+        acts.append((S, Z))
+        S = _tanh_jet(Z)
+    W, bias = layers[-1]
+    Y = np.matmul(S, W.T)
+    Y[0] += bias
+    out[...] = Y.transpose(1, 0, 2)
+    acts.append((S, None))
+    return acts
+
+
+def _block_backward(layers, acts, dY, grads):
+    """Add one block's parameter adjoints into ``grads`` ((dW, db) views),
+    given the adjoint dY (b, C, 12) of its output."""
+    dY = dY.transpose(1, 0, 2)
+    for li in range(len(layers) - 1, -1, -1):
+        W = layers[li][0]
+        S, Z = acts[li]
+        A = dY if Z is None else _tanh_jet_back(Z, acts[li + 1][0], dY)
+        A2 = A.reshape(-1, W.shape[0])
+        dW, db = grads[li]
+        dW += A2.T @ S.reshape(-1, W.shape[1])
+        db += A[0].sum(axis=0)
+        if li > 0:  # the features are constants
+            dY = (A2 @ W).reshape(S.shape)
+
+
+def _channel_stack(features):
+    """The feature jets as one channel-major array (..., C, w)."""
+    stack = getattr(features, "stack", None)
+    if stack is not None:
+        return stack
+    val, grad, hess = (None if a is None else np.asarray(a, dtype=np.float64) for a in features)
+    slots = [val[..., None, :], np.swapaxes(grad, -1, -2)]
+    if hess is not None:
+        slots.append(np.swapaxes(hess, -1, -2))
+    return np.concatenate(slots, axis=-2)
+
+
+_SLOTS = (("val", 0, 1), ("grad", 1, 4), ("hess", 4, 10))
+
+
+def _jet_slot(y, name, lo, hi, batch):
+    """Channels lo:hi of the perceptron output (N, C, 12) as a Jet slot."""
+    full = y.data.shape
+    moved = np.moveaxis(y.data[:, lo:hi], 1, -1)  # (N, 12, hi - lo)
+    tail = () if name == "val" else (hi - lo,)
+
+    def back(adj):
+        out = np.zeros(full)
+        out[:, lo:hi] = np.moveaxis(adj.reshape(full[0], N_OUTPUTS, hi - lo), -1, 1)
+        return out
+
+    data = moved.reshape(batch + (N_OUTPUTS,) + tail)
+    return ad.record(f"mlp_slot[{name}]", data, (y,), (back,))
 
 
 def forward(spec, phi, features):
-    """Propagate feature jets through the perceptron.
+    """Propagate feature jets through the perceptron as one tape node.
 
     ``phi`` is the flat parameter Var; ``features`` the (val, grad, hess)
-    arrays from :meth:`RFFMap.features`.  Returns the 12-wide Jet, of the
-    features' order.
+    arrays from :meth:`RFFMap.features` or an equivalent hand-built tuple,
+    with any leading batch shape.  Returns the 12-wide Jet, of the
+    features' order.  The node's forward pass and vjp run block by block
+    over ``BLOCK_POINTS`` points and the blocks' parameter adjoints are
+    summed in block order; only a taped ``phi`` keeps the per-block jets
+    its vjp needs.
     """
     if phi.data.shape != (spec.n_params,):
         raise ShapeMismatch(
@@ -224,15 +317,30 @@ def forward(spec, phi, features):
         raise ShapeMismatch(
             f"feature width {fval.shape[-1]} != input width {spec.widths[0]}"
         )
-    y = ad.Jet(*(a if a is None else ad.constant(a) for a in features))
+    stack = _channel_stack(features)
+    batch, n_channels = stack.shape[:-2], stack.shape[-2]
+    stack = stack.reshape((-1,) + stack.shape[-2:])
+    n = stack.shape[0]
     slices = spec.layer_slices()
-    for li, (ws, bs, fi, fo) in enumerate(slices):
-        W = ad.reshape(ad.take(phi, np.arange(ws.start, ws.stop)), (fo, fi))
-        b = ad.take(phi, np.arange(bs.start, bs.stop))
-        y = _affine_layer(y, W, b)
-        if li < len(slices) - 1:
-            y = _tanh_layer(y)
-    return y
+    layers = [(phi.data[ws].reshape(fo, fi), phi.data[bs]) for ws, bs, fi, fo in slices]
+    out = np.empty((n, n_channels, N_OUTPUTS))
+    saved = []
+    for lo in range(0, n, BLOCK_POINTS):
+        acts = _block_forward(layers, stack[lo:lo + BLOCK_POINTS], out[lo:lo + BLOCK_POINTS])
+        if phi.node is not None:
+            saved.append(acts)
+
+    def back(adj):
+        grad = np.zeros(spec.n_params)
+        grads = [(grad[ws].reshape(fo, fi), grad[bs]) for ws, bs, fi, fo in slices]
+        for block, acts in enumerate(saved):
+            lo = block * BLOCK_POINTS
+            _block_backward(layers, acts, adj[lo:lo + BLOCK_POINTS], grads)
+        return grad
+
+    slots = _SLOTS[: 2 if n_channels == 4 else 3]
+    y = ad.record(f"mlp[{','.join(s[0] for s in slots)}]", out, (phi,), (back,))
+    return ad.Jet(*(_jet_slot(y, *s, batch) for s in slots))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ once ``begin_iteration`` has returned.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .losses import (
     assemble,
     total_loss,
 )
-from .materials import cauchy, deformation_gradient, von_mises
+from .materials import J_WARN, cauchy, deformation_gradient, von_mises
 from .network import FieldNetwork, MLPSpec, RFFMap, displacement_gradient
 from .optim import (
     CurriculumSchedule,
@@ -44,6 +45,8 @@ from .optim import (
 from .reference import affine_shear_problem, affine_stretch_problem, l2_error
 
 ENERGY_SHIFT_EPS = 1e-8
+
+log = logging.getLogger(__name__)
 
 
 class TrainingObjective:
@@ -61,6 +64,11 @@ class TrainingObjective:
     records the new weighted total on the same tape and sweeps it again.
     Every other call first drops what is held, so the old tape is freed
     before a new one is built.
+
+    ``begin_iteration`` logs a warning when the accepted iterate comes
+    near inversion (min det F below ``J_WARN``), naming its iteration,
+    counted from the start of the objective's curriculum stage; line-search
+    probes, rejected ones included, log nothing.
     """
 
     def __init__(self, problem, net, points=None):
@@ -77,6 +85,7 @@ class TrainingObjective:
         self.weights[list(self.active)] = 1.0 / len(self.active)
         self.energy_floor = np.inf
         self.last_terms = np.zeros(N_TERMS)
+        self.iteration = 0  # begin_iteration calls so far, i.e. in this stage
         self._held = None  # (point, breakdown, input Var) of the last finite probe
 
     def _breakdown(self, phi_array):
@@ -105,6 +114,7 @@ class TrainingObjective:
         return f, grad
 
     def begin_iteration(self, phi_array):
+        self.iteration += 1
         held, self._held = self._held, None
         if held is not None and np.array_equal(held[0], phi_array):
             _, breakdown, phi = held
@@ -114,6 +124,13 @@ class TrainingObjective:
                 breakdown, phi = self._breakdown(phi_array)
             except InvertedState as err:
                 raise NonFiniteObjective(f"inverted state at iteration start: {err}") from err
+        det_F = breakdown.det_F
+        if det_F.min() < J_WARN:
+            log.warning(
+                "near-inverted state at iteration %d of this stage: "
+                "min det F = %.3e at point index %d",
+                self.iteration, det_F.min(), int(np.argmin(det_F)),
+            )
         values = breakdown.values()
         stats = values.copy()
         # distance to the best energy seen before this iterate; updating

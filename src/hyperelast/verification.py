@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .bvp import preset
 from .materials import LopezPamies, NeoHookean, eval_psi, eval_stress
-from .network import forward
+from .network import BLOCK_POINTS, MLPSpec, RFFMap, forward
 from .solver import TrainingObjective, build_network
 
 
@@ -114,27 +114,34 @@ def check_spatial_hessians(seed=0, n_points=5, h=1e-4, tol=1e-4):
 
 
 def check_tape_gradient(seed=0, h=1e-6, tol=1e-5):
-    """Mean-output loss of a random two-layer net against central FD."""
+    """Parameter gradient of the perceptron node against central FD.
+
+    The loss weights all three jet slots of a two-hidden-layer perceptron
+    on a batch of two full point blocks and a ragged one, so the blocked
+    forward pass, its vjp and the block sums are all covered.
+    """
     rng = np.random.default_rng(seed + 3)
-    W1 = rng.standard_normal((6, 4))
-    W2 = rng.standard_normal((3, 6))
-    x = rng.standard_normal(4)
-    n1, n2 = W1.size, W2.size
+    rff = RFFMap(m=3, sigma=1.0, seed=seed)
+    spec = MLPSpec(widths=(rff.out_dim, 6, 5, 12))
+    n = 2 * BLOCK_POINTS + 37
+    features = rff.features(rng.uniform(-1.0, 1.0, size=(n, 3)))
+    # positive weights keep every bias adjoint (a sum over the batch) away
+    # from zero, where a relative FD error means nothing
+    coeffs = [rng.uniform(0.5, 1.5, (n, 12) + tail) / n for tail in ((), (3,), (6,))]
 
-    def loss_and_grad(phi):
-        tape = ad.Tape()
-        p = tape.input(phi)
-        w1 = ad.reshape(ad.take(p, np.arange(n1)), (6, 4))
-        w2 = ad.reshape(ad.take(p, np.arange(n1, n1 + n2)), (3, 6))
-        hidden_ = ad.tanh(ad.einsum2("i,oi->o", ad.constant(x), w1))
-        out = ad.einsum2("i,oi->o", hidden_, w2)
-        loss = ad.mean(out)
-        return float(loss.data), ad.reverse_gradient(loss, p)
+    def loss(p):
+        out = forward(spec, p, features)
+        return ad.add(
+            ad.add(ad.einsum2("nj,nj->", out.val, coeffs[0]),
+                   ad.einsum2("njd,njd->", out.grad, coeffs[1])),
+            ad.einsum2("njk,njk->", out.hess, coeffs[2]),
+        )
 
-    phi0 = rng.standard_normal(n1 + n2)
-    _, g = loss_and_grad(phi0)
-    err = ad.fd_check(lambda p: loss_and_grad(p)[0], phi0, g, h=h)
-    return ("tape d(loss)/d(phi)", err, tol, err <= tol)
+    phi0 = 0.5 * rng.standard_normal(spec.n_params)
+    p = ad.Tape().input(phi0)
+    g = ad.reverse_gradient(loss(p), p)
+    err = ad.fd_check(lambda x: float(loss(ad.constant(x)).data), phi0, g, h=h)
+    return ("perceptron d(loss)/d(phi)", err, tol, err <= tol)
 
 
 ALL_SUITES = (

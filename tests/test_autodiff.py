@@ -13,13 +13,18 @@ from hyperelast.errors import DomainError, EmptyTape, SingularMatrix
 
 class TestJetPrimitives:
     def test_tanh_at_zero(self):
-        from hyperelast.network import _tanh_layer
+        # one tanh unit per feature at z = 0 under identity weights:
+        # value 0, gradient G and Hessian t1 H + t2 G[A] G[B] = 0
+        from hyperelast.network import MLPSpec, forward
 
-        z = ad.Jet(ad.constant(np.zeros(1)), ad.constant(np.eye(3)[:1]),
-                   ad.constant(np.zeros((1, 6))))
-        j = _tanh_layer(z)
-        assert j.val.data[0] == 0.0
-        assert_allclose(j.grad.data[0], [1.0, 0.0, 0.0])
+        spec = MLPSpec(widths=(3, 3, 12))
+        phi = np.zeros(spec.n_params)
+        phi[:9] = np.eye(3).ravel()
+        phi[12:48] = np.eye(12, 3).ravel()
+        features = (np.zeros((1, 3)), np.eye(3)[None], np.zeros((1, 3, 6)))
+        j = forward(spec, ad.constant(phi), features)
+        assert np.all(j.val.data[0] == 0.0)
+        assert_allclose(j.grad.data[0, :3], np.eye(3))
         assert np.all(j.hess.data == 0.0)
 
     def test_det_of_constant_identity(self):

@@ -12,8 +12,8 @@ from hyperelast.network import (
     DirichletFace,
     FieldNetwork,
     MLPSpec,
+    BLOCK_POINTS,
     RFFMap,
-    _tanh_layer,
     forward,
 )
 
@@ -191,46 +191,54 @@ class TestForward:
         assert o1.hess is None
         assert np.array_equal(o1.val.data, o2.val.data)
         assert np.array_equal(o1.grad.data, o2.grad.data)
+        # the order-1 pass carries no Hessian channel through any layer
+        assert f1.stack.shape[-2] == 4
         ops1 = {n.op for n in tape1.nodes}
         ops2 = {n.op for n in tape2.nodes}
-        hess_ops = {"tanh_jet[hess]", "einsum[...ik,oi->...ok]"}
-        assert hess_ops <= ops2 and not hess_ops & ops1
+        assert "mlp[val,grad]" in ops1 and "mlp[val,grad,hess]" in ops2
+        assert not any("hess" in op for op in ops1)
 
-class TestTanhLayer:
-    def test_matches_generic_rule_per_unit(self):
-        # reference: the chain rule composed from the generic tape
-        # primitives, t' = 1 - t^2 and t'' = -2 t t'
-        n, w = 5, 4
-        shapes = ((n, w), (n, w, 3), (n, w, 6))
-        rng = np.random.default_rng(41)
-        x = rng.standard_normal(sum(int(np.prod(s)) for s in shapes))
-        coeffs = [rng.standard_normal(s) for s in shapes]
-
-        def layer_input(phi):
-            slots, start = [], 0
-            for shape in shapes:
-                size = int(np.prod(shape))
-                slots.append(ad.reshape(ad.take(phi, np.arange(start, start + size)), shape))
-                start += size
-            return ad.Jet(*slots)
+    def test_matches_generic_chain_rule_across_blocks(self):
+        # reference: the same perceptron composed from generic tape
+        # primitives, with t' = 1 - t^2 and t'' = -2 t t', on a batch of
+        # three full blocks and a ragged one
+        rff = RFFMap(m=3, sigma=1.0, seed=41)
+        spec = MLPSpec(widths=(6, 5, 4, 12))
+        rng = np.random.default_rng(42)
+        x = 0.5 * rng.standard_normal(spec.n_params)
+        n = 3 * BLOCK_POINTS + 17
+        features = rff.features(rng.uniform(-1, 1, size=(n, 3)))
+        coeffs = [rng.standard_normal((n, 12) + tail) for tail in ((), (3,), (6,))]
 
         tape = ad.Tape()
         phi = tape.input(x)
-        fused = _tanh_layer(layer_input(phi))
+        fused = forward(spec, phi, features)
         g_fused = ad.reverse_gradient(_jet_loss(fused, coeffs), phi)
 
         tape = ad.Tape()
         phi = tape.input(x)
-        z = layer_input(phi)
-        t = ad.tanh(z.val)
-        t1 = ad.sub(1.0, ad.mul(t, t))
-        t2 = ad.mul(ad.mul(-2.0, t), t1)
-        col1, col2 = ad.reshape(t1, (n, w, 1)), ad.reshape(t2, (n, w, 1))
-        gg = ad.mul(ad.take(z.grad, ad.PACK_A, axis=-1), ad.take(z.grad, ad.PACK_B, axis=-1))
-        ref = ad.Jet(t, ad.mul(z.grad, col1), ad.add(ad.mul(z.hess, col1), ad.mul(gg, col2)))
+        y = ad.Jet(*(ad.constant(np.array(a)) for a in features))
+        slices = spec.layer_slices()
+        for li, (ws, bs, fi, fo) in enumerate(slices):
+            W = ad.reshape(ad.take(phi, np.arange(ws.start, ws.stop)), (fo, fi))
+            b = ad.take(phi, np.arange(bs.start, bs.stop))
+            z = ad.Jet(
+                ad.add(ad.einsum2("ni,oi->no", y.val, W), b),
+                ad.einsum2("nid,oi->nod", y.grad, W),
+                ad.einsum2("nik,oi->nok", y.hess, W),
+            )
+            y = z
+            if li == len(slices) - 1:
+                continue
+            t = ad.tanh(z.val)
+            t1 = ad.sub(1.0, ad.mul(t, t))
+            t2 = ad.mul(ad.mul(-2.0, t), t1)
+            col1, col2 = ad.reshape(t1, (n, fo, 1)), ad.reshape(t2, (n, fo, 1))
+            gg = ad.mul(ad.take(z.grad, ad.PACK_A, axis=-1), ad.take(z.grad, ad.PACK_B, axis=-1))
+            y = ad.Jet(t, ad.mul(z.grad, col1), ad.add(ad.mul(z.hess, col1), ad.mul(gg, col2)))
         for slot in ("val", "grad", "hess"):
-            assert_allclose(getattr(fused, slot).data, getattr(ref, slot).data, rtol=1e-14)
-        g_ref = ad.reverse_gradient(_jet_loss(ref, coeffs), phi)
+            assert_allclose(getattr(fused, slot).data, getattr(y, slot).data, rtol=1e-14)
+        g_ref = ad.reverse_gradient(_jet_loss(y, coeffs), phi)
         assert_allclose(g_fused, g_ref, rtol=1e-12, atol=1e-13 * np.abs(g_ref).max())
 
 
