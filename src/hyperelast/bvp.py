@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EvenCount, LengthMismatch, UnknownPreset
+from .errors import EvenCount, UnknownPreset
 from .materials import LopezPamies, NeoHookean
 from .network import BCEnforcer, DirichletFace
 
@@ -115,6 +115,7 @@ class PointSets:
     points: np.ndarray  # (N, 3)
     vol_weights: np.ndarray  # (N,), sum = box volume
     interior_idx: np.ndarray  # strict-interior flat indices
+    boundary_idx: np.ndarray  # flat indices on the box surface (the complement)
     faces: tuple  # FacePoints per traction face
     grid_shape: tuple
 
@@ -125,17 +126,6 @@ class PointSets:
     @property
     def n_traction(self):
         return int(sum(f.idx.size for f in self.faces))
-
-
-def integrate_volume(values, weights):
-    """Weighted sum with a fixed reduction order (run-to-run deterministic)."""
-    values = np.asarray(values, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if values.shape[0] != weights.shape[0]:
-        raise LengthMismatch(
-            f"{values.shape[0]} values vs {weights.shape[0]} weights"
-        )
-    return float(np.sum(values * weights))
 
 
 def build_point_sets(domain, patches=()):
@@ -157,6 +147,9 @@ def build_point_sets(domain, patches=()):
     n0, n1, n2 = domain.counts
     flat = np.arange(n0 * n1 * n2).reshape(n0, n1, n2)
     interior_idx = flat[1:-1, 1:-1, 1:-1].ravel()
+    on_boundary = np.ones(flat.shape, dtype=bool)
+    on_boundary[1:-1, 1:-1, 1:-1] = False
+    boundary_idx = flat[on_boundary]
 
     faces = []
     for axis in range(3):
@@ -194,6 +187,7 @@ def build_point_sets(domain, patches=()):
         points=points,
         vol_weights=vol_w,
         interior_idx=interior_idx,
+        boundary_idx=boundary_idx,
         faces=tuple(faces),
         grid_shape=domain.counts,
     )

@@ -23,10 +23,18 @@ The head is split into the displacement jet u (..., 3) and the stress jet
 P (..., 3, 3), one order lower, because only the divergence of the stress
 is ever needed.  Training asks for u at order 2, sampling at order 1,
 where every stage passes a None Hessian slot through.
+
+Training feeds :class:`SplitFeatures`, order 2 at the interior points
+and order 1 elsewhere.  Contract: u's Hessian is computed at interior
+rows only and is zero elsewhere, and the stress-branch gradients at the
+other rows are never read.  Only the strong-form residuals read them,
+through the interior ``take`` in ``losses.divergence_at``, so the skipped
+channels' adjoint is exactly zero and the gradient is unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +53,15 @@ _P_ROWS = np.arange(3, N_OUTPUTS)
 BLOCK_POINTS = 128
 
 
+def _row_blocks(n):
+    """(lo, hi) ranges of ``BLOCK_POINTS`` rows, the remainder joining the
+    last one: OpenBLAS rounds a product of few rows differently, so a
+    sliver block would make a row's result depend on how rows are grouped.
+    """
+    starts = list(range(0, n - BLOCK_POINTS + 1, BLOCK_POINTS)) or [0]
+    return list(zip(starts, starts[1:] + [n]))
+
+
 class Features(tuple):
     """(val, grad, hess) feature arrays, views of one channel-major array.
 
@@ -60,6 +77,18 @@ class Features(tuple):
         )
         jets.stack = stack
         return jets
+
+
+class SplitFeatures(tuple):
+    """Features of n points, ``parts`` = ((hess_rows, order-2 Features),
+    (rest_rows, order-1 Features)) with row sets partitioning range(n).
+    Indexed like the order-2 part, whose width the perceptron checks.
+    """
+
+    def __new__(cls, parts):
+        split = super().__new__(cls, parts[0][1])
+        split.n, split.parts = sum(len(rows) for rows, _ in parts), parts
+        return split
 
 
 @dataclass(frozen=True)
@@ -110,6 +139,14 @@ class RFFMap:
             stack[..., 4:, 0::2] = -cw * WW
             stack[..., 4:, 1::2] = -sw * WW
         return Features(stack)
+
+    def split_features(self, X, hess_rows, rest_rows):
+        """:class:`SplitFeatures` of X (N, 3): order 2 at rows ``hess_rows``,
+        order 1 at their complement ``rest_rows``."""
+        return SplitFeatures((
+            (hess_rows, self.features(X[hess_rows], 2)),
+            (rest_rows, self.features(X[rest_rows], 1)),
+        ))
 
 
 @dataclass(frozen=True)
@@ -230,8 +267,9 @@ def _tanh_jet_back(Z, T, dT):
     return A
 
 
-def _block_forward(layers, S, out):
-    """One block of jets S (b, C, i) through every layer into ``out``.
+def _block_forward(layers, S, out, rows):
+    """One block of jets S (b, C, i) through every layer into rows
+    ``rows`` (a slice or an index array) of ``out`` (N, >= C, 12).
 
     Inside the block the jets are (C, b, w).  Returns, per layer, its
     input jet and (hidden layers) its pre-activation jet: all the vjp needs.
@@ -246,7 +284,7 @@ def _block_forward(layers, S, out):
     W, bias = layers[-1]
     Y = np.matmul(S, W.T)
     Y[0] += bias
-    out[...] = Y.transpose(1, 0, 2)
+    out[rows, :Y.shape[0]] = Y.transpose(1, 0, 2)
     acts.append((S, None))
     return acts
 
@@ -302,11 +340,18 @@ def forward(spec, phi, features):
 
     ``phi`` is the flat parameter Var; ``features`` the (val, grad, hess)
     arrays from :meth:`RFFMap.features` or an equivalent hand-built tuple,
-    with any leading batch shape.  Returns the 12-wide Jet, of the
-    features' order.  The node's forward pass and vjp run block by block
-    over ``BLOCK_POINTS`` points and the blocks' parameter adjoints are
-    summed in block order; only a taped ``phi`` keeps the per-block jets
-    its vjp needs.
+    with any leading batch shape, or :class:`SplitFeatures`.  Returns the
+    12-wide Jet, of the features' order.  The node's forward pass and vjp
+    run block by block over ``BLOCK_POINTS`` points and the blocks'
+    parameter adjoints are summed in block order; only a taped ``phi``
+    keeps the per-block jets its vjp needs.
+
+    With split features each row set runs its own blocks at its order,
+    scattered into one order-2 output whose Hessian channels are zero on
+    the order-1 rows; the vjp gathers each set's adjoint.  When every set
+    spans a block, a row equals bit for bit that of an all-rows order-2
+    pass, and a loss reading Hessians of order-2 rows only has the same
+    gradient.
     """
     if phi.data.shape != (spec.n_params,):
         raise ShapeMismatch(
@@ -317,25 +362,33 @@ def forward(spec, phi, features):
         raise ShapeMismatch(
             f"feature width {fval.shape[-1]} != input width {spec.widths[0]}"
         )
-    stack = _channel_stack(features)
-    batch, n_channels = stack.shape[:-2], stack.shape[-2]
-    stack = stack.reshape((-1,) + stack.shape[-2:])
-    n = stack.shape[0]
+    parts = getattr(features, "parts", None)
+    if parts is None:  # one row set, written block by block in place
+        stack = _channel_stack(features)
+        batch, n_channels = stack.shape[:-2], stack.shape[-2]
+        stacks = [(None, stack.reshape((-1,) + stack.shape[-2:]))]
+        alloc = np.empty
+    else:
+        batch, n_channels = (features.n,), 10
+        stacks = [(rows, part.stack) for rows, part in parts]
+        alloc = np.zeros  # the order-1 rows' Hessian channels stay zero
+    out = alloc((math.prod(batch), n_channels, N_OUTPUTS))
     slices = spec.layer_slices()
     layers = [(phi.data[ws].reshape(fo, fi), phi.data[bs]) for ws, bs, fi, fo in slices]
-    out = np.empty((n, n_channels, N_OUTPUTS))
-    saved = []
-    for lo in range(0, n, BLOCK_POINTS):
-        acts = _block_forward(layers, stack[lo:lo + BLOCK_POINTS], out[lo:lo + BLOCK_POINTS])
-        if phi.node is not None:
-            saved.append(acts)
+    saved = []  # (output rows, channels, per-layer jets) per block
+    for rows, stack in stacks:
+        C = stack.shape[1]
+        for lo, hi in _row_blocks(stack.shape[0]):
+            sel = slice(lo, hi) if rows is None else rows[lo:hi]
+            acts = _block_forward(layers, stack[lo:hi], out, sel)
+            if phi.node is not None:
+                saved.append((sel, C, acts))
 
     def back(adj):
         grad = np.zeros(spec.n_params)
         grads = [(grad[ws].reshape(fo, fi), grad[bs]) for ws, bs, fi, fo in slices]
-        for block, acts in enumerate(saved):
-            lo = block * BLOCK_POINTS
-            _block_backward(layers, acts, adj[lo:lo + BLOCK_POINTS], grads)
+        for sel, C, acts in saved:
+            _block_backward(layers, acts, adj[sel, :C], grads)
         return grad
 
     slots = _SLOTS[: 2 if n_channels == 4 else 3]
@@ -504,7 +557,12 @@ class FieldNetwork:
 
     def fields(self, phi, X, features=None, bc=None, order=2):
         """Displacement jet of ``order`` and scaled stress jet one order
-        lower at points X (..., 3)."""
+        lower at points X (..., 3).
+
+        With :class:`SplitFeatures` u's Hessian is computed on the order-2
+        rows only and is zero elsewhere, so the stress-branch gradients at
+        the other rows are never read.
+        """
         y_u, y_P = self.raw_outputs(phi, X, features, order)
         u, y_P = self.enforcer.apply(X, y_u, y_P, bc=bc)
         s = self.stress_scale

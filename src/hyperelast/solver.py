@@ -75,7 +75,10 @@ class TrainingObjective:
         self.problem = problem
         self.net = net
         self.points = points if points is not None else problem.point_sets()
-        self.features = net.rff.features(self.points.points)
+        # u's Hessian is read at interior points only (strong-form residuals)
+        self.features = net.rff.split_features(
+            self.points.points, self.points.interior_idx, self.points.boundary_idx
+        )
         self.bc = net.enforcer.bc_jets(self.points.points)
         self.active = active_term_indices(
             problem.mask, has_traction=bool(self.points.faces)

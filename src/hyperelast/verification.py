@@ -116,32 +116,46 @@ def check_spatial_hessians(seed=0, n_points=5, h=1e-4, tol=1e-4):
 def check_tape_gradient(seed=0, h=1e-6, tol=1e-5):
     """Parameter gradient of the perceptron node against central FD.
 
-    The loss weights all three jet slots of a two-hidden-layer perceptron
-    on a batch of two full point blocks and a ragged one, so the blocked
-    forward pass, its vjp and the block sums are all covered.
+    The loss weights all three jet slots of a two-hidden-layer perceptron,
+    on plain features and on split features whose order-2 and order-1 rows
+    interleave in point order, there weighting Hessians on order-2 rows
+    only.  Each row set spans two full point blocks and a ragged remainder,
+    so the blocked forward pass, the row scatter, its vjp and the block
+    sums are all covered.
     """
     rng = np.random.default_rng(seed + 3)
     rff = RFFMap(m=3, sigma=1.0, seed=seed)
     spec = MLPSpec(widths=(rff.out_dim, 6, 5, 12))
     n = 2 * BLOCK_POINTS + 37
-    features = rff.features(rng.uniform(-1.0, 1.0, size=(n, 3)))
-    # positive weights keep every bias adjoint (a sum over the batch) away
-    # from zero, where a relative FD error means nothing
-    coeffs = [rng.uniform(0.5, 1.5, (n, 12) + tail) / n for tail in ((), (3,), (6,))]
-
-    def loss(p):
-        out = forward(spec, p, features)
-        return ad.add(
-            ad.add(ad.einsum2("nj,nj->", out.val, coeffs[0]),
-                   ad.einsum2("njd,njd->", out.grad, coeffs[1])),
-            ad.einsum2("njk,njk->", out.hess, coeffs[2]),
-        )
-
+    X = rng.uniform(-1.0, 1.0, size=(2 * n, 3))
+    order2 = np.zeros(2 * n, dtype=bool)
+    order2[rng.permutation(2 * n)[:n]] = True
+    cases = (
+        (rff.features(X[:n]), np.ones(n, dtype=bool)),
+        (rff.split_features(X, np.flatnonzero(order2), np.flatnonzero(~order2)), order2),
+    )
     phi0 = 0.5 * rng.standard_normal(spec.n_params)
-    p = ad.Tape().input(phi0)
-    g = ad.reverse_gradient(loss(p), p)
-    err = ad.fd_check(lambda x: float(loss(ad.constant(x)).data), phi0, g, h=h)
-    return ("perceptron d(loss)/d(phi)", err, tol, err <= tol)
+    worst = 0.0
+    for features, hess_read in cases:
+        # positive weights keep every bias adjoint (a sum over the batch)
+        # away from zero, where a relative FD error means nothing
+        coeffs = [rng.uniform(0.5, 1.5, (hess_read.size, 12) + tail) / n
+                  for tail in ((), (3,), (6,))]
+        coeffs[2][~hess_read] = 0.0
+
+        def loss(p):
+            out = forward(spec, p, features)
+            return ad.add(
+                ad.add(ad.einsum2("nj,nj->", out.val, coeffs[0]),
+                       ad.einsum2("njd,njd->", out.grad, coeffs[1])),
+                ad.einsum2("njk,njk->", out.hess, coeffs[2]),
+            )
+
+        p = ad.Tape().input(phi0)
+        g = ad.reverse_gradient(loss(p), p)
+        err = ad.fd_check(lambda x: float(loss(ad.constant(x)).data), phi0, g, h=h)
+        worst = max(worst, err)
+    return ("perceptron d(loss)/d(phi)", worst, tol, worst <= tol)
 
 
 ALL_SUITES = (

@@ -76,9 +76,9 @@ class TestCriterion5Quadrature:
                 for r in range(4):
                     f = ps.points[:, 0] ** p * ps.points[:, 1] ** q * ps.points[:, 2] ** r
                     exact = (4.0 ** (p + 1) / (p + 1)) / (q + 1) / (r + 1)
-                    worst = max(worst, abs(bvp.integrate_volume(f, ps.vol_weights) - exact) / exact)
+                    worst = max(worst, abs(float(np.sum(f * ps.vol_weights)) - exact) / exact)
         cube = bvp.build_point_sets(bvp.BoxDomain(counts=(9, 3, 3)))
-        sine = bvp.integrate_volume(np.sin(np.pi * cube.points[:, 0]), cube.vol_weights)
+        sine = float(np.sum(np.sin(np.pi * cube.points[:, 0]) * cube.vol_weights))
         sine_err = abs(sine - 2.0 / np.pi)
         report(
             5,

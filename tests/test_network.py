@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hyperelast.autodiff as ad
-from hyperelast.bvp import preset
+from hyperelast.bvp import BoxDomain, build_point_sets, preset
 from hyperelast.errors import ShapeMismatch
 from hyperelast.network import (
     BCEnforcer,
@@ -240,6 +240,36 @@ class TestForward:
             assert_allclose(getattr(fused, slot).data, getattr(y, slot).data, rtol=1e-14)
         g_ref = ad.reverse_gradient(_jet_loss(y, coeffs), phi)
         assert_allclose(g_fused, g_ref, rtol=1e-12, atol=1e-13 * np.abs(g_ref).max())
+
+    def test_split_rows_match_all_rows_order_two(self):
+        # interior rows at order 2, boundary rows at order 1, each set
+        # several blocks long with a ragged remainder (539 and 514 rows)
+        ps = build_point_sets(BoxDomain(lengths=(2.0, 1.0, 1.0), counts=(13, 9, 9)))
+        inner, rest = ps.interior_idx, ps.boundary_idx
+        assert min(inner.size, rest.size) > 2 * BLOCK_POINTS
+        rff = RFFMap(m=16, sigma=1.0, seed=43)
+        spec = MLPSpec(widths=(32, 32, 32, 12))
+        rng = np.random.default_rng(44)
+        x = 0.5 * rng.standard_normal(spec.n_params)
+        n = ps.n_points
+        coeffs = [rng.standard_normal((n, 12) + tail) for tail in ((), (3,), (6,))]
+        coeffs[2][rest] = 0.0  # Hessians are read on the order-2 rows only
+
+        outs, grads, tapes = [], [], []
+        for features in (rff.features(ps.points),
+                         rff.split_features(ps.points, inner, rest)):
+            tape = ad.Tape()
+            phi = tape.input(x)
+            outs.append(forward(spec, phi, features))
+            grads.append(ad.reverse_gradient(_jet_loss(outs[-1], coeffs), phi))
+            tapes.append([node.op for node in tape.nodes])
+        full, split = outs
+        assert np.array_equal(split.val.data, full.val.data)
+        assert np.array_equal(split.grad.data, full.grad.data)
+        assert np.array_equal(split.hess.data[inner], full.hess.data[inner])
+        assert np.all(split.hess.data[rest] == 0.0)
+        assert tapes[0] == tapes[1]
+        assert np.abs(grads[1] - grads[0]).max() <= 1e-12 * np.abs(grads[0]).max()
 
 
 def cantilever_net(seed=0, m=3, hidden=(6,)):

@@ -12,7 +12,7 @@ from hyperelast.bvp import preset
 from hyperelast.config import RunConfig
 from hyperelast.errors import NonFiniteObjective
 from hyperelast.materials import cauchy, deformation_gradient, von_mises
-from hyperelast.network import FieldNetwork, displacement_gradient
+from hyperelast.network import BLOCK_POINTS, FieldNetwork, displacement_gradient
 from hyperelast.optim import CurriculumSchedule, LBFGSConfig
 from hyperelast.solver import (
     TrainingObjective,
@@ -152,6 +152,24 @@ def test_tape_node_budget(name, monkeypatch):
     f, _ = TrainingObjective(problem, net)(net.init_params())
     assert np.isfinite(f) and len(tapes) == 1
     assert len(tapes[0]) <= TAPE_NODE_BUDGET
+
+
+@pytest.mark.parametrize("name", ["nh_cantilever_traction", "lp_cantilever_displacement"])
+def test_objective_equal_to_all_rows_second_order_features(name):
+    # training carries Hessian channels on the interior rows only; the
+    # loss must be that of order-2 features on every row
+    problem = preset(name, grid=(17, 9, 9))
+    net = build_network(problem, hidden=(32, 32), fourier_features=16, seed=3)
+    phi = net.init_params() + 1e-3 * np.random.default_rng(19).standard_normal(net.n_params)
+    split = TrainingObjective(problem, net)
+    points = split.points
+    assert min(points.interior_idx.size, points.boundary_idx.size) > BLOCK_POINTS
+    full = TrainingObjective(problem, net, points=points)
+    full.features = net.rff.features(points.points)
+    f_split, g_split = split(phi)
+    f_full, g_full = full(phi)
+    assert f_split == f_full
+    assert np.abs(g_split - g_full).max() <= 1e-12 * np.abs(g_full).max()
 
 
 @pytest.mark.parametrize("name", ["nh_cantilever_traction", "lp_cantilever_displacement"])
