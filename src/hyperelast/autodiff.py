@@ -222,25 +222,6 @@ def log(a):
     return record("log", np.log(ad), (a,), (lambda adj: adj / ad,))
 
 
-def sum_(a, axis=None):
-    a = constant(a)
-    out = a.data.sum(axis=axis)
-    shape = a.data.shape
-
-    def back(adj):
-        if axis is None:
-            return np.broadcast_to(adj, shape).copy()
-        return np.broadcast_to(np.expand_dims(adj, axis), shape).copy()
-
-    return record("sum", out, (a,), (back,))
-
-
-def mean(a, axis=None):
-    a = constant(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(sum_(a, axis=axis), 1.0 / n)
-
-
 def reshape(a, shape):
     a = constant(a)
     old = a.data.shape

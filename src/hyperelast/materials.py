@@ -242,19 +242,6 @@ def von_mises(S):
     return np.sqrt(1.5 * np.einsum("...ij,...ij->...", dev, dev))
 
 
-def material_from_config(model, **params):
-    """Construct a material from config-style fields."""
-    if model == "neo_hookean":
-        return NeoHookean(lam=float(params["lam"]), mu=float(params["mu"]))
-    if model == "lopez_pamies":
-        return LopezPamies(
-            alphas=tuple(params["alphas"]),
-            mus=tuple(params["mus"]),
-            lam=float(params["lam"]),
-        )
-    raise ValueError(f"unknown material model '{model}'")
-
-
 def state_from_array(F):
     """DeformationState from a plain ndarray F with shape (..., 3, 3).
 

@@ -7,34 +7,34 @@ Displacement outputs are composed with distance functions so essential
 boundary conditions hold exactly; stress outputs pass through unchanged
 up to a fixed conditioning scale.
 
-The perceptron takes its input jets as one channel-major array (N, C, w):
-channel 0 holds the values, 1-3 the spatial gradient and 4-9 the packed
-Hessian (C = 10, or 4 without a Hessian).  The whole perceptron is one
-tape node that runs its forward pass and its vjp over blocks of
-``BLOCK_POINTS`` points, so every temporary stays cache-sized and is
-reused instead of being allocated afresh.  Within a block the jets are
-(C, b, w): an affine layer is one matrix product with the bias on
-channel 0, and the tanh rules scale whole contiguous channels by
-per-unit factors.
+The perceptron takes its input jets as channel-major feature stacks
+(N, C, w) from :meth:`RFFMap.features`: channel 0 holds the values, 1-3
+the spatial gradient and 4-9 the packed Hessian (C = 10, or 4 without a
+Hessian).  The whole perceptron is one tape node that runs its forward
+pass and its vjp over blocks of ``BLOCK_POINTS`` points, so every
+temporary stays cache-sized and is reused instead of being allocated
+afresh.  Within a block the jets are (C, b, w): an affine layer is one
+matrix product with the bias on channel 0, and the tanh rules scale
+whole contiguous channels by per-unit factors.
 
-The perceptron's output is a 12-wide :class:`~hyperelast.autodiff.Jet`:
-values (..., 12), gradients (..., 12, 3) and packed Hessians (..., 12, 6).
-The head is split into the displacement jet u (..., 3) and the stress jet
-P (..., 3, 3), one order lower, because only the divergence of the stress
-is ever needed.  Training asks for u at order 2, sampling at order 1,
-where every stage passes a None Hessian slot through.
+The node's output (N, C, 12) is read by one slot node per head field:
+the displacement jet u (N, 3) with gradient (N, 3, 3) and packed
+Hessian (N, 3, 6), and the stress jet P (N, 3, 3) one order lower,
+because only the divergence of the stress is ever needed, with the
+stress scale folded into its slots.  Training asks for u at order 2,
+sampling at order 1, where every stage passes a None Hessian slot
+through.
 
-Training feeds :class:`SplitFeatures`, order 2 at the interior points
-and order 1 elsewhere.  Contract: u's Hessian is computed at interior
-rows only and is zero elsewhere, and the stress-branch gradients at the
-other rows are never read.  Only the strong-form residuals read them,
-through the interior ``take`` in ``losses.divergence_at``, so the skipped
-channels' adjoint is exactly zero and the gradient is unchanged.
+Training feeds two stacks, order 2 at the interior points and order 1
+elsewhere.  Contract: u's Hessian is computed at interior rows only and
+is zero elsewhere, and the stress-branch gradients at the other rows
+are never read.  Only the strong-form residuals read them, through the
+interior ``take`` in ``losses.divergence_at``, so the skipped channels'
+adjoint is exactly zero and the gradient is unchanged.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +43,6 @@ from . import autodiff as ad
 from .errors import ShapeMismatch
 
 N_OUTPUTS = 12  # 3 displacement + 9 stress components
-_U_ROWS = np.arange(3)
-_P_ROWS = np.arange(3, N_OUTPUTS)
 # points per block of the perceptron node: a block's (10, 128, 64) jets
 # take 0.66 MB, so a layer's temporaries fit in L2 and are reused from
 # block to block.  One default-cantilever evaluation (25x9x9 points,
@@ -60,35 +58,6 @@ def _row_blocks(n):
     """
     starts = list(range(0, n - BLOCK_POINTS + 1, BLOCK_POINTS)) or [0]
     return list(zip(starts, starts[1:] + [n]))
-
-
-class Features(tuple):
-    """(val, grad, hess) feature arrays, views of one channel-major array.
-
-    ``stack`` has shape (..., C, w); ``val`` (..., w), ``grad`` (..., w, 3)
-    and ``hess`` (..., w, 6) (None when C = 4) read its channels, so the
-    perceptron consumes ``stack`` without a copy.
-    """
-
-    def __new__(cls, stack):
-        hess = np.swapaxes(stack[..., 4:, :], -1, -2) if stack.shape[-2] > 4 else None
-        jets = super().__new__(
-            cls, (stack[..., 0, :], np.swapaxes(stack[..., 1:4, :], -1, -2), hess)
-        )
-        jets.stack = stack
-        return jets
-
-
-class SplitFeatures(tuple):
-    """Features of n points, ``parts`` = ((hess_rows, order-2 Features),
-    (rest_rows, order-1 Features)) with row sets partitioning range(n).
-    Indexed like the order-2 part, whose width the perceptron checks.
-    """
-
-    def __new__(cls, parts):
-        split = super().__new__(cls, parts[0][1])
-        split.n, split.parts = sum(len(rows) for rows, _ in parts), parts
-        return split
 
 
 @dataclass(frozen=True)
@@ -120,10 +89,10 @@ class RFFMap:
     def features(self, X, order=2):
         """Feature values and exact spatial derivatives at points X (..., 3).
 
-        Returns :class:`Features`: arrays of shapes (..., 2m), (..., 2m, 3)
-        and (..., 2m, 6) (packed Hessians, None at order 1), filled in one
-        channel-major buffer.  The map has no trainable parameters, so
-        these are constants with respect to the network weights.
+        Returns the channel-major stack (..., C, 2m): values, the three
+        gradient channels and, at order 2, the six packed Hessian channels
+        (C = 10, or 4 at order 1).  The map has no trainable parameters,
+        so these are constants with respect to the network weights.
         """
         X = np.asarray(X, dtype=np.float64)
         W = 2.0 * np.pi * self.freq  # (m, 3)
@@ -138,15 +107,7 @@ class RFFMap:
             WW = (W[:, ad.PACK_A] * W[:, ad.PACK_B]).T  # (6, m)
             stack[..., 4:, 0::2] = -cw * WW
             stack[..., 4:, 1::2] = -sw * WW
-        return Features(stack)
-
-    def split_features(self, X, hess_rows, rest_rows):
-        """:class:`SplitFeatures` of X (N, 3): order 2 at rows ``hess_rows``,
-        order 1 at their complement ``rest_rows``."""
-        return SplitFeatures((
-            (hess_rows, self.features(X[hess_rows], 2)),
-            (rest_rows, self.features(X[rest_rows], 1)),
-        ))
+        return stack
 
 
 @dataclass(frozen=True)
@@ -165,10 +126,6 @@ class MLPSpec:
             raise ValueError("need at least input and output widths")
         if self.widths[-1] != N_OUTPUTS:
             raise ValueError(f"output width must be {N_OUTPUTS}, got {self.widths[-1]}")
-
-    @property
-    def n_layers(self):
-        return len(self.widths) - 1
 
     @property
     def n_params(self):
@@ -305,81 +262,40 @@ def _block_backward(layers, acts, dY, grads):
             dY = (A2 @ W).reshape(S.shape)
 
 
-def _channel_stack(features):
-    """The feature jets as one channel-major array (..., C, w)."""
-    stack = getattr(features, "stack", None)
-    if stack is not None:
-        return stack
-    val, grad, hess = (None if a is None else np.asarray(a, dtype=np.float64) for a in features)
-    slots = [val[..., None, :], np.swapaxes(grad, -1, -2)]
-    if hess is not None:
-        slots.append(np.swapaxes(hess, -1, -2))
-    return np.concatenate(slots, axis=-2)
+def forward(spec, phi, stacks, rows=None):
+    """Propagate feature stacks through the perceptron as one tape node.
 
-
-_SLOTS = (("val", 0, 1), ("grad", 1, 4), ("hess", 4, 10))
-
-
-def _jet_slot(y, name, lo, hi, batch):
-    """Channels lo:hi of the perceptron output (N, C, 12) as a Jet slot."""
-    full = y.data.shape
-    moved = np.moveaxis(y.data[:, lo:hi], 1, -1)  # (N, 12, hi - lo)
-    tail = () if name == "val" else (hi - lo,)
-
-    def back(adj):
-        out = np.zeros(full)
-        out[:, lo:hi] = np.moveaxis(adj.reshape(full[0], N_OUTPUTS, hi - lo), -1, 1)
-        return out
-
-    data = moved.reshape(batch + (N_OUTPUTS,) + tail)
-    return ad.record(f"mlp_slot[{name}]", data, (y,), (back,))
-
-
-def forward(spec, phi, features):
-    """Propagate feature jets through the perceptron as one tape node.
-
-    ``phi`` is the flat parameter Var; ``features`` the (val, grad, hess)
-    arrays from :meth:`RFFMap.features` or an equivalent hand-built tuple,
-    with any leading batch shape, or :class:`SplitFeatures`.  Returns the
-    12-wide Jet, of the features' order.  The node's forward pass and vjp
-    run block by block over ``BLOCK_POINTS`` points and the blocks'
-    parameter adjoints are summed in block order; only a taped ``phi``
-    keeps the per-block jets its vjp needs.
-
-    With split features each row set runs its own blocks at its order,
-    scattered into one order-2 output whose Hessian channels are zero on
-    the order-1 rows; the vjp gathers each set's adjoint.  When every set
-    spans a block, a row equals bit for bit that of an all-rows order-2
-    pass, and a loss reading Hessians of order-2 rows only has the same
-    gradient.
+    ``phi`` is the flat parameter Var; ``stacks`` a tuple of channel-major
+    feature arrays (n_k, C_k, w) from :meth:`RFFMap.features` and ``rows``
+    the output row indices of each; by default one stack covers every row
+    in order.  Returns the node, a Var (N, C, 12) with C the largest C_k,
+    whose Hessian channels are zero on the rows of an order-1 stack.  Each
+    stack runs its own blocks of ``BLOCK_POINTS`` points at its order,
+    forward and in the vjp, and the blocks' parameter adjoints are summed
+    in block order; only a taped ``phi`` keeps the per-block jets its vjp
+    needs.  When every stack spans a block, a row equals bit for bit that
+    of an all-rows order-2 pass, and a loss reading Hessians of order-2
+    rows only has the same gradient.
     """
     if phi.data.shape != (spec.n_params,):
         raise ShapeMismatch(
             f"parameter vector has length {phi.data.size}, layout needs {spec.n_params}"
         )
-    fval = features[0]
-    if fval.shape[-1] != spec.widths[0]:
-        raise ShapeMismatch(
-            f"feature width {fval.shape[-1]} != input width {spec.widths[0]}"
-        )
-    parts = getattr(features, "parts", None)
-    if parts is None:  # one row set, written block by block in place
-        stack = _channel_stack(features)
-        batch, n_channels = stack.shape[:-2], stack.shape[-2]
-        stacks = [(None, stack.reshape((-1,) + stack.shape[-2:]))]
-        alloc = np.empty
-    else:
-        batch, n_channels = (features.n,), 10
-        stacks = [(rows, part.stack) for rows, part in parts]
-        alloc = np.zeros  # the order-1 rows' Hessian channels stay zero
-    out = alloc((math.prod(batch), n_channels, N_OUTPUTS))
+    rows = (None,) if rows is None else rows
+    if len(rows) != len(stacks):
+        raise ShapeMismatch(f"{len(stacks)} feature stacks for {len(rows)} row sets")
+    if any(stack.shape[-1] != spec.widths[0] for stack in stacks):
+        widths = [stack.shape[-1] for stack in stacks]
+        raise ShapeMismatch(f"feature widths {widths} != input width {spec.widths[0]}")
+    n_channels = max(stack.shape[1] for stack in stacks)
+    out = np.zeros((sum(len(stack) for stack in stacks), n_channels, N_OUTPUTS))
     slices = spec.layer_slices()
     layers = [(phi.data[ws].reshape(fo, fi), phi.data[bs]) for ws, bs, fi, fo in slices]
     saved = []  # (output rows, channels, per-layer jets) per block
-    for rows, stack in stacks:
+    for set_rows, stack in zip(rows, stacks):
         C = stack.shape[1]
-        for lo, hi in _row_blocks(stack.shape[0]):
-            sel = slice(lo, hi) if rows is None else rows[lo:hi]
+        for lo, hi in _row_blocks(len(stack)):
+            sel = slice(lo, hi) if set_rows is None else set_rows[lo:hi]
             acts = _block_forward(layers, stack[lo:hi], out, sel)
             if phi.node is not None:
                 saved.append((sel, C, acts))
@@ -391,9 +307,26 @@ def forward(spec, phi, features):
             _block_backward(layers, acts, adj[sel, :C], grads)
         return grad
 
-    slots = _SLOTS[: 2 if n_channels == 4 else 3]
-    y = ad.record(f"mlp[{','.join(s[0] for s in slots)}]", out, (phi,), (back,))
-    return ad.Jet(*(_jet_slot(y, *s, batch) for s in slots))
+    op = "mlp[val,grad,hess]" if n_channels > 4 else "mlp[val,grad]"
+    return ad.record(op, out, (phi,), (back,))
+
+
+def _head_slot(y, name, channels, cols, shape, scale=1.0):
+    """Output columns ``cols`` of the perceptron node y (N, C, 12) at the
+    slice ``channels``, channels last, times ``scale``, as one tape node of
+    shape ``shape``.  The vjp captures shapes only, so the tape does not
+    keep y alive.
+    """
+    part = np.moveaxis(y.data[:, channels, cols], 1, -1)  # (N, k, channels)
+    full, moved = y.data.shape, part.shape
+
+    def back(adj):
+        out = np.zeros(full)
+        out[:, channels, cols] = np.moveaxis(adj.reshape(moved) * scale, -1, 1)
+        return out
+
+    data = np.multiply(part, scale, order="C").reshape(shape)
+    return ad.record(f"mlp_slot[{name}]", data, (y,), (back,))
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +352,8 @@ class BCEnforcer:
     matches the prescribed displacement on every constrained face.  The
     mask B vanishes (componentwise) exactly on the faces constraining that
     component and is a product of normalized face distances elsewhere.
-    Stress outputs pass through untouched (traction conditions are handled
-    softly in the loss).
+    Only the displacement is composed; traction conditions on the stress
+    are handled softly in the loss.
     """
 
     origin: tuple
@@ -491,11 +424,11 @@ class BCEnforcer:
             cross[..., k, a] += Bg[..., b]
         return self.lift_jets(X), mask, cross
 
-    def apply(self, X, y_u, y_P, bc=None):
-        """(u, P) from the raw output jets; stress is returned unchanged.
+    def apply(self, X, y_u, bc=None):
+        """Displacement jet u = A + B y_u from the raw displacement jet.
 
-        u = A + B y by the product rule, with A of zero Hessian.  u has the
-        order of y_u (2 or 1); ``bc`` must carry at least that order.
+        Product rule, with A of zero Hessian.  u has the order of y_u
+        (2 or 1); ``bc`` must carry at least that order.
         """
         order = 1 if y_u.hess is None else 2
         lift, mask, cross = bc if bc is not None else self.bc_jets(X, order)
@@ -506,13 +439,13 @@ class BCEnforcer:
             ad.add(ad.mul(y_u.grad, Bv[..., None]), ad.einsum2("...i,...id->...id", y_u.val, Bg)),
         )
         if order < 2:
-            return ad.Jet(val, grad), y_P
+            return ad.Jet(val, grad)
         Bh = mask.hess.data
         hess = ad.add(
             ad.add(ad.mul(y_u.hess, Bv[..., None]), ad.einsum2("...i,...ik->...ik", y_u.val, Bh)),
             ad.einsum2("...id,...ikd->...ik", y_u.grad, cross),
         )
-        return ad.Jet(val, grad, hess), y_P
+        return ad.Jet(val, grad, hess)
 
 
 @dataclass(frozen=True)
@@ -537,37 +470,39 @@ class FieldNetwork:
         return self.mlp.init_params(rng)
 
     def raw_outputs(self, phi, X, features=None, order=2):
-        """Head jets: displacement (..., 3) of ``order`` (2 or 1) and stress
-        (..., 3, 3) one order lower; ``features`` carry at least ``order``."""
-        if features is None:
-            features = self.rff.features(X, order)
-        out = forward(self.mlp, phi, features)
-        batch = out.val.data.shape[:-1]
+        """Head jets: displacement y_u (N, 3) of ``order`` (2 or 1) and the
+        scaled stress P (N, 3, 3) one order lower, one slot node each off
+        the perceptron node.
+
+        ``features`` is a (stacks, rows) pair for :func:`forward` carrying
+        at least ``order``; by default the features of X at ``order``.
+        """
+        stacks, rows = ((self.rff.features(X, order),), None) if features is None else features
+        y = forward(self.mlp, phi, stacks, rows)
+        n, s = len(y.data), self.stress_scale
+        ucols, pcols = slice(0, 3), slice(3, N_OUTPUTS)
         y_u = ad.Jet(
-            ad.take(out.val, _U_ROWS, axis=-1),
-            ad.take(out.grad, _U_ROWS, axis=-2),
-            ad.take(out.hess, _U_ROWS, axis=-2) if order == 2 else None,
+            _head_slot(y, "u.val", slice(0, 1), ucols, (n, 3)),
+            _head_slot(y, "u.grad", slice(1, 4), ucols, (n, 3, 3)),
+            _head_slot(y, "u.hess", slice(4, 10), ucols, (n, 3, 6)) if order == 2 else None,
         )
-        y_P = ad.Jet(
-            ad.reshape(ad.take(out.val, _P_ROWS, axis=-1), batch + (3, 3)),
-            ad.reshape(ad.take(out.grad, _P_ROWS, axis=-2), batch + (3, 3, 3))
-            if order == 2 else None,
+        P = ad.Jet(
+            _head_slot(y, "P.val", slice(0, 1), pcols, (n, 3, 3), s),
+            _head_slot(y, "P.grad", slice(1, 4), pcols, (n, 3, 3, 3), s) if order == 2 else None,
         )
-        return y_u, y_P
+        return y_u, P
 
     def fields(self, phi, X, features=None, bc=None, order=2):
         """Displacement jet of ``order`` and scaled stress jet one order
-        lower at points X (..., 3).
+        lower at points X (N, 3).
 
-        With :class:`SplitFeatures` u's Hessian is computed on the order-2
-        rows only and is zero elsewhere, so the stress-branch gradients at
-        the other rows are never read.
+        With features whose stacks are of order 2 on some rows and order 1
+        on the rest, u's Hessian is computed on the order-2 rows only and
+        is zero elsewhere, so the stress-branch gradients at the other rows
+        are never read.
         """
-        y_u, y_P = self.raw_outputs(phi, X, features, order)
-        u, y_P = self.enforcer.apply(X, y_u, y_P, bc=bc)
-        s = self.stress_scale
-        P = ad.Jet(ad.mul(y_P.val, s), None if y_P.grad is None else ad.mul(y_P.grad, s))
-        return u, P
+        y_u, P = self.raw_outputs(phi, X, features, order)
+        return self.enforcer.apply(X, y_u, bc=bc), P
 
 
 def displacement_gradient(u):

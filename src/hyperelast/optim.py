@@ -144,9 +144,6 @@ class TrainingHistory:
     def totals(self):
         return np.array([r.total for r in self.rows])
 
-    def final_total(self):
-        return self.rows[-1].total if self.rows else np.nan
-
 
 def _zeros_stats():
     return {"terms": np.zeros(N_TERMS), "weights": np.zeros(N_TERMS)}

@@ -76,8 +76,10 @@ class TrainingObjective:
         self.net = net
         self.points = points if points is not None else problem.point_sets()
         # u's Hessian is read at interior points only (strong-form residuals)
-        self.features = net.rff.split_features(
-            self.points.points, self.points.interior_idx, self.points.boundary_idx
+        X, inner, rest = self.points.points, self.points.interior_idx, self.points.boundary_idx
+        self.features = (
+            (net.rff.features(X[inner], 2), net.rff.features(X[rest], 1)),
+            (inner, rest),
         )
         self.bc = net.enforcer.bc_jets(self.points.points)
         self.active = active_term_indices(

@@ -93,8 +93,12 @@ def check_spatial_hessians(seed=0, n_points=5, h=1e-4, tol=1e-4):
     X = rng.uniform(lo + 0.1, hi - 0.1, size=(n_points, 3))
 
     def jets_at(Xp):
+        # (gradient (..., 3), packed Hessian (..., 6)) of the raw node's
+        # 12 outputs and of u
+        y = forward(net.mlp, phi_c, (net.rff.features(Xp),)).data
         u, _ = net.fields(phi_c, Xp)
-        return forward(net.mlp, phi_c, net.rff.features(Xp)), u
+        raw = (np.moveaxis(y[:, 1:4], 1, -1), np.moveaxis(y[:, 4:], 1, -1))
+        return raw, (u.grad.data, u.hess.data)
 
     shifted = []
     for j in range(3):
@@ -103,12 +107,11 @@ def check_spatial_hessians(seed=0, n_points=5, h=1e-4, tol=1e-4):
         Xm[:, j] -= h
         shifted.append((jets_at(Xp), jets_at(Xm)))
     worst = 0.0
-    for which, jet in enumerate(jets_at(X)):
-        packed = jet.hess.data
+    for which, (_, packed) in enumerate(jets_at(X)):
         hess = packed[..., ad.UNPACK].reshape(packed.shape[:-1] + (3, 3))
         scale = max(np.abs(hess).max(), 1e-8)
         for j, (plus, minus) in enumerate(shifted):
-            fd = (plus[which].grad.data - minus[which].grad.data) / (2.0 * h)
+            fd = (plus[which][0] - minus[which][0]) / (2.0 * h)
             worst = max(worst, np.abs(hess[..., j, :] - fd).max() / scale)
     return ("network spatial Hessians", worst, tol, worst <= tol)
 
@@ -116,12 +119,13 @@ def check_spatial_hessians(seed=0, n_points=5, h=1e-4, tol=1e-4):
 def check_tape_gradient(seed=0, h=1e-6, tol=1e-5):
     """Parameter gradient of the perceptron node against central FD.
 
-    The loss weights all three jet slots of a two-hidden-layer perceptron,
-    on plain features and on split features whose order-2 and order-1 rows
-    interleave in point order, there weighting Hessians on order-2 rows
-    only.  Each row set spans two full point blocks and a ragged remainder,
-    so the blocked forward pass, the row scatter, its vjp and the block
-    sums are all covered.
+    The loss weights every channel of a two-hidden-layer perceptron's
+    output in one contraction, on one order-2 stack and on an order-2 and
+    an order-1 stack whose rows interleave in point order, there with
+    zero weight on the Hessian channels of order-1 rows.  Each row set
+    spans two full point blocks and a ragged remainder, so the blocked
+    forward pass, the row scatter, its vjp and the block sums are all
+    covered.
     """
     rng = np.random.default_rng(seed + 3)
     rff = RFFMap(m=3, sigma=1.0, seed=seed)
@@ -131,25 +135,20 @@ def check_tape_gradient(seed=0, h=1e-6, tol=1e-5):
     order2 = np.zeros(2 * n, dtype=bool)
     order2[rng.permutation(2 * n)[:n]] = True
     cases = (
-        (rff.features(X[:n]), np.ones(n, dtype=bool)),
-        (rff.split_features(X, np.flatnonzero(order2), np.flatnonzero(~order2)), order2),
+        ((rff.features(X[:n]),), None, np.ones(n, dtype=bool)),
+        ((rff.features(X[order2]), rff.features(X[~order2], 1)),
+         (np.flatnonzero(order2), np.flatnonzero(~order2)), order2),
     )
     phi0 = 0.5 * rng.standard_normal(spec.n_params)
     worst = 0.0
-    for features, hess_read in cases:
+    for stacks, rows, hess_read in cases:
         # positive weights keep every bias adjoint (a sum over the batch)
         # away from zero, where a relative FD error means nothing
-        coeffs = [rng.uniform(0.5, 1.5, (hess_read.size, 12) + tail) / n
-                  for tail in ((), (3,), (6,))]
-        coeffs[2][~hess_read] = 0.0
+        coeffs = rng.uniform(0.5, 1.5, (hess_read.size, 10, 12)) / n
+        coeffs[~hess_read, 4:] = 0.0
 
         def loss(p):
-            out = forward(spec, p, features)
-            return ad.add(
-                ad.add(ad.einsum2("nj,nj->", out.val, coeffs[0]),
-                       ad.einsum2("njd,njd->", out.grad, coeffs[1])),
-                ad.einsum2("njk,njk->", out.hess, coeffs[2]),
-            )
+            return ad.einsum2("ncj,ncj->", forward(spec, p, stacks, rows), coeffs)
 
         p = ad.Tape().input(phi0)
         g = ad.reverse_gradient(loss(p), p)

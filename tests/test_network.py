@@ -21,22 +21,23 @@ from hyperelast.network import (
 class TestRFFMap:
     def test_origin_features(self):
         rff = RFFMap(m=5, sigma=2.0, seed=3)
-        val, grad, hess = rff.features(np.zeros((1, 3)))
-        assert val.shape == (1, 10)
+        stack = rff.features(np.zeros((1, 3)))
+        assert stack.shape == (1, 10, 10)
+        val = stack[:, 0]
         assert_allclose(val[0, 0::2], 1.0)  # cosines
         assert_allclose(val[0, 1::2], 0.0)  # sines
 
     def test_quarter_period(self):
         rff = RFFMap(m=1, sigma=1.0, seed=0)
         object.__setattr__(rff, "freq", np.array([[1.0, 0.0, 0.0]]))
-        val, _, _ = rff.features(np.array([0.25, 0.0, 0.0]))
+        val = rff.features(np.array([0.25, 0.0, 0.0]))[0]
         assert_allclose(val, [np.cos(np.pi / 2), np.sin(np.pi / 2)], atol=1e-12)
 
     def test_sin_feature_gradient(self):
         rff = RFFMap(m=4, sigma=1.5, seed=1)
         rng = np.random.default_rng(2)
         X = rng.uniform(-1, 1, size=(6, 3))
-        val, grad, _ = rff.features(X)
+        grad = np.swapaxes(rff.features(X)[:, 1:4], -1, -2)  # (n, 2m, 3)
         W = 2.0 * np.pi * rff.freq
         w = X @ W.T
         analytic = np.einsum("nm,md->nmd", np.cos(w), W)
@@ -47,14 +48,14 @@ class TestRFFMap:
             Xp, Xm = X.copy(), X.copy()
             Xp[:, k] += h
             Xm[:, k] -= h
-            fd = (rff.features(Xp)[0] - rff.features(Xm)[0]) / (2 * h)
+            fd = (rff.features(Xp)[:, 0] - rff.features(Xm)[:, 0]) / (2 * h)
             err = np.abs(grad[..., k] - fd) / np.maximum(np.abs(grad[..., k]), 1e-8)
             assert err.max() <= 1e-6
 
     def test_unit_norm_sum(self):
         rff = RFFMap(m=13, sigma=0.7, seed=5)
         X = np.random.default_rng(6).uniform(-2, 2, size=(50, 3))
-        val, _, _ = rff.features(X)
+        val = rff.features(X)[:, 0]
         norms = (val**2).sum(axis=-1)
         assert np.abs(norms - 13.0).max() <= 1e-12
 
@@ -86,15 +87,9 @@ class TestMLPSpec:
         assert np.all(b1 == 0.0)
 
 
-def _jet_loss(out, coeffs):
-    """Fixed linear functional of the three jet slots of a layer."""
-    def dot(a, c):
-        return ad.sum_(ad.mul(a, c))
-
-    return ad.add(
-        ad.add(dot(out.val, coeffs[0]), dot(out.grad, coeffs[1])),
-        dot(out.hess, coeffs[2]),
-    )
+def _node_loss(out, coeffs):
+    """Fixed linear functional of every channel of the perceptron node."""
+    return ad.einsum2("ncj,ncj->", out, coeffs)
 
 
 class TestForward:
@@ -104,9 +99,9 @@ class TestForward:
         phi = np.zeros(spec.n_params)
         X = np.random.default_rng(3).uniform(-1, 1, size=(9, 3))
         tape = ad.Tape()
-        out = forward(spec, tape.input(phi), rff.features(X))
-        assert np.all(out.val.data == 0.0)
-        assert np.all(out.grad.data == 0.0)
+        out = forward(spec, tape.input(phi), (rff.features(X),))
+        assert out.data.shape == (9, 10, 12)
+        assert np.all(out.data[:, :4] == 0.0)
 
     def test_hand_composed_two_neuron_net(self):
         rff = RFFMap(m=1, sigma=1.0, seed=4)
@@ -115,7 +110,7 @@ class TestForward:
         phi = rng.standard_normal(spec.n_params)
         X = rng.uniform(-1, 1, size=(4, 3))
         tape = ad.Tape()
-        out = forward(spec, tape.input(phi), rff.features(X))
+        out = forward(spec, tape.input(phi), (rff.features(X),))
 
         # independent composition with plain numpy
         W1 = phi[0:4].reshape(2, 2)
@@ -126,41 +121,22 @@ class TestForward:
         feats = np.stack([np.cos(w), np.sin(w)], axis=-1)
         hidden = np.tanh(feats @ W1.T + b1)
         expected = hidden @ W2.T + b2
-        assert_allclose(out.val.data, expected, rtol=1e-13)
+        assert_allclose(out.data[:, 0], expected, rtol=1e-13)
 
     def test_bitwise_deterministic(self):
         rff = RFFMap(m=4, sigma=1.0, seed=6)
         spec = MLPSpec(widths=(8, 5, 12))
         phi = np.random.default_rng(7).standard_normal(spec.n_params)
         X = np.random.default_rng(8).uniform(-1, 1, size=(11, 3))
-        o1 = forward(spec, ad.Tape().input(phi), rff.features(X))
-        o2 = forward(spec, ad.Tape().input(phi), rff.features(X))
-        assert np.array_equal(o1.val.data, o2.val.data)
-        assert np.array_equal(o1.hess.data, o2.hess.data)
+        o1 = forward(spec, ad.Tape().input(phi), (rff.features(X),))
+        o2 = forward(spec, ad.Tape().input(phi), (rff.features(X),))
+        assert np.array_equal(o1.data, o2.data)
 
     def test_shape_mismatch(self):
         rff = RFFMap(m=4, sigma=1.0, seed=6)
         spec = MLPSpec(widths=(8, 5, 12))
         with pytest.raises(ShapeMismatch):
-            forward(spec, ad.Tape().input(np.zeros(3)), rff.features(np.zeros((2, 3))))
-
-    def test_parameter_gradient_with_two_batch_axes(self):
-        # the weight adjoints sum over every batch axis, however many
-        rff = RFFMap(m=3, sigma=1.0, seed=12)
-        spec = MLPSpec(widths=(6, 5, 4, 12))
-        rng = np.random.default_rng(13)
-        phi0 = 0.5 * rng.standard_normal(spec.n_params)
-        X = rng.uniform(-1, 1, size=(3, 4, 3))
-        coeffs = [rng.standard_normal((3, 4, 12) + tail) for tail in ((), (3,), (6,))]
-
-        def gradient(points, cs):
-            tape = ad.Tape()
-            phi = tape.input(phi0)
-            out = forward(spec, phi, rff.features(points))
-            return ad.reverse_gradient(_jet_loss(out, cs), phi)
-
-        flat = gradient(X.reshape(12, 3), [c.reshape((12,) + c.shape[2:]) for c in coeffs])
-        assert_allclose(gradient(X, coeffs), flat, rtol=1e-12, atol=1e-13 * np.abs(flat).max())
+            forward(spec, ad.Tape().input(np.zeros(3)), (rff.features(np.zeros((2, 3))),))
 
     def test_c2_continuity_of_hessians(self):
         # smooth activation: Hessians vary continuously between nearby points
@@ -170,10 +146,10 @@ class TestForward:
         rng = np.random.default_rng(11)
         X = rng.uniform(-1, 1, size=(20, 3))
         delta = 1e-3
-        out = forward(spec, phi, rff.features(X))
-        out2 = forward(spec, phi, rff.features(X + delta))
-        gap = np.abs(out.hess.data - out2.hess.data).max()
-        scale = max(np.abs(out.hess.data).max(), 1.0)
+        out = forward(spec, phi, (rff.features(X),))
+        out2 = forward(spec, phi, (rff.features(X + delta),))
+        gap = np.abs(out.data[:, 4:] - out2.data[:, 4:]).max()
+        scale = max(np.abs(out.data[:, 4:]).max(), 1.0)
         assert gap <= 50.0 * delta * scale
 
 
@@ -184,15 +160,13 @@ class TestForward:
         phi = 0.5 * rng.standard_normal(spec.n_params)
         X = rng.uniform(-1, 1, size=(7, 3))
         f1 = rff.features(X, order=1)
-        assert f1[2] is None
-        tape1, tape2 = ad.Tape(), ad.Tape()
-        o1 = forward(spec, tape1.input(phi), f1)
-        o2 = forward(spec, tape2.input(phi), rff.features(X))
-        assert o1.hess is None
-        assert np.array_equal(o1.val.data, o2.val.data)
-        assert np.array_equal(o1.grad.data, o2.grad.data)
         # the order-1 pass carries no Hessian channel through any layer
-        assert f1.stack.shape[-2] == 4
+        assert f1.shape == (7, 4, 6)
+        tape1, tape2 = ad.Tape(), ad.Tape()
+        o1 = forward(spec, tape1.input(phi), (f1,))
+        o2 = forward(spec, tape2.input(phi), (rff.features(X),))
+        assert o1.data.shape == (7, 4, 12)
+        assert np.array_equal(o1.data, o2.data[:, :4])
         ops1 = {n.op for n in tape1.nodes}
         ops2 = {n.op for n in tape2.nodes}
         assert "mlp[val,grad]" in ops1 and "mlp[val,grad,hess]" in ops2
@@ -207,17 +181,20 @@ class TestForward:
         rng = np.random.default_rng(42)
         x = 0.5 * rng.standard_normal(spec.n_params)
         n = 3 * BLOCK_POINTS + 17
-        features = rff.features(rng.uniform(-1, 1, size=(n, 3)))
-        coeffs = [rng.standard_normal((n, 12) + tail) for tail in ((), (3,), (6,))]
+        stack = rff.features(rng.uniform(-1, 1, size=(n, 3)))
+        coeffs = rng.standard_normal((n, 10, 12))
 
         tape = ad.Tape()
         phi = tape.input(x)
-        fused = forward(spec, phi, features)
-        g_fused = ad.reverse_gradient(_jet_loss(fused, coeffs), phi)
+        fused = forward(spec, phi, (stack,))
+        g_fused = ad.reverse_gradient(_node_loss(fused, coeffs), phi)
+
+        def slots(a):  # (value, gradient, packed Hessian), channels last
+            return a[:, 0], np.moveaxis(a[:, 1:4], 1, -1), np.moveaxis(a[:, 4:], 1, -1)
 
         tape = ad.Tape()
         phi = tape.input(x)
-        y = ad.Jet(*(ad.constant(np.array(a)) for a in features))
+        y = ad.Jet(*(ad.constant(a) for a in slots(stack)))
         slices = spec.layer_slices()
         for li, (ws, bs, fi, fo) in enumerate(slices):
             W = ad.reshape(ad.take(phi, np.arange(ws.start, ws.stop)), (fo, fi))
@@ -236,9 +213,14 @@ class TestForward:
             col1, col2 = ad.reshape(t1, (n, fo, 1)), ad.reshape(t2, (n, fo, 1))
             gg = ad.mul(ad.take(z.grad, ad.PACK_A, axis=-1), ad.take(z.grad, ad.PACK_B, axis=-1))
             y = ad.Jet(t, ad.mul(z.grad, col1), ad.add(ad.mul(z.hess, col1), ad.mul(gg, col2)))
-        for slot in ("val", "grad", "hess"):
-            assert_allclose(getattr(fused, slot).data, getattr(y, slot).data, rtol=1e-14)
-        g_ref = ad.reverse_gradient(_jet_loss(y, coeffs), phi)
+        for got, want in zip(slots(fused.data), (y.val, y.grad, y.hess)):
+            assert_allclose(got, want.data, rtol=1e-14)
+        c_val, c_grad, c_hess = slots(coeffs)
+        ref_loss = ad.add(
+            ad.add(ad.einsum2("nj,nj->", y.val, c_val), ad.einsum2("njd,njd->", y.grad, c_grad)),
+            ad.einsum2("njk,njk->", y.hess, c_hess),
+        )
+        g_ref = ad.reverse_gradient(ref_loss, phi)
         assert_allclose(g_fused, g_ref, rtol=1e-12, atol=1e-13 * np.abs(g_ref).max())
 
     def test_split_rows_match_all_rows_order_two(self):
@@ -252,22 +234,22 @@ class TestForward:
         rng = np.random.default_rng(44)
         x = 0.5 * rng.standard_normal(spec.n_params)
         n = ps.n_points
-        coeffs = [rng.standard_normal((n, 12) + tail) for tail in ((), (3,), (6,))]
-        coeffs[2][rest] = 0.0  # Hessians are read on the order-2 rows only
+        coeffs = rng.standard_normal((n, 10, 12))
+        coeffs[rest, 4:] = 0.0  # Hessians are read on the order-2 rows only
 
+        X = ps.points
         outs, grads, tapes = [], [], []
-        for features in (rff.features(ps.points),
-                         rff.split_features(ps.points, inner, rest)):
+        for stacks, rows in (((rff.features(X),), None),
+                             ((rff.features(X[inner]), rff.features(X[rest], 1)), (inner, rest))):
             tape = ad.Tape()
             phi = tape.input(x)
-            outs.append(forward(spec, phi, features))
-            grads.append(ad.reverse_gradient(_jet_loss(outs[-1], coeffs), phi))
+            outs.append(forward(spec, phi, stacks, rows))
+            grads.append(ad.reverse_gradient(_node_loss(outs[-1], coeffs), phi))
             tapes.append([node.op for node in tape.nodes])
-        full, split = outs
-        assert np.array_equal(split.val.data, full.val.data)
-        assert np.array_equal(split.grad.data, full.grad.data)
-        assert np.array_equal(split.hess.data[inner], full.hess.data[inner])
-        assert np.all(split.hess.data[rest] == 0.0)
+        full, split = (out.data for out in outs)
+        assert np.array_equal(split[:, :4], full[:, :4])
+        assert np.array_equal(split[inner], full[inner])
+        assert np.all(split[rest, 4:] == 0.0)
         assert tapes[0] == tapes[1]
         assert np.abs(grads[1] - grads[0]).max() <= 1e-12 * np.abs(grads[0]).max()
 
@@ -287,7 +269,7 @@ class TestHardBC:
         Y, Z = np.meshgrid(np.linspace(0, 1, 5), np.linspace(0, 1, 5))
         face = np.stack([np.zeros(25), Y.ravel(), Z.ravel()], axis=-1)
         worst = 0.0
-        feats = net.rff.features(face)
+        feats = ((net.rff.features(face),), None)
         bc = net.enforcer.bc_jets(face)
         for _ in range(1000):
             phi = ad.constant(rng.standard_normal(net.n_params))
@@ -332,10 +314,11 @@ class TestHardBC:
         rng = np.random.default_rng(15)
         phi_arr = rng.standard_normal(net.n_params)
         X = rng.uniform(0.1, 0.9, size=(5, 3))
-        y_u, y_P = net.raw_outputs(ad.constant(phi_arr), X)
+        y = forward(net.mlp, ad.constant(phi_arr), (net.rff.features(X),)).data
         _, P = net.fields(ad.constant(phi_arr), X)
-        assert_allclose(P.val.data, 385.0 * y_P.val.data, rtol=1e-15)
-        assert_allclose(P.grad.data, 385.0 * y_P.grad.data, rtol=1e-15)
+        assert_allclose(P.val.data, 385.0 * y[:, 0, 3:].reshape(5, 3, 3), rtol=1e-15)
+        raw_grad = np.moveaxis(y[:, 1:4, 3:], 1, -1).reshape(5, 3, 3, 3)
+        assert_allclose(P.grad.data, 385.0 * raw_grad, rtol=1e-15)
         assert P.hess is None
 
     def test_apply_accepts_first_order_jets(self):
@@ -343,14 +326,31 @@ class TestHardBC:
         rng = np.random.default_rng(16)
         phi = ad.constant(rng.standard_normal(net.n_params))
         X = rng.uniform(0.1, 0.9, size=(6, 3))
-        y_u, y_P = net.raw_outputs(phi, X)
-        u2, _ = net.enforcer.apply(X, y_u, y_P)
+        y_u, _ = net.raw_outputs(phi, X)
+        u2 = net.enforcer.apply(X, y_u)
         y1 = ad.Jet(y_u.val, y_u.grad)
         for bc in (None, net.enforcer.bc_jets(X), net.enforcer.bc_jets(X, order=1)):
-            u1, _ = net.enforcer.apply(X, y1, y_P, bc=bc)
+            u1 = net.enforcer.apply(X, y1, bc=bc)
             assert u1.hess is None
             assert np.array_equal(u1.val.data, u2.val.data)
             assert np.array_equal(u1.grad.data, u2.grad.data)
+
+    def test_head_fields_read_straight_off_the_perceptron_node(self):
+        # five slot nodes read the perceptron node (u value, gradient and
+        # Hessian, scaled P value and gradient); past them the tape holds
+        # only the BC composition of u
+        problem, net = cantilever_net(seed=5)
+        X = np.random.default_rng(17).uniform(0.1, 0.9, size=(6, 3))
+        tape = ad.Tape()
+        u, P = net.fields(tape.input(np.zeros(net.n_params)), X)
+        ops = [node.op for node in tape.nodes]
+        (mlp,) = [i for i, op in enumerate(ops) if op.startswith("mlp[")]
+        readers = [i for i, node in enumerate(tape.nodes) if mlp in node.parents]
+        assert readers == list(range(mlp + 1, mlp + 6))
+        assert all(ops[i].startswith("mlp_slot[") for i in readers)
+        assert {P.val.node, P.grad.node} < set(readers)
+        assert {op.split("[")[0] for op in ops[mlp + 6:]} == {"add", "mul", "einsum"}
+        assert u.hess.node == len(ops) - 1
 
     def test_mask_vanishes_only_on_dirichlet_faces(self):
         problem = preset("lp_cantilever_displacement", grid=(5, 5, 5))
