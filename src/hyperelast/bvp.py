@@ -62,12 +62,6 @@ class BoxDomain:
     def spacings(self):
         return [l / (n - 1) for l, n in zip(self.lengths, self.counts)]
 
-    def face_value(self, axis, side):
-        return self.origin[axis] + (self.lengths[axis] if side == "hi" else 0.0)
-
-    def face_area(self, axis):
-        return float(np.prod([l for a, l in enumerate(self.lengths) if a != axis]))
-
 
 @dataclass(frozen=True)
 class TractionPatch:
@@ -207,7 +201,6 @@ class ProblemSpec:
     patches: tuple = ()
     body_force: object = None  # callable X (...,3) -> (...,3), None = zero
     mask: str = "full"
-    load_scale: float = 1.0
     reference: object = None  # callable X -> exact displacement, if known
 
     def __post_init__(self):
@@ -217,21 +210,20 @@ class ProblemSpec:
             raise ValueError("at least one essential constraint is required")
 
     def scaled(self, factor):
-        """Scale tractions and prescribed displacements (load stepping)."""
+        """Scale tractions and prescribed displacements (load stepping).
+
+        The scaled problem has no reference field: under traction with a
+        nonlinear material the exact field does not scale with the load.
+        """
         patches = tuple(
             replace(p, traction=tuple(factor * t for t in p.traction))
             for p in self.patches
         )
-        ref = self.reference
-        if ref is not None:
-            base = ref
-            ref = lambda X, _f=factor, _b=base: _f * _b(X)  # noqa: E731
         return replace(
             self,
             patches=patches,
             enforcer=self.enforcer.scaled(factor),
-            load_scale=self.load_scale * factor,
-            reference=ref,
+            reference=None,
         )
 
     def point_sets(self):

@@ -26,14 +26,12 @@ DEFAULTS = {
     "network.seed": "0",
     "network.stress_scale": "auto",
     # optimizer
-    "optimizer.method": "lbfgs",   # lbfgs | gd
     "optimizer.max_iters": "1000",
     "optimizer.grad_tol": "1e-8",
     "optimizer.history": "20",
     "optimizer.wolfe_c1": "1e-4",
     "optimizer.wolfe_c2": "0.9",
     "optimizer.max_probes": "30",
-    "optimizer.gd_rate": "1e-3",
     # curriculum (load stepping); single stage by default
     "curriculum.fractions": "1.0",
     "curriculum.stage_iters": "",
@@ -57,29 +55,8 @@ class RunConfig:
             raise ConfigError(f"unknown config key '{key}'")
         self.values[key] = str(value).strip()
 
-    @classmethod
-    def from_file(cls, path, overrides=None):
-        cfg = cls()
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
-                key, _, value = line.partition("=")
-                cfg._set(key.strip(), value)
-        for key, val in (overrides or {}).items():
-            cfg._set(key, val)
-        return cfg
-
     def with_overrides(self, overrides):
-        merged = dict(self.values)
-        clone = RunConfig()
-        clone.values = merged
-        for key, val in overrides.items():
-            clone._set(key, val)
-        return clone
+        return RunConfig({**self.values, **overrides})
 
     # typed accessors -------------------------------------------------
     def get(self, key):
@@ -131,6 +108,22 @@ class RunConfig:
 
     def as_dict(self):
         return dict(self.values)
+
+
+def read_file(path):
+    """The ``key = value`` pairs of a config file; keys are checked when
+    the pairs reach a RunConfig."""
+    values = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
+            key, _, value = line.partition("=")
+            values[key.strip()] = value
+    return values
 
 
 def parse_override(text):

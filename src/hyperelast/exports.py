@@ -13,6 +13,7 @@ import json
 import numpy as np
 
 from .config import RunConfig
+from .errors import ConfigError
 from .losses import TERM_NAMES
 from .optim import HistoryRow, TrainingHistory
 
@@ -168,6 +169,12 @@ def load_checkpoint(path):
         raise ValueError(
             f"unsupported checkpoint format {payload.get('format')!r} in {path}"
         )
-    cfg = RunConfig(payload["config"])
+    values = dict(payload["config"])
+    # keys of checkpoints written while a gradient-descent optimizer existed
+    method = values.pop("optimizer.method", "lbfgs")
+    values.pop("optimizer.gd_rate", None)
+    if method != "lbfgs":
+        raise ConfigError(f"{path}: optimizer.method = {method} is no longer supported")
+    cfg = RunConfig(values)
     phi = np.array([float(v) for v in payload["params"]])
     return cfg, phi

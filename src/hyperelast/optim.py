@@ -1,8 +1,8 @@
 """Parameter optimization.
 
-LBFGS with a strong Wolfe line search is the primary driver; a plain
-gradient-descent loop is kept as a fallback.  A load-stepping curriculum
-wraps either one, warm-starting each stage from the previous optimum.
+LBFGS with a strong Wolfe line search is the only minimizer.  A
+load-stepping curriculum wraps it, warm-starting each stage from the
+previous optimum.
 
 The objective protocol: a callable ``phi -> (loss, gradient)`` for line
 search probes, optionally with ``begin_iteration(phi)`` (called once per
@@ -20,7 +20,7 @@ point just probed.  ``n_evals`` in the history counts objective calls
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,26 +63,16 @@ class LBFGSConfig:
     c1: float = 1e-4
     c2: float = 0.9
     max_probes: int = 30
-    init_step: float = 1.0
 
     def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.history < 1:
             raise ValueError(f"history size must be >= 1, got {self.history}")
         if not (0.0 < self.c1 < self.c2 < 1.0):
             raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")
         if self.max_probes < 3:
             raise ValueError("line search needs at least 3 probes")
-
-
-@dataclass(frozen=True)
-class GDConfig:
-    rate: float = 1e-3
-    max_iters: int = 1000
-    grad_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.rate <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +97,8 @@ class CurriculumSchedule:
             object.__setattr__(self, "stage_iters", si)
             if len(si) != len(f):
                 raise ValueError("one iteration budget per stage required")
+            if any(n < 1 for n in si):
+                raise ValueError(f"stage iteration budgets must be >= 1, got {si}")
 
 
 @dataclass
@@ -303,10 +295,10 @@ def lbfgs_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
             s_list, y_list, rho_list = [], [], []
             d = -g
             dg = -gnorm * gnorm
-        attempts = [(d, dg, config.init_step / gnorm if it == 1 else config.init_step)]
+        attempts = [(d, dg, 1.0 / gnorm if it == 1 else 1.0)]
         if s_list:
             # stale curvature is the usual culprit; retry along steepest descent
-            attempts.append((-g, -gnorm * gnorm, config.init_step / gnorm))
+            attempts.append((-g, -gnorm * gnorm, 1.0 / gnorm))
         for d, dg, alpha0 in attempts:
             try:
                 alpha, f_new, g_new, _ = strong_wolfe_search(
@@ -341,41 +333,8 @@ def lbfgs_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
     return phi, history
 
 
-def gd_step(phi, gradient, beta):
-    """One explicit descent update phi - beta * gradient."""
-    if beta <= 0.0:
-        raise ValueError(f"step size must be positive, got {beta}")
-    return np.asarray(phi, dtype=np.float64) - beta * np.asarray(gradient, dtype=np.float64)
-
-
-def gd_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
-                timing=False):
-    """Fixed-rate gradient descent fallback with the same history format."""
-    config = config or GDConfig()
-    obj = as_objective(objective)
-    phi = np.array(phi0, dtype=np.float64, copy=True)
-    history = TrainingHistory()
-    history.status = "max_iters"
-    for it in range(1, config.max_iters + 1):
-        tic = time.perf_counter() if timing else 0.0
-        f, g = obj.begin_iteration(phi)
-        if not np.isfinite(f):
-            raise NonFiniteObjective(f"objective is {f} at the current iterate")
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= config.grad_tol:
-            history.status = "converged"
-            break
-        phi = gd_step(phi, g, config.rate)
-        seconds = (time.perf_counter() - tic) if timing else 0.0
-        history.append(
-            _make_row(stage, iter_offset + it, f, obj, gnorm, config.rate,
-                      seconds, 1)
-        )
-    return phi, history
-
-
 def curriculum_train(problem, schedule, objective_factory, phi0, config,
-                     *, minimize=lbfgs_minimize, timing=False):
+                     *, timing=False):
     """Load-stepped training: scale all loads by each fraction in turn,
     warm-starting parameters between stages.
 
@@ -390,9 +349,9 @@ def curriculum_train(problem, schedule, objective_factory, phi0, config,
         objective = objective_factory(stage_problem)
         stage_config = config
         if schedule.stage_iters is not None:
-            stage_config = _with_max_iters(config, schedule.stage_iters[k])
+            stage_config = replace(config, max_iters=schedule.stage_iters[k])
         try:
-            phi, stage_hist = minimize(
+            phi, stage_hist = lbfgs_minimize(
                 objective, phi, stage_config,
                 stage=k, iter_offset=offset, timing=timing,
             )
@@ -401,17 +360,3 @@ def curriculum_train(problem, schedule, objective_factory, phi0, config,
         history.extend(stage_hist)
         offset += len(stage_hist)
     return phi, history
-
-
-def _with_max_iters(config, max_iters):
-    if isinstance(config, GDConfig):
-        return GDConfig(rate=config.rate, max_iters=max_iters, grad_tol=config.grad_tol)
-    return LBFGSConfig(
-        history=config.history,
-        max_iters=max_iters,
-        grad_tol=config.grad_tol,
-        c1=config.c1,
-        c2=config.c2,
-        max_probes=config.max_probes,
-        init_step=config.init_step,
-    )

@@ -59,17 +59,6 @@ def affine_solution(F0, material):
     )
 
 
-def simple_shear_oracle(gamma, material):
-    """Closed-form simple shear: F0 = I + gamma e1 x e2 (volume preserving).
-
-    For a neo-Hookean solid the Cauchy stress is mu (F0 F0^T - I), so
-    S12 = mu*gamma and S11 = mu*gamma^2.
-    """
-    F0 = np.eye(3)
-    F0[0, 1] = float(gamma)
-    return affine_solution(F0, material)
-
-
 def uniaxial_oracle(stretch, material, bracket=(0.2, 2.0), tol=1e-10):
     """Uniaxial stress state: find the transverse stretch that kills the
     lateral stress, then return the full affine solution.

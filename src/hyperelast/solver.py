@@ -16,8 +16,9 @@ once ``begin_iteration`` has returned.
 
 from __future__ import annotations
 
+import functools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,14 +35,7 @@ from .losses import (
 )
 from .materials import J_WARN, cauchy, deformation_gradient, von_mises
 from .network import FieldNetwork, MLPSpec, RFFMap, displacement_gradient
-from .optim import (
-    CurriculumSchedule,
-    GDConfig,
-    LBFGSConfig,
-    curriculum_train,
-    gd_minimize,
-    lbfgs_minimize,
-)
+from .optim import CurriculumSchedule, LBFGSConfig, curriculum_train
 from .reference import affine_shear_problem, affine_stretch_problem, l2_error
 
 ENERGY_SHIFT_EPS = 1e-8
@@ -193,22 +187,17 @@ def _stage_network(net, problem):
     )
 
 
-def train(problem, net, *, schedule=None, opt_config=None, method="lbfgs",
-          phi0=None, timing=False):
+def train(problem, net, *, schedule=None, opt_config=None, phi0=None,
+          timing=False):
     """Run the full training loop and return (phi, history)."""
     schedule = schedule or CurriculumSchedule()
-    minimize = {"lbfgs": lbfgs_minimize, "gd": gd_minimize}[method]
-    if opt_config is None:
-        opt_config = LBFGSConfig() if method == "lbfgs" else GDConfig()
+    opt_config = opt_config or LBFGSConfig()
     phi = net.init_params() if phi0 is None else np.asarray(phi0, dtype=np.float64)
 
     def factory(stage_problem):
         return TrainingObjective(stage_problem, _stage_network(net, stage_problem))
 
-    return curriculum_train(
-        problem, schedule, factory, phi, opt_config,
-        minimize=minimize, timing=timing,
-    )
+    return curriculum_train(problem, schedule, factory, phi, opt_config, timing=timing)
 
 
 def evaluate_fields(net, phi, X, material=None):
@@ -253,6 +242,23 @@ def solution_l2(problem, net, phi, points=None):
 # ---------------------------------------------------------------------------
 
 
+def _config_rejects(build):
+    """Report a value that an object built from the config rejects as a
+    ConfigError; errors raised later, in training, keep their class."""
+
+    @functools.wraps(build)
+    def wrapper(*args):
+        try:
+            return build(*args)
+        except ConfigError:
+            raise
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+
+    return wrapper
+
+
+@_config_rejects
 def problem_from_config(cfg: RunConfig):
     grid = cfg.int_list("problem.grid") or None
     preset_name = cfg.get("problem.preset")
@@ -278,45 +284,39 @@ def problem_from_config(cfg: RunConfig):
         raise ConfigError("problem.preset or problem.affine is required")
     mask = cfg.get("problem.mask")
     if mask != problem.mask:
-        from dataclasses import replace
-
         problem = replace(problem, mask=mask)
     return problem
 
 
+@_config_rejects
 def network_from_config(cfg: RunConfig, problem):
-    raw_scale = cfg.get("network.stress_scale")
-    scale = None if raw_scale == "auto" else float(raw_scale)
+    hidden = cfg.int_list("network.hidden")
+    if not hidden:
+        raise ConfigError("network.hidden needs at least one layer width")
+    auto = cfg.get("network.stress_scale") == "auto"
     return build_network(
         problem,
-        hidden=cfg.int_list("network.hidden"),
+        hidden=hidden,
         fourier_features=cfg.int("network.fourier_features"),
         fourier_sigma=cfg.float("network.fourier_sigma"),
         seed=cfg.int("network.seed"),
-        stress_scale=scale,
+        stress_scale=None if auto else cfg.float("network.stress_scale"),
     )
 
 
+@_config_rejects
 def optimizer_from_config(cfg: RunConfig):
-    method = cfg.get("optimizer.method")
-    if method == "lbfgs":
-        return method, LBFGSConfig(
-            history=cfg.int("optimizer.history"),
-            max_iters=cfg.int("optimizer.max_iters"),
-            grad_tol=cfg.float("optimizer.grad_tol"),
-            c1=cfg.float("optimizer.wolfe_c1"),
-            c2=cfg.float("optimizer.wolfe_c2"),
-            max_probes=cfg.int("optimizer.max_probes"),
-        )
-    if method == "gd":
-        return method, GDConfig(
-            rate=cfg.float("optimizer.gd_rate"),
-            max_iters=cfg.int("optimizer.max_iters"),
-            grad_tol=cfg.float("optimizer.grad_tol"),
-        )
-    raise ConfigError(f"optimizer.method must be lbfgs or gd, got '{method}'")
+    return LBFGSConfig(
+        history=cfg.int("optimizer.history"),
+        max_iters=cfg.int("optimizer.max_iters"),
+        grad_tol=cfg.float("optimizer.grad_tol"),
+        c1=cfg.float("optimizer.wolfe_c1"),
+        c2=cfg.float("optimizer.wolfe_c2"),
+        max_probes=cfg.int("optimizer.max_probes"),
+    )
 
 
+@_config_rejects
 def schedule_from_config(cfg: RunConfig):
     fractions = cfg.float_list("curriculum.fractions") or (1.0,)
     stage_iters = cfg.int_list("curriculum.stage_iters") or None
@@ -327,12 +327,13 @@ def solve_config(cfg: RunConfig):
     """Train per the configuration and return the full result bundle."""
     problem = problem_from_config(cfg)
     net = network_from_config(cfg, problem)
-    method, opt_config = optimizer_from_config(cfg)
+    opt_config = optimizer_from_config(cfg)
     schedule = schedule_from_config(cfg)
-    timing = cfg.get("history.timing") == "wall"
+    timing = cfg.get("history.timing")
+    if timing not in ("off", "wall"):
+        raise ConfigError(f"history.timing must be off or wall, got '{timing}'")
     phi, history = train(
-        problem, net,
-        schedule=schedule, opt_config=opt_config, method=method, timing=timing,
+        problem, net, schedule=schedule, opt_config=opt_config, timing=timing == "wall",
     )
     points = problem.point_sets()
     l2 = solution_l2(problem, net, phi, points=points)

@@ -2,13 +2,15 @@
 
 import json
 import os
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hyperelast import cli
-from hyperelast.config import DEFAULTS, RunConfig, parse_override
+from hyperelast import cli, solver
+from hyperelast.config import DEFAULTS, RunConfig, parse_override, read_file
 from hyperelast.errors import ConfigError
 from hyperelast.exports import (
     FIELD_COLUMNS,
@@ -35,7 +37,7 @@ TINY_SOLVE = [
 class TestRunConfig:
     def test_defaults_complete(self):
         cfg = RunConfig()
-        assert cfg.get("optimizer.method") == "lbfgs"
+        assert cfg.get("history.timing") == "off"
         assert cfg.int("network.fourier_features") == 64
 
     def test_unknown_key_named_in_error(self):
@@ -51,7 +53,7 @@ class TestRunConfig:
             "\n"
             "optimizer.max_iters = 12\n"
         )
-        cfg = RunConfig.from_file(path)
+        cfg = RunConfig(read_file(path))
         assert cfg.get("problem.preset") == "nh_simple_shear"
         assert cfg.int_list("network.hidden") == (16, 16)
         assert cfg.int("optimizer.max_iters") == 12
@@ -60,7 +62,7 @@ class TestRunConfig:
         path = tmp_path / "run.cfg"
         path.write_text("problem.preset\n")
         with pytest.raises(ConfigError, match="key = value"):
-            RunConfig.from_file(path)
+            RunConfig(read_file(path))
 
     def test_typed_accessor_errors(self):
         cfg = RunConfig({"optimizer.max_iters": "many"})
@@ -81,7 +83,7 @@ class TestRunConfig:
         cfg = RunConfig({"problem.preset": "nh_simple_shear"})
         path = tmp_path / "c.txt"
         cfg.write(path)
-        again = RunConfig.from_file(path)
+        again = RunConfig(read_file(path))
         assert again.as_dict() == cfg.as_dict()
 
     def test_parse_override(self):
@@ -91,6 +93,17 @@ class TestRunConfig:
 
     def test_every_default_key_documented_type(self):
         assert set(DEFAULTS) == set(RunConfig().as_dict())
+
+    def test_readme_table_lists_exactly_the_keys(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        documented = set()
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                documented.update(re.findall(r"`(\w+\.\w+)`", line.split("|")[1]))
+        assert documented == set(DEFAULTS)
 
 
 def small_history(n=3):
@@ -275,6 +288,58 @@ class TestCLI:
 
     def test_missing_problem_exit_2(self, tmp_path):
         assert cli.main(["solve", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("bad", [
+        ["--set", "network.stress_scale=abc"],
+        ["--set", "problem.mask=foo"],
+        ["--set", "optimizer.wolfe_c1=0.95"],
+        ["--set", "optimizer.history=0"],
+        ["--set", "curriculum.fractions=0.5"],
+        ["--set", "network.fourier_features=0"],
+        ["--set", "network.hidden="],
+        ["--affine", "shear:abc"],
+        ["--set", "optimizer.max_iters=0"],
+        ["--set", "problem.grid=4,4,4"],
+        ["--set", "history.timing=on"],
+    ])
+    def test_malformed_value_exit_2(self, tmp_path, capsys, bad):
+        code = cli.main(["solve", *TINY_SOLVE, *bad, "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, code", [("lbfgs", 0), ("gd", 2)])
+    def test_checkpoint_with_optimizer_method_key(self, tmp_path, method, code):
+        # checkpoints written while a gradient-descent optimizer existed
+        # carry optimizer.method and optimizer.gd_rate
+        out = str(tmp_path / "run")
+        assert cli.main(["solve", *TINY_SOLVE, "--out", out]) == 0
+        path = os.path.join(out, "checkpoint.json")
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload["config"].update({"optimizer.method": method, "optimizer.gd_rate": "1e-3"})
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        assert cli.main([
+            "export-fields", "--checkpoint", path,
+            "--set", "export.grid=5,5,5", "--out", str(tmp_path / "fields"),
+        ]) == code
+
+    def test_run_oracles_sizing_and_failed_status(self, monkeypatch, capsys):
+        seen = []
+
+        def fake_solve(cfg):
+            seen.append(cfg)
+            return SimpleNamespace(l2=1e-8, history=TrainingHistory(status="line_search_failure"))
+
+        monkeypatch.setattr(solver, "solve_config", fake_solve)
+        assert cli.main(["run-oracles", "--set", "optimizer.max_iters=7"]) == 4
+        assert "[FAIL]" in capsys.readouterr().out
+        assert len(seen) == 2
+        for cfg in seen:
+            assert cfg.int_list("network.hidden") == (16, 16)
+            assert cfg.int("network.fourier_features") == 8
+            assert cfg.float("optimizer.grad_tol") == 1e-10
+            assert cfg.int("optimizer.max_iters") == 7  # --set wins over the base
 
     def test_export_fields(self, tmp_path):
         out = str(tmp_path / "run")

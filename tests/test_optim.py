@@ -1,4 +1,4 @@
-"""Optimizer tests: LBFGS, strong Wolfe search, descent fallback, curriculum."""
+"""Optimizer tests: LBFGS, strong Wolfe search, curriculum."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,8 @@ from hyperelast.errors import (
 )
 from hyperelast.optim import (
     CurriculumSchedule,
-    GDConfig,
     LBFGSConfig,
     curriculum_train,
-    gd_minimize,
-    gd_step,
     lbfgs_minimize,
     strong_wolfe_search,
 )
@@ -210,36 +207,6 @@ class TestStrongWolfe:
         with pytest.raises(LineSearchFailure):
             strong_wolfe_search(bad, np.zeros(1), np.array([-1.0]), 1.0,
                                 np.array([1.0]), max_probes=6)
-
-
-class TestGD:
-    def test_zero_gradient_fixed_point(self):
-        phi = np.array([1.0, 2.0])
-        assert np.array_equal(gd_step(phi, np.zeros(2), 0.5), phi)
-
-    def test_arithmetic(self):
-        out = gd_step(np.array([1.0, 1.0]), np.array([2.0, 4.0]), 0.5)
-        assert_allclose(out, [0.0, -1.0], atol=1e-15)
-
-    def test_contraction_on_quadratic(self):
-        phi = np.array([1.0])
-        for _ in range(5):
-            new = gd_step(phi, phi, 0.1)  # gradient of phi^2/2 is phi
-            assert_allclose(np.abs(new), 0.9 * np.abs(phi), rtol=1e-15)
-            phi = new
-
-    def test_inverse_lipschitz_rate_decreases(self):
-        fn, _ = spd_quadratic(12, seed=8, cond=20.0)
-        rate = 1.0 / 20.0
-        phi = np.ones(12)
-        f_prev = fn(phi)[0]
-        phi, hist = gd_minimize(fn, phi, GDConfig(rate=rate, max_iters=50))
-        totals = hist.totals()
-        assert np.all(np.diff(totals) < 0)
-
-    def test_bad_rate(self):
-        with pytest.raises(ValueError):
-            gd_step(np.ones(2), np.ones(2), 0.0)
 
 
 class TestCurriculum:

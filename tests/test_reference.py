@@ -14,7 +14,6 @@ from hyperelast.reference import (
     affine_dirichlet_problem,
     affine_solution,
     l2_error,
-    simple_shear_oracle,
     uniaxial_oracle,
 )
 
@@ -65,25 +64,33 @@ class TestL2Error:
             l2_error(self.u, np.zeros_like(self.u), self.w)
 
 
+def simple_shear(gamma):
+    """Affine solution of F0 = I + gamma e1 x e2 (volume preserving); for
+    neo-Hookean, S = mu (F0 F0^T - I), so S12 = mu gamma, S11 = mu gamma^2."""
+    F0 = np.eye(3)
+    F0[0, 1] = gamma
+    return affine_solution(F0, NH)
+
+
 class TestSimpleShearOracle:
     def test_zero_gamma(self):
-        sol = simple_shear_oracle(0.0, NH)
+        sol = simple_shear(0.0)
         assert np.all(sol.S0 == 0.0) and np.all(sol.P0 == 0.0)
 
     def test_half_gamma_values(self):
-        sol = simple_shear_oracle(0.5, NH)
+        sol = simple_shear(0.5)
         assert_allclose(sol.S0[0, 1], 192.5, rtol=1e-14)
         assert_allclose(sol.S0[1, 0], 192.5, rtol=1e-14)
         assert_allclose(sol.S0[0, 0], 96.25, rtol=1e-14)
         assert sol.S0[2, 2] == 0.0
 
     def test_matches_material_module(self):
-        sol = simple_shear_oracle(0.5, NH)
+        sol = simple_shear(0.5)
         assert_allclose(eval_cauchy(NH, sol.F0), sol.S0, atol=1e-12)
         assert_allclose(eval_stress(NH, sol.F0), sol.P0, atol=1e-12)
 
     def test_displacement_field(self):
-        sol = simple_shear_oracle(0.3, NH)
+        sol = simple_shear(0.3)
         X = np.array([[1.0, 2.0, 3.0]])
         assert_allclose(sol.displacement(X), [[0.6, 0.0, 0.0]], rtol=1e-15)
 
