@@ -78,8 +78,8 @@ class TractionPatch:
     region: object = None
 
     def __post_init__(self):
-        if self.side not in FACE_SIDES:
-            raise ValueError(f"side must be one of {FACE_SIDES}")
+        if self.axis not in (0, 1, 2) or self.side not in FACE_SIDES:
+            raise ValueError(f"no such face: axis {self.axis!r}, side {self.side!r}")
         object.__setattr__(self, "traction", tuple(float(t) for t in self.traction))
         if not np.all(np.isfinite(self.traction)):
             raise ValueError("traction must be finite")
@@ -111,7 +111,6 @@ class PointSets:
     interior_idx: np.ndarray  # strict-interior flat indices
     boundary_idx: np.ndarray  # flat indices on the box surface (the complement)
     faces: tuple  # FacePoints per traction face
-    grid_shape: tuple
 
     @property
     def n_points(self):
@@ -183,7 +182,6 @@ def build_point_sets(domain, patches=()):
         interior_idx=interior_idx,
         boundary_idx=boundary_idx,
         faces=tuple(faces),
-        grid_shape=domain.counts,
     )
 
 
@@ -199,7 +197,6 @@ class ProblemSpec:
     material: object
     enforcer: BCEnforcer
     patches: tuple = ()
-    body_force: object = None  # callable X (...,3) -> (...,3), None = zero
     mask: str = "full"
     reference: object = None  # callable X -> exact displacement, if known
 
@@ -228,11 +225,6 @@ class ProblemSpec:
 
     def point_sets(self):
         return build_point_sets(self.domain, self.patches)
-
-    def body_force_values(self, X):
-        if self.body_force is None:
-            return np.zeros(np.asarray(X).shape)
-        return np.asarray(self.body_force(X), dtype=np.float64)
 
 
 def _zero_patches(axes_sides):
@@ -265,7 +257,7 @@ def _cube_domain(grid):
     return BoxDomain(lengths=(1.0, 1.0, 1.0), counts=grid or (15, 15, 15))
 
 
-def _nh_cantilever_traction(grid, shear_gamma):
+def _nh_cantilever_traction(grid):
     domain = _beam_domain(grid)
     enforcer = BCEnforcer(
         origin=domain.origin,
@@ -283,7 +275,7 @@ def _nh_cantilever_traction(grid, shear_gamma):
     )
 
 
-def _lp_cantilever_displacement(grid, shear_gamma):
+def _lp_cantilever_displacement(grid):
     domain = _beam_domain(grid)
     L = domain.lengths[0]
     # u = 0 at X1 = 0, u = (0, -1, 0) at X1 = L; linear interpolation in X1
@@ -308,10 +300,10 @@ def _lp_cantilever_displacement(grid, shear_gamma):
     )
 
 
-def _nh_simple_shear(grid, shear_gamma):
+def _nh_simple_shear(grid):
     domain = _cube_domain(grid)
     grad = np.zeros((3, 3))
-    grad[0, 1] = shear_gamma
+    grad[0, 1] = 0.5  # `--affine shear:G` poses any other shear
     ref = lambda X, _g=np.array(grad): np.einsum("ij,...j->...i", _g, X)  # noqa: E731
     return ProblemSpec(
         name="nh_simple_shear",
@@ -323,7 +315,7 @@ def _nh_simple_shear(grid, shear_gamma):
     )
 
 
-def _nh_localized_traction(grid, shear_gamma):
+def _nh_localized_traction(grid):
     domain = _cube_domain(grid)
     enforcer = BCEnforcer(
         origin=domain.origin,
@@ -359,11 +351,10 @@ _PRESETS = {
 PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
-def preset(name, grid=None, shear_gamma=0.5):
+def preset(name, grid=None):
     """Construct one of the built-in benchmark problems.
 
-    ``grid`` overrides the per-axis node counts; ``shear_gamma`` sets the
-    prescribed shear magnitude of the simple-shear problem.
+    ``grid`` overrides the per-axis node counts.
     """
     try:
         builder = _PRESETS[name]
@@ -373,4 +364,4 @@ def preset(name, grid=None, shear_gamma=0.5):
         ) from None
     if grid is not None:
         grid = tuple(int(g) for g in grid)
-    return builder(grid, float(shear_gamma))
+    return builder(grid)

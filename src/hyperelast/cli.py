@@ -67,6 +67,8 @@ def _load_config(args):
 
 def _export_grid_points(cfg, domain):
     dims = cfg.int_list("export.grid") or (21, 21, 21)
+    if len(dims) != 3 or min(dims) < 2:
+        raise ConfigError(f"export.grid must be three counts >= 2, got {dims}")
     axes = [
         np.linspace(o, o + l, n)
         for o, l, n in zip(domain.origin, domain.lengths, dims)

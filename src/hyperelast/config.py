@@ -17,21 +17,15 @@ DEFAULTS = {
     "problem.preset": "",
     "problem.affine": "",          # "shear:0.3" or "stretch:1.1,1.0,1.0"
     "problem.grid": "",            # per-axis odd node counts, e.g. "25,9,9"
-    "problem.shear_gamma": "0.5",
     "problem.mask": "full",        # full | dem | dcm
     # network
     "network.hidden": "64,64,64",
     "network.fourier_features": "64",
     "network.fourier_sigma": "1.0",
     "network.seed": "0",
-    "network.stress_scale": "auto",
     # optimizer
     "optimizer.max_iters": "1000",
     "optimizer.grad_tol": "1e-8",
-    "optimizer.history": "20",
-    "optimizer.wolfe_c1": "1e-4",
-    "optimizer.wolfe_c2": "0.9",
-    "optimizer.max_probes": "30",
     # curriculum (load stepping); single stage by default
     "curriculum.fractions": "1.0",
     "curriculum.stage_iters": "",

@@ -162,19 +162,38 @@ def save_checkpoint(path, cfg, phi):
         json.dump(payload, fh, indent=1)
 
 
+# Keys of older checkpoint configs, each with the one value the program still
+# implements (None: any value, the key steered training only).  Any other
+# value would change what export-fields computes, or names a removed optimizer.
+RETIRED_KEYS = {
+    "optimizer.method": "lbfgs",
+    "optimizer.gd_rate": None,
+    "optimizer.history": None,
+    "optimizer.wolfe_c1": None,
+    "optimizer.wolfe_c2": None,
+    "optimizer.max_probes": None,
+    "problem.shear_gamma": "0.5",
+    "network.stress_scale": "auto",
+}
+
+
+def _same_value(value, kept):
+    try:
+        return float(value) == float(kept)
+    except ValueError:
+        return value == kept
+
+
 def load_checkpoint(path):
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(
-            f"unsupported checkpoint format {payload.get('format')!r} in {path}"
-        )
+        raise ConfigError(f"unsupported checkpoint format {payload.get('format')!r} in {path}")
     values = dict(payload["config"])
-    # keys of checkpoints written while a gradient-descent optimizer existed
-    method = values.pop("optimizer.method", "lbfgs")
-    values.pop("optimizer.gd_rate", None)
-    if method != "lbfgs":
-        raise ConfigError(f"{path}: optimizer.method = {method} is no longer supported")
+    for key, kept in RETIRED_KEYS.items():
+        value = str(values.pop(key, kept)).strip()
+        if kept is not None and not _same_value(value, kept):
+            raise ConfigError(f"{path}: {key} = {value} is no longer supported")
     cfg = RunConfig(values)
     phi = np.array([float(v) for v in payload["params"]])
     return cfg, phi

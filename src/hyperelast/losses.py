@@ -82,10 +82,10 @@ class LossBreakdown:
 def potential_energy(u, problem, points, state=None):
     """Total potential: internal strain energy minus external work.
 
-    Volume integrals use the Simpson weights of the point set; the
-    traction work integrates u . t over every traction face.  Both works
-    are folded into one nodal load array, so the external work is a single
-    contraction with u.  Returns (total, internal, external) tape scalars.
+    The strain energy integrates psi with the Simpson volume weights; the
+    traction work integrates u . t over every traction face, folded into
+    one nodal load array, so the external work is a single contraction
+    with u.  Returns (total, internal, external) tape scalars.
     """
     if state is None:
         state = deformation_gradient(displacement_gradient(u))
@@ -94,7 +94,7 @@ def potential_energy(u, problem, points, state=None):
         raise LengthMismatch("energy density not aligned with volume weights")
     internal = ad.einsum2("n,n->", psi, points.vol_weights)
 
-    load = problem.body_force_values(points.points) * points.vol_weights[:, None]
+    load = np.zeros(points.points.shape)
     for face in points.faces:
         load[face.idx] += face.tbar * face.weights[:, None]
     external = ad.einsum2("ni,ni->", u.val, load) if np.any(load) else ad.constant(0.0)
@@ -143,15 +143,12 @@ def divergence_at(P, idx):
     return ad.einsum2("nijk,jk->ni", ad.take(P.grad, idx, axis=0), np.eye(3))
 
 
-def mse_interior(P_u, P_net, points, body_force):
-    """Strong-form residual mean ||div P + f_B||^2 for both branches."""
+def mse_interior(P_u, P_net, points):
+    """Strong-form residual mean ||div P||^2 for both branches."""
     idx = points.interior_idx
-    fb = np.asarray(body_force, dtype=np.float64)
-    if fb.ndim == 2:
-        fb = fb[idx]
     sums = []
     for P in (P_u, P_net):
-        r = ad.add(divergence_at(P, idx), fb)
+        r = divergence_at(P, idx)
         sums.append(ad.mul(ad.einsum2("ni,ni->", r, r), 1.0 / idx.size))
     return sums[0], sums[1]
 
@@ -163,8 +160,7 @@ def assemble(u, P_net, problem, points):
     energy, internal, external = potential_energy(u, problem, points, state=state)
     mse_P = mse_constitutive(P_net, P_u)
     mse_t_u, mse_t_net = mse_traction(P_u, P_net, points)
-    fb = problem.body_force_values(points.points)
-    mse_i_u, mse_i_net = mse_interior(P_u, P_net, points, fb)
+    mse_i_u, mse_i_net = mse_interior(P_u, P_net, points)
     return LossBreakdown(
         energy=energy,
         energy_internal=internal,

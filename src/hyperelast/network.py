@@ -343,6 +343,12 @@ class DirichletFace:
     side: str
     components: tuple = (0, 1, 2)
 
+    def __post_init__(self):
+        if self.axis not in (0, 1, 2) or self.side not in ("lo", "hi") or any(
+            i not in (0, 1, 2) for i in self.components
+        ):
+            raise ValueError(f"no such face or components: {self!r}")
+
 
 @dataclass(frozen=True)
 class BCEnforcer:

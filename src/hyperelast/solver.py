@@ -160,20 +160,19 @@ class SolveResult:
 
 
 def build_network(problem, *, hidden=(64, 64, 64), fourier_features=64,
-                  fourier_sigma=1.0, seed=0, stress_scale=None):
+                  fourier_sigma=1.0, seed=0):
     """Assemble the field network for a problem.
 
-    The stress head scale defaults to the material's shear modulus so both
+    The stress head is scaled by the material's shear modulus so both
     output groups train on comparable magnitudes.
     """
     rff = RFFMap(m=int(fourier_features), sigma=float(fourier_sigma), seed=int(seed))
     widths = (rff.out_dim,) + tuple(int(h) for h in hidden) + (12,)
-    scale = problem.material.stress_scale if stress_scale is None else float(stress_scale)
     return FieldNetwork(
         rff=rff,
         mlp=MLPSpec(widths=widths),
         enforcer=problem.enforcer,
-        stress_scale=scale,
+        stress_scale=problem.material.stress_scale,
     )
 
 
@@ -277,9 +276,7 @@ def problem_from_config(cfg: RunConfig):
         else:
             raise ConfigError(f"problem.affine kind must be shear or stretch, got '{kind}'")
     elif preset_name:
-        problem = bvp.preset(
-            preset_name, grid=grid, shear_gamma=cfg.float("problem.shear_gamma")
-        )
+        problem = bvp.preset(preset_name, grid=grid)
     else:
         raise ConfigError("problem.preset or problem.affine is required")
     mask = cfg.get("problem.mask")
@@ -293,26 +290,20 @@ def network_from_config(cfg: RunConfig, problem):
     hidden = cfg.int_list("network.hidden")
     if not hidden:
         raise ConfigError("network.hidden needs at least one layer width")
-    auto = cfg.get("network.stress_scale") == "auto"
     return build_network(
         problem,
         hidden=hidden,
         fourier_features=cfg.int("network.fourier_features"),
         fourier_sigma=cfg.float("network.fourier_sigma"),
         seed=cfg.int("network.seed"),
-        stress_scale=None if auto else cfg.float("network.stress_scale"),
     )
 
 
 @_config_rejects
 def optimizer_from_config(cfg: RunConfig):
     return LBFGSConfig(
-        history=cfg.int("optimizer.history"),
         max_iters=cfg.int("optimizer.max_iters"),
         grad_tol=cfg.float("optimizer.grad_tol"),
-        c1=cfg.float("optimizer.wolfe_c1"),
-        c2=cfg.float("optimizer.wolfe_c2"),
-        max_probes=cfg.int("optimizer.max_probes"),
     )
 
 

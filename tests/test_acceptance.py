@@ -231,7 +231,7 @@ class TestCriterion1AffinePatch:
 
 class TestCriterion2ShearStress:
     def test_stress_recovery(self):
-        problem = bvp.preset("nh_simple_shear", grid=(9, 9, 9), shear_gamma=0.5)
+        problem = bvp.preset("nh_simple_shear", grid=(9, 9, 9))
         net, phi, hist = train_patch(problem, max_iters=300)
         ps = problem.point_sets()
         fields = solver.evaluate_fields(net, phi, ps.points)

@@ -13,6 +13,7 @@ from hyperelast.bvp import (
     simpson_weights_1d,
 )
 from hyperelast.errors import EvenCount, UnknownPreset
+from hyperelast.network import DirichletFace
 
 
 class TestSimpsonWeights:
@@ -102,6 +103,23 @@ class TestPointSets:
             BoxDomain(counts=(4, 5, 5))
 
 
+class TestFaceInputs:
+    @pytest.mark.parametrize("kwargs", [
+        {"axis": 3, "side": "lo"},
+        {"axis": -1, "side": "hi"},
+        {"axis": 0, "side": "up"},
+        {"axis": 0, "side": "lo", "components": (0, 3)},
+    ])
+    def test_dirichlet_face_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            DirichletFace(**kwargs)
+
+    @pytest.mark.parametrize("axis, side", [(3, "hi"), (-1, "lo"), (0, "up")])
+    def test_traction_patch_rejected(self, axis, side):
+        with pytest.raises(ValueError):
+            TractionPatch(axis=axis, side=side, traction=(1.0, 0.0, 0.0))
+
+
 class TestIntegrateVolume:
     def test_constant(self):
         ps = build_point_sets(BoxDomain(counts=(3, 3, 3)))
@@ -176,7 +194,7 @@ class TestPresets:
         assert inside.sum() == 9  # 3 x 3 nodes at 0.1 spacing
 
     def test_simple_shear_reference(self):
-        p = preset("nh_simple_shear", grid=(3, 3, 3), shear_gamma=0.5)
+        p = preset("nh_simple_shear", grid=(3, 3, 3))
         X = np.array([[0.0, 1.0, 0.3]])
         assert_allclose(p.reference(X), [[0.5, 0.0, 0.0]])
         assert len(p.enforcer.faces) == 6

@@ -253,8 +253,31 @@ class TestCheckpoint:
     def test_format_tag_checked(self, tmp_path):
         path = tmp_path / "ck.json"
         path.write_text(json.dumps({"format": "other", "config": {}, "params": []}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="format"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, dropped", [
+        ("network.stress_scale", "auto", True),
+        ("network.stress_scale", "100", False),
+        ("problem.shear_gamma", "0.50", True),
+        ("problem.shear_gamma", "0.7", False),
+        ("optimizer.history", "5", True),
+        ("optimizer.wolfe_c1", "0.3", True),
+        ("optimizer.max_probes", "8", True),
+    ])
+    def test_retired_keys(self, tmp_path, key, value, dropped):
+        # configs of older checkpoints carry keys the program no longer reads
+        cfg = RunConfig({"problem.preset": "nh_simple_shear"})
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, cfg, np.zeros(3))
+        payload = json.loads(path.read_text())
+        payload["config"][key] = value
+        path.write_text(json.dumps(payload))
+        if dropped:
+            assert load_checkpoint(path)[0].as_dict() == cfg.as_dict()
+        else:
+            with pytest.raises(ConfigError, match=key):
+                load_checkpoint(path)
 
 
 class TestCLI:
@@ -290,10 +313,10 @@ class TestCLI:
         assert cli.main(["solve", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("bad", [
-        ["--set", "network.stress_scale=abc"],
+        ["--set", "network.fourier_sigma=-1"],
         ["--set", "problem.mask=foo"],
-        ["--set", "optimizer.wolfe_c1=0.95"],
-        ["--set", "optimizer.history=0"],
+        ["--set", "curriculum.stage_iters=0"],
+        ["--set", "curriculum.stage_iters=1,2"],
         ["--set", "curriculum.fractions=0.5"],
         ["--set", "network.fourier_features=0"],
         ["--set", "network.hidden="],
@@ -301,6 +324,7 @@ class TestCLI:
         ["--set", "optimizer.max_iters=0"],
         ["--set", "problem.grid=4,4,4"],
         ["--set", "history.timing=on"],
+        ["--affine", "stretch:-1,1,1"],
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, bad):
         code = cli.main(["solve", *TINY_SOLVE, *bad, "--out", str(tmp_path)])
@@ -323,6 +347,34 @@ class TestCLI:
             "export-fields", "--checkpoint", path,
             "--set", "export.grid=5,5,5", "--out", str(tmp_path / "fields"),
         ]) == code
+
+    @staticmethod
+    def tiny_checkpoint(tmp_path, fmt=None):
+        args = cli.build_parser().parse_args(["solve", *TINY_SOLVE])
+        cfg = cli._load_config(args)
+        net = solver.network_from_config(cfg, solver.problem_from_config(cfg))
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, cfg, net.init_params())
+        if fmt is not None:
+            payload = json.loads(path.read_text())
+            payload["format"] = fmt
+            path.write_text(json.dumps(payload))
+        return str(path)
+
+    @pytest.mark.parametrize("grid", ["4", "1,1,1"])
+    def test_bad_export_grid_exit_2(self, tmp_path, capsys, grid):
+        code = cli.main([
+            "export-fields", "--checkpoint", self.tiny_checkpoint(tmp_path),
+            "--set", f"export.grid={grid}", "--out", str(tmp_path / "fields"),
+        ])
+        assert code == 2
+        assert "export.grid" in capsys.readouterr().err
+
+    def test_unknown_checkpoint_format_exit_2(self, tmp_path, capsys):
+        path = self.tiny_checkpoint(tmp_path, fmt="hyperelast-checkpoint-v0")
+        code = cli.main(["export-fields", "--checkpoint", path, "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_run_oracles_sizing_and_failed_status(self, monkeypatch, capsys):
         seen = []

@@ -6,6 +6,9 @@ scalar evaluations of the energy formulas (see the numbers inline).
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import hyperelast.autodiff as ad
@@ -210,6 +213,46 @@ class TestLopezPamies:
         for _ in range(100):
             Q = random_rotation(rng)
             assert abs(eval_psi(LP, Q @ F) - base) <= 1e-10 * (1.0 + abs(base))
+
+
+def rotation_from_quaternion(q):
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+# F = I + A with bounded entries, kept where det F >= 0.2; examples are
+# derived from the test itself and no example database is kept
+deformations = arrays(np.float64, (3, 3), elements=st.floats(-0.6, 0.6)).map(
+    lambda A: np.eye(3) + A
+).filter(lambda F: np.linalg.det(F) >= 0.2)
+quaternions = arrays(np.float64, 4, elements=st.floats(-1.0, 1.0))
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@pytest.mark.parametrize("mat", [NH, LP], ids=["neo_hookean", "lopez_pamies"])
+class TestMaterialProperties:
+    @PROPERTY
+    @given(F=deformations, q=quaternions)
+    def test_frame_indifference(self, mat, F, q):
+        assume(np.linalg.norm(q) >= 0.1)
+        Q = rotation_from_quaternion(q)
+        psi, P = eval_psi(mat, F), eval_stress(mat, F)
+        assert abs(eval_psi(mat, Q @ F) - psi) <= 1e-10 * (1.0 + abs(psi))
+        scale = 1.0 + np.abs(P).max()
+        assert np.abs(eval_stress(mat, Q @ F) - Q @ P).max() <= 1e-10 * scale
+
+    @PROPERTY
+    @given(F=deformations)
+    def test_stress_is_central_difference_of_energy(self, mat, F):
+        h = 1e-6
+        E = np.eye(9).reshape(9, 3, 3) * h
+        fd = ((eval_psi(mat, F + E) - eval_psi(mat, F - E)) / (2 * h)).reshape(3, 3)
+        P = eval_stress(mat, F)
+        assert np.abs(P - fd).max() <= 1e-6 * (1.0 + np.abs(P).max())
 
 
 class TestCauchy:

@@ -8,7 +8,7 @@ import hyperelast.autodiff as ad
 from hyperelast.bvp import BoxDomain, ProblemSpec, TractionPatch, build_point_sets
 from hyperelast.errors import NoBracket, ZeroReference
 from hyperelast.losses import assemble
-from hyperelast.materials import LopezPamies, NeoHookean, eval_cauchy, eval_stress
+from hyperelast.materials import LopezPamies, NeoHookean, eval_cauchy, eval_psi, eval_stress
 from hyperelast.network import BCEnforcer, DirichletFace
 from hyperelast.reference import (
     affine_dirichlet_problem,
@@ -179,3 +179,36 @@ class TestAffineDirichletProblem:
         br = assemble(u, const_P_jets(ps.points, sol.P0), problem, ps)
         assert br.mse_traction_u.data <= 1e-20
         assert br.mse_traction_net.data <= 1e-20
+
+
+class TestUniaxialTractionState:
+    """The exact uniaxial-stress field of a unit cube on rollers, loaded by
+    a normal traction on its X1-hi face and free on X2-hi and X3-hi."""
+
+    def test_exact_jets_zero_residuals_and_closed_form_energy(self):
+        sol = uniaxial_oracle(1.1, NH)
+        p11 = sol.P0[0, 0]
+        assert_allclose(p11, 93.164, rtol=1e-5)
+        domain = BoxDomain(counts=(9, 9, 9))
+        rollers = tuple(DirichletFace(a, "lo", components=(a,)) for a in range(3))
+        enforcer = BCEnforcer(origin=domain.origin, lengths=domain.lengths, faces=rollers)
+        patches = (
+            TractionPatch(axis=0, side="hi", traction=(p11, 0.0, 0.0)),
+            TractionPatch(axis=1, side="hi", traction=(0.0, 0.0, 0.0)),
+            TractionPatch(axis=2, side="hi", traction=(0.0, 0.0, 0.0)),
+        )
+        problem = ProblemSpec(name="uniaxial", domain=domain, material=NH,
+                              enforcer=enforcer, patches=patches)
+        ps = problem.point_sets()
+        u = linear_u_jets(ps.points, sol.F0 - np.eye(3))
+        br = assemble(u, const_P_jets(ps.points, sol.P0), problem, ps)
+        assert br.mse_constitutive.data == 0.0
+        assert br.mse_interior_u.data == 0.0
+        assert br.mse_interior_net.data == 0.0
+        assert br.mse_traction_u.data <= 1e-20
+        assert br.mse_traction_net.data <= 1e-20
+        # constant psi over the unit volume, minus the work of p11 through
+        # the end displacement u1 = 0.1
+        expected = eval_psi(NH, sol.F0) - 0.1 * p11
+        assert_allclose(br.energy.data, expected, rtol=1e-12)
+        assert_allclose(expected, -4.548991, rtol=1e-6)
