@@ -91,26 +91,21 @@ class TractionPatch:
 
 
 @dataclass(frozen=True)
-class FacePoints:
-    """Grid points of one traction face with surface quadrature data."""
-
-    axis: int
-    side: str
-    normal: np.ndarray
-    idx: np.ndarray  # flat indices into the volume grid
-    weights: np.ndarray  # Simpson surface weights, sum = face area
-    tbar: np.ndarray  # (n_face, 3) traction at each point
-
-
-@dataclass(frozen=True)
 class PointSets:
-    """All collocation data derived from one tensor grid."""
+    """All collocation data derived from one tensor grid.
+
+    The traction boundary is laid out once per grid, over F loaded faces
+    in (axis, side) order, so the loss only contracts these arrays.
+    """
 
     points: np.ndarray  # (N, 3)
     vol_weights: np.ndarray  # (N,), sum = box volume
     interior_idx: np.ndarray  # strict-interior flat indices
     boundary_idx: np.ndarray  # flat indices on the box surface (the complement)
-    faces: tuple  # FacePoints per traction face
+    normals: np.ndarray  # (F, 3) outward unit normal of each loaded face
+    tbar: np.ndarray  # (N, F, 3) patch traction on each face, zero off it
+    member: np.ndarray  # (N, F, 1) 1 where the point lies on the face
+    load: np.ndarray  # (N, 3) nodal load: sum over faces of traction x surface weight
 
     @property
     def n_points(self):
@@ -118,14 +113,16 @@ class PointSets:
 
     @property
     def n_traction(self):
-        return int(sum(f.idx.size for f in self.faces))
+        """(point, face) pairs: an edge point counts once per loaded face."""
+        return int(self.member.sum())
 
 
 def build_point_sets(domain, patches=()):
     """Tensor grid, Simpson volume/surface weights and point families.
 
     Traction and interior points reuse the volume grid nodes, so one
-    network forward pass per node serves every loss term.
+    network forward pass per node serves every loss term.  Where patches
+    on one face overlap, the first one listed covers the point.
     """
     axes = domain.axes()
     w1d = [
@@ -144,44 +141,41 @@ def build_point_sets(domain, patches=()):
     on_boundary[1:-1, 1:-1, 1:-1] = False
     boundary_idx = flat[on_boundary]
 
-    faces = []
-    for axis in range(3):
-        tangent = [a for a in range(3) if a != axis]
-        for side in FACE_SIDES:
-            face_patches = [p for p in patches if p.axis == axis and p.side == side]
-            if not face_patches:
-                continue
-            sl = [slice(None)] * 3
-            sl[axis] = 0 if side == "lo" else domain.counts[axis] - 1
-            idx = flat[tuple(sl)].ravel()
-            sw = (
-                w1d[tangent[0]][:, None] * w1d[tangent[1]][None, :]
-            ).ravel()
-            Xf = points[idx]
-            tbar = np.zeros((idx.size, 3))
-            assigned = np.zeros(idx.size, dtype=bool)
-            for p in face_patches:
-                inside = p.covers(Xf) & ~assigned
-                tbar[inside] = p.traction
+    faces = [
+        (axis, side) for axis in range(3) for side in FACE_SIDES
+        if any(p.axis == axis and p.side == side for p in patches)
+    ]
+    n = points.shape[0]
+    normals = np.zeros((len(faces), 3))
+    tbar = np.zeros((n, len(faces), 3))
+    member = np.zeros((n, len(faces), 1))
+    load = np.zeros((n, 3))
+    for f, (axis, side) in enumerate(faces):
+        sl = [slice(None)] * 3
+        sl[axis] = 0 if side == "lo" else domain.counts[axis] - 1
+        idx = flat[tuple(sl)].ravel()
+        t = np.zeros((idx.size, 3))
+        assigned = np.zeros(idx.size, dtype=bool)
+        for p in patches:
+            if p.axis == axis and p.side == side:
+                inside = p.covers(points[idx]) & ~assigned
+                t[inside] = p.traction
                 assigned |= inside
-            normal = np.zeros(3)
-            normal[axis] = 1.0 if side == "hi" else -1.0
-            faces.append(
-                FacePoints(
-                    axis=axis,
-                    side=side,
-                    normal=normal,
-                    idx=idx,
-                    weights=sw,
-                    tbar=tbar,
-                )
-            )
+        tangent = [a for a in range(3) if a != axis]
+        sw = (w1d[tangent[0]][:, None] * w1d[tangent[1]][None, :]).ravel()
+        normals[f, axis] = 1.0 if side == "hi" else -1.0
+        tbar[idx, f] = t
+        member[idx, f] = 1.0
+        load[idx] += t * sw[:, None]
     return PointSets(
         points=points,
         vol_weights=vol_w,
         interior_idx=interior_idx,
         boundary_idx=boundary_idx,
-        faces=tuple(faces),
+        normals=normals,
+        tbar=tbar,
+        member=member,
+        load=load,
     )
 
 
@@ -245,6 +239,27 @@ def affine_enforcer(domain, grad, const=(0.0, 0.0, 0.0)):
     )
 
 
+def affine_dirichlet_problem(F0, material, grid=None, name="affine_dirichlet"):
+    """Unit-cube patch test: u = (F0 - I) X prescribed on all six faces.
+
+    The exact solution is the affine field itself (constant stress is
+    divergence free), attached as the problem's reference.
+    """
+    F0 = np.asarray(F0, dtype=np.float64)
+    if np.linalg.det(F0) <= 0.0:
+        raise ValueError(f"det F0 = {np.linalg.det(F0):.3e} <= 0")
+    domain = _cube_domain(grid)
+    G = F0 - np.eye(3)
+    ref = lambda X, _g=G: np.einsum("ij,...j->...i", _g, X)  # noqa: E731
+    return ProblemSpec(
+        name=name,
+        domain=domain,
+        material=material,
+        enforcer=affine_enforcer(domain, G),
+        reference=ref,
+    )
+
+
 def _beam_domain(grid):
     return BoxDomain(
         origin=(0.0, 0.0, 0.0),
@@ -301,17 +316,10 @@ def _lp_cantilever_displacement(grid):
 
 
 def _nh_simple_shear(grid):
-    domain = _cube_domain(grid)
-    grad = np.zeros((3, 3))
-    grad[0, 1] = 0.5  # `--affine shear:G` poses any other shear
-    ref = lambda X, _g=np.array(grad): np.einsum("ij,...j->...i", _g, X)  # noqa: E731
-    return ProblemSpec(
-        name="nh_simple_shear",
-        domain=domain,
-        material=NeoHookean(lam=577.0, mu=385.0),
-        enforcer=affine_enforcer(domain, grad),
-        patches=(),
-        reference=ref,
+    F0 = np.eye(3)
+    F0[0, 1] = 0.5  # `--affine shear:G` poses any other shear
+    return affine_dirichlet_problem(
+        F0, NeoHookean(lam=577.0, mu=385.0), grid, name="nh_simple_shear"
     )
 
 

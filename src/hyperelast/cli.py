@@ -103,6 +103,11 @@ def cmd_export_fields(args):
     out = _output_dir(cfg, args.out)
     problem = solver.problem_from_config(cfg)
     net = solver.network_from_config(cfg, problem)
+    if phi.size != net.n_params:
+        raise ConfigError(
+            f"{args.checkpoint}: parameter vector has length {phi.size}, "
+            f"the configured network needs {net.n_params}"
+        )
     dims, X, spacing = _export_grid_points(cfg, problem.domain)
     fields = solver.evaluate_fields(net, phi, X, material=problem.material)
     meta = {"config_hash": cfg.hash(), "seed": cfg.get("network.seed"),

@@ -107,16 +107,20 @@ class RunConfig:
 def read_file(path):
     """The ``key = value`` pairs of a config file; keys are checked when
     the pairs reach a RunConfig."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config file {path}: {err}") from err
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value
     return values
 
 

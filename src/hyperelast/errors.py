@@ -45,10 +45,6 @@ class UnknownPreset(HyperelastError, KeyError):
     """Requested problem preset name is not registered."""
 
 
-class MissingNormal(HyperelastError, ValueError):
-    """A traction point could not be mapped to a face normal."""
-
-
 class NonFiniteLoss(HyperelastError, FloatingPointError):
     """A loss term fed to the weighting update is NaN or infinite."""
 

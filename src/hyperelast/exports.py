@@ -185,15 +185,29 @@ def _same_value(value, kept):
 
 
 def load_checkpoint(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(f"unsupported checkpoint format {payload.get('format')!r} in {path}")
+    """The run configuration and parameters that ``save_checkpoint`` wrote.
+
+    A file that is missing or is not such a checkpoint raises a
+    ConfigError naming it.
+    """
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as err:  # ValueError: not UTF-8 text or not JSON
+        raise ConfigError(f"cannot read checkpoint {path}: {err}") from err
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ConfigError(f"unsupported checkpoint format {fmt!r} in {path}")
+    if not isinstance(payload.get("config"), dict) or not isinstance(payload.get("params"), list):
+        raise ConfigError(f"{path}: a checkpoint needs a 'config' object and a 'params' list")
     values = dict(payload["config"])
     for key, kept in RETIRED_KEYS.items():
         value = str(values.pop(key, kept)).strip()
         if kept is not None and not _same_value(value, kept):
             raise ConfigError(f"{path}: {key} = {value} is no longer supported")
-    cfg = RunConfig(values)
-    phi = np.array([float(v) for v in payload["params"]])
+    try:
+        cfg = RunConfig(values)
+        phi = np.array([float(v) for v in payload["params"]])
+    except (TypeError, ValueError) as err:  # ConfigError is a ValueError
+        raise ConfigError(f"{path}: {err}") from err
     return cfg, phi

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import LengthMismatch, MissingNormal, NonFiniteLoss
+from .errors import LengthMismatch, NonFiniteLoss
 from .materials import deformation_gradient
 from .network import displacement_gradient
 
@@ -52,12 +52,10 @@ def active_term_indices(mask, has_traction=True):
 
 @dataclass
 class LossBreakdown:
-    """The six tape scalars plus the separable energy parts, and det F
-    per point (plain values) for inversion diagnostics."""
+    """The six tape scalars, and det F per point (plain values) for
+    inversion diagnostics."""
 
     energy: ad.Var
-    energy_internal: ad.Var
-    energy_external: ad.Var
     mse_constitutive: ad.Var
     mse_traction_u: ad.Var
     mse_traction_net: ad.Var
@@ -83,9 +81,8 @@ def potential_energy(u, problem, points, state=None):
     """Total potential: internal strain energy minus external work.
 
     The strain energy integrates psi with the Simpson volume weights; the
-    traction work integrates u . t over every traction face, folded into
-    one nodal load array, so the external work is a single contraction
-    with u.  Returns (total, internal, external) tape scalars.
+    traction work is one contraction of u with the point sets' nodal
+    load.  Returns (total, internal, external) tape scalars.
     """
     if state is None:
         state = deformation_gradient(displacement_gradient(u))
@@ -93,10 +90,7 @@ def potential_energy(u, problem, points, state=None):
     if psi.data.shape[0] != points.vol_weights.shape[0]:
         raise LengthMismatch("energy density not aligned with volume weights")
     internal = ad.einsum2("n,n->", psi, points.vol_weights)
-
-    load = np.zeros(points.points.shape)
-    for face in points.faces:
-        load[face.idx] += face.tbar * face.weights[:, None]
+    load = points.load
     external = ad.einsum2("ni,ni->", u.val, load) if np.any(load) else ad.constant(0.0)
     return ad.sub(internal, external), internal, external
 
@@ -117,23 +111,13 @@ def mse_traction(P_u, P_net, points):
     with that face's outward normal and patch traction.  The residual is
     formed for every point and face at once and masked to face membership.
     """
-    if not points.faces:
+    if not points.n_traction:
         z = ad.constant(0.0)
         return z, z
-    n_faces = len(points.faces)
-    normals = np.empty((n_faces, 3))
-    load = np.zeros((points.n_points, n_faces, 3))
-    member = np.zeros((points.n_points, n_faces, 1))
-    for f, face in enumerate(points.faces):
-        if not np.all(np.isfinite(face.normal)) or not np.any(face.normal):
-            raise MissingNormal(f"face ({face.axis}, {face.side}) has no usable normal")
-        normals[f] = face.normal
-        load[face.idx, f] = face.tbar
-        member[face.idx, f] = 1.0
     sums = []
     for P in (P_u, P_net):
-        PN = ad.einsum2("nij,fj->nfi", P.val, normals)
-        r = ad.mul(ad.sub(PN, load), member)
+        PN = ad.einsum2("nij,fj->nfi", P.val, points.normals)
+        r = ad.mul(ad.sub(PN, points.tbar), points.member)
         sums.append(ad.mul(ad.einsum2("nfi,nfi->", r, r), 1.0 / points.n_traction))
     return sums[0], sums[1]
 
@@ -157,14 +141,12 @@ def assemble(u, P_net, problem, points):
     """Evaluate all six loss terms from the field jets at the grid points."""
     state = deformation_gradient(displacement_gradient(u))
     P_u = problem.material.stress(state)
-    energy, internal, external = potential_energy(u, problem, points, state=state)
+    energy, _, _ = potential_energy(u, problem, points, state=state)
     mse_P = mse_constitutive(P_net, P_u)
     mse_t_u, mse_t_net = mse_traction(P_u, P_net, points)
     mse_i_u, mse_i_net = mse_interior(P_u, P_net, points)
     return LossBreakdown(
         energy=energy,
-        energy_internal=internal,
-        energy_external=external,
         mse_constitutive=mse_P,
         mse_traction_u=mse_t_u,
         mse_traction_net=mse_t_net,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bvp import BoxDomain, ProblemSpec, affine_enforcer
+from .bvp import affine_dirichlet_problem
 from .errors import NoBracket, ZeroReference
 from .materials import NeoHookean, eval_cauchy, eval_stress
 
@@ -97,28 +97,6 @@ def uniaxial_oracle(stretch, material, bracket=(0.2, 2.0), tol=1e-10):
         raise ArithmeticError(f"lateral-stress root did not polish below {tol}")
     F0 = np.diag([float(stretch), lt, lt])
     return affine_solution(F0, material)
-
-
-def affine_dirichlet_problem(F0, material, grid=(9, 9, 9), name=None):
-    """Unit-cube patch test: u = (F0 - I) X prescribed on all six faces.
-
-    The exact solution is the affine field itself (constant stress is
-    divergence free), attached as the problem's reference.
-    """
-    F0 = np.asarray(F0, dtype=np.float64)
-    if np.linalg.det(F0) <= 0.0:
-        raise ValueError(f"det F0 = {np.linalg.det(F0):.3e} <= 0")
-    domain = BoxDomain(lengths=(1.0, 1.0, 1.0), counts=grid)
-    G = F0 - np.eye(3)
-    ref = lambda X, _g=G.copy(): np.einsum("ij,...j->...i", _g, X)  # noqa: E731
-    return ProblemSpec(
-        name=name or "affine_dirichlet",
-        domain=domain,
-        material=material,
-        enforcer=affine_enforcer(domain, G),
-        patches=(),
-        reference=ref,
-    )
 
 
 def affine_shear_problem(gamma=0.3, material=None, grid=(9, 9, 9)):

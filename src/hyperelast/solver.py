@@ -65,10 +65,10 @@ class TrainingObjective:
     probes, rejected ones included, log nothing.
     """
 
-    def __init__(self, problem, net, points=None):
+    def __init__(self, problem, net):
         self.problem = problem
         self.net = net
-        self.points = points if points is not None else problem.point_sets()
+        self.points = problem.point_sets()
         # u's Hessian is read at interior points only (strong-form residuals)
         X, inner, rest = self.points.points, self.points.interior_idx, self.points.boundary_idx
         self.features = (
@@ -77,7 +77,7 @@ class TrainingObjective:
         )
         self.bc = net.enforcer.bc_jets(self.points.points)
         self.active = active_term_indices(
-            problem.mask, has_traction=bool(self.points.faces)
+            problem.mask, has_traction=self.points.n_traction > 0
         )
         self.cov = CoVState(len(self.active))
         self.weights = np.zeros(N_TERMS)
@@ -152,10 +152,8 @@ class TrainingObjective:
 @dataclass
 class SolveResult:
     problem: bvp.ProblemSpec
-    net: FieldNetwork
     phi: np.ndarray
     history: object
-    points: bvp.PointSets
     l2: float = None
 
 
@@ -226,11 +224,11 @@ def evaluate_fields(net, phi, X, material=None):
     return out
 
 
-def solution_l2(problem, net, phi, points=None):
+def solution_l2(problem, net, phi):
     """Normalized L2 displacement error against the problem's reference."""
     if problem.reference is None:
         return None
-    points = points if points is not None else problem.point_sets()
+    points = problem.point_sets()
     fields = evaluate_fields(net, phi, points.points)
     u_ref = problem.reference(points.points)
     return l2_error(fields["u"], u_ref, points.vol_weights)
@@ -326,11 +324,8 @@ def solve_config(cfg: RunConfig):
     phi, history = train(
         problem, net, schedule=schedule, opt_config=opt_config, timing=timing == "wall",
     )
-    points = problem.point_sets()
-    l2 = solution_l2(problem, net, phi, points=points)
-    return SolveResult(
-        problem=problem, net=net, phi=phi, history=history, points=points, l2=l2
-    )
+    l2 = solution_l2(problem, net, phi)
+    return SolveResult(problem=problem, phi=phi, history=history, l2=l2)
 
 
 def compare_masks(cfg: RunConfig):

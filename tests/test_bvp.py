@@ -80,23 +80,27 @@ class TestPointSets:
             assert np.all(gap >= spacing[k] - 1e-12)
 
     def test_surface_weights_sum_to_area(self):
+        # a unit traction on one face loads the grid with the face's area
         domain = BoxDomain(lengths=(4.0, 1.0, 2.0), counts=(9, 5, 7))
-        patches = [TractionPatch(axis=a, side=s, traction=(0, 0, 0))
-                   for a in range(3) for s in ("lo", "hi")]
-        ps = build_point_sets(domain, patches)
-        assert len(ps.faces) == 6
-        for f in ps.faces:
-            area = np.prod(np.delete(domain.lengths, f.axis))
-            assert abs(f.weights.sum() - area) <= 1e-12
+        for axis in range(3):
+            for side in ("lo", "hi"):
+                patch = TractionPatch(axis=axis, side=side, traction=(1.0, 0.0, 0.0))
+                ps = build_point_sets(domain, [patch])
+                area = np.prod(np.delete(domain.lengths, axis))
+                assert abs(ps.load[:, 0].sum() - area) <= 1e-12
+                assert not np.any(ps.load[:, 1:])
 
     def test_traction_points_on_their_face(self):
         problem = preset("nh_cantilever_traction", grid=(5, 5, 5))
         ps = problem.point_sets()
-        for f in ps.faces:
-            X = ps.points[f.idx]
-            d = problem.domain
-            value = d.origin[f.axis] + (d.lengths[f.axis] if f.side == "hi" else 0.0)
-            assert np.all(X[:, f.axis] == value)
+        d = problem.domain
+        assert ps.normals.shape == (5, 3)
+        for normal, member in zip(ps.normals, ps.member[:, :, 0].T):
+            (axis,) = np.flatnonzero(normal)
+            assert abs(normal[axis]) == 1.0
+            value = d.origin[axis] + (d.lengths[axis] if normal[axis] > 0 else 0.0)
+            assert np.array_equal(member == 1.0, ps.points[:, axis] == value)
+            assert np.all((member == 0.0) | (member == 1.0))
 
     def test_even_grid_rejected(self):
         with pytest.raises(EvenCount):
@@ -184,12 +188,14 @@ class TestPresets:
     def test_localized_traction_patch(self):
         p = preset("nh_localized_traction", grid=(11, 11, 11))
         ps = p.point_sets()
-        loaded_face = [f for f in ps.faces if f.axis == 0 and f.side == "hi"][0]
-        X = ps.points[loaded_face.idx]
+        (f,) = np.flatnonzero(ps.normals[:, 0] == 1.0)  # the X1-hi face
+        on_face = ps.member[:, f, 0] == 1.0
+        X, tbar = ps.points[on_face], ps.tbar[on_face, f]
         tol = 0.1 + 1e-9
         inside = (np.abs(X[:, 1] - 0.5) <= tol) & (np.abs(X[:, 2] - 0.5) <= tol)
-        assert np.all(loaded_face.tbar[inside] == (300.0, 0.0, 0.0))
-        assert np.all(loaded_face.tbar[~inside] == 0.0)
+        assert np.all(tbar[inside] == (300.0, 0.0, 0.0))
+        assert np.all(tbar[~inside] == 0.0)
+        assert not np.any(ps.tbar[~on_face, f])
         # loaded region is the centered 0.2 x 0.2 square (4% of the face)
         assert inside.sum() == 9  # 3 x 3 nodes at 0.1 spacing
 
@@ -207,9 +213,8 @@ class TestPresets:
         assert np.array_equal(pa.vol_weights, pb.vol_weights)
         assert a.material == b.material
         assert a.enforcer.faces == b.enforcer.faces
-        for fa, fb in zip(pa.faces, pb.faces):
-            assert np.array_equal(fa.tbar, fb.tbar)
-            assert np.array_equal(fa.idx, fb.idx)
+        for name in ("normals", "tbar", "member", "load"):
+            assert np.array_equal(getattr(pa, name), getattr(pb, name))
 
     def test_load_scaling(self):
         p = preset("nh_cantilever_traction", grid=(5, 5, 5)).scaled(0.5)

@@ -376,6 +376,35 @@ class TestCLI:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", [
+        "missing checkpoint", "not json", "no config", "text param", "short params",
+        "missing config file",
+    ])
+    def test_bad_input_file_exit_2(self, tmp_path, capsys, case):
+        path = self.tiny_checkpoint(tmp_path)
+        with open(path) as fh:
+            payload = json.load(fh)
+        if case == "not json":
+            payload = "format = hyperelast-checkpoint-v1"
+        elif case == "no config":
+            del payload["config"]
+        elif case == "text param":
+            payload["params"][3] = "one"
+        elif case == "short params":
+            payload["params"].pop()
+        with open(path, "w") as fh:
+            fh.write(payload if isinstance(payload, str) else json.dumps(payload))
+        argv = ["export-fields", "--checkpoint", path]
+        if case == "missing checkpoint":
+            os.remove(path)
+        elif case == "missing config file":
+            path = str(tmp_path / "missing.txt")
+            argv = ["solve", "--config", path]
+        code = cli.main([*argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and path in err
+
     def test_run_oracles_sizing_and_failed_status(self, monkeypatch, capsys):
         seen = []
 

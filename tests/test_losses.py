@@ -92,10 +92,9 @@ class TestPotentialEnergy:
         G[1, 0] = -0.01  # small vertical droop grows along the beam
         u = linear_u_jets(ps.points, G)
         total, internal, external = potential_energy(u, problem, ps)
-        # external work = integral over the loaded face of u2 * (-5)
-        face = [f for f in ps.faces if f.axis == 0 and f.side == "hi"][0]
-        u2 = -0.01 * ps.points[face.idx, 0]
-        expected_ext = np.sum(face.weights * u2 * (-5.0))
+        # external work = integral over the unit loaded face X1 = 4 of
+        # u2 * (-5), with u2 = -0.01 * 4 constant there
+        expected_ext = (-0.01 * 4.0) * (-5.0) * 1.0
         assert_allclose(external.data, expected_ext, rtol=1e-12)
         assert_allclose(total.data, internal.data - external.data, rtol=1e-15)
 
@@ -140,8 +139,10 @@ class TestMSETraction:
         problem, ps = cantilever_points()
         Z = const_P_jets(ps.points, np.zeros((3, 3)))
         tu, tn = mse_traction(Z, Z, ps)
-        loaded = sum(int(np.any(f.tbar)) * f.idx.size for f in ps.faces)
-        expected = loaded * 25.0 / ps.n_traction
+        # 3 x 3 nodes on the loaded end; 9 + 4 * (5 x 3) (point, face) pairs
+        assert np.count_nonzero(np.any(ps.tbar, axis=-1)) == 9
+        assert ps.n_traction == 69
+        expected = 9 * 25.0 / 69
         assert_allclose(tu.data, expected, rtol=1e-13)
         assert tn.data == tu.data
 
@@ -165,10 +166,11 @@ class TestMSETraction:
         P0 = np.zeros((3, 3))
         P0[0, 0] = 300.0
         P = const_P_jets(ps.points, P0)
-        face = [f for f in ps.faces if f.axis == 0 and f.side == "hi"][0]
-        loaded = np.any(face.tbar != 0.0, axis=1)
-        res = P0 @ face.normal - face.tbar[loaded]
-        assert np.all(np.abs(res[: loaded.sum()]) == 0.0)
+        (f,) = np.flatnonzero(ps.normals[:, 0] == 1.0)  # the X1-hi face
+        loaded = np.any(ps.tbar[:, f] != 0.0, axis=1)
+        assert loaded.sum() == 9
+        res = P0 @ ps.normals[f] - ps.tbar[loaded, f]
+        assert np.all(res == 0.0)
 
     def test_matches_hand_expansion_single_point(self):
         rng = np.random.default_rng(2)
@@ -184,14 +186,37 @@ class TestMSETraction:
         A = rng.standard_normal((3, 3))
         P = const_P_jets(ps.points, A)
         tu, tn = mse_traction(P, P, ps)
-        face = ps.faces[0]
-        brute = 0.0
-        for _ in face.idx:
-            r = A @ face.normal - np.asarray(tbar)
-            brute += float(r @ r)
-        brute /= face.idx.size
+        assert ps.n_traction == 9  # the 3 x 3 nodes of the X1-hi face
+        # every face point has the same residual, so the mean is one point's
+        r = A @ np.array([1.0, 0.0, 0.0]) - np.asarray(tbar)
+        brute = float(r @ r)
         assert_allclose(tu.data, brute, rtol=1e-12)
         assert_allclose(tn.data, brute, rtol=1e-12)
+
+    def test_faces_sharing_an_edge_count_edge_points_once_per_face(self):
+        rng = np.random.default_rng(5)
+        domain = BoxDomain(counts=(5, 3, 7))
+        enforcer = BCEnforcer(origin=domain.origin, lengths=domain.lengths,
+                              faces=(DirichletFace(axis=0, side="lo"),))
+        loaded = [(0, (1.0, 0.0, 0.0), (2.0, -1.0, 0.5)),
+                  (1, (0.0, 1.0, 0.0), (-3.0, 0.25, 4.0))]
+        problem = ProblemSpec(
+            name="t", domain=domain, material=NH, enforcer=enforcer,
+            patches=tuple(TractionPatch(axis=a, side="hi", traction=t) for a, _, t in loaded),
+        )
+        ps = problem.point_sets()
+        A, B = rng.standard_normal((2, 3, 3))
+        tu, tn = mse_traction(const_P_jets(ps.points, A), const_P_jets(ps.points, B), ps)
+        for P, got in ((A, tu), (B, tn)):
+            brute, pairs = 0.0, 0
+            for axis, normal, t in loaded:
+                for X in ps.points:
+                    if X[axis] == 1.0:
+                        r = P @ np.asarray(normal) - np.asarray(t)
+                        brute += float(r @ r)
+                        pairs += 1
+            assert pairs == 5 * 7 + 3 * 7  # the 7 edge points counted twice
+            assert_allclose(got.data, brute / pairs, rtol=1e-12)
 
 
 class TestMSEInterior:

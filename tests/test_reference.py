@@ -5,17 +5,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hyperelast.autodiff as ad
-from hyperelast.bvp import BoxDomain, ProblemSpec, TractionPatch, build_point_sets
+from hyperelast.bvp import (
+    BoxDomain,
+    ProblemSpec,
+    TractionPatch,
+    affine_dirichlet_problem,
+    build_point_sets,
+)
 from hyperelast.errors import NoBracket, ZeroReference
 from hyperelast.losses import assemble
 from hyperelast.materials import LopezPamies, NeoHookean, eval_cauchy, eval_psi, eval_stress
 from hyperelast.network import BCEnforcer, DirichletFace
-from hyperelast.reference import (
-    affine_dirichlet_problem,
-    affine_solution,
-    l2_error,
-    uniaxial_oracle,
-)
+from hyperelast.reference import affine_solution, l2_error, uniaxial_oracle
 
 NH = NeoHookean(lam=577.0, mu=385.0)
 

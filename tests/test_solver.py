@@ -164,7 +164,7 @@ def test_objective_equal_to_all_rows_second_order_features(name):
     split = TrainingObjective(problem, net)
     points = split.points
     assert min(points.interior_idx.size, points.boundary_idx.size) > BLOCK_POINTS
-    full = TrainingObjective(problem, net, points=points)
+    full = TrainingObjective(problem, net)
     full.features = ((net.rff.features(points.points),), None)
     f_split, g_split = split(phi)
     f_full, g_full = full(phi)
