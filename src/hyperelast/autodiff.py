@@ -338,14 +338,6 @@ def stack(operands):
     return record("stack", out, tuple(operands), vjps)
 
 
-def transpose(a):
-    """Swap the last two axes."""
-    a = constant(a)
-    return record(
-        "transpose", np.swapaxes(a.data, -1, -2), (a,), (lambda adj: np.swapaxes(adj, -1, -2),)
-    )
-
-
 def _cofactor3(m):
     """Cofactor matrices of a batch of 3x3 matrices (..., 3, 3)."""
     r0, r1, r2 = m[..., 0, :], m[..., 1, :], m[..., 2, :]
@@ -365,11 +357,12 @@ def det3(a):
     return record("det3", _det3(a.data, cof), (a,), (lambda adj: adj[..., None, None] * cof,))
 
 
-def inv3(a):
-    """Inverse of 3x3 matrices (..., 3, 3) by adjugate over determinant.
+def inv_t3(a):
+    """Inverse transpose A^{-T} of 3x3 matrices (..., 3, 3): cofactor
+    over determinant.
 
     Raises SingularMatrix where |det| is at or below ``DET_FLOOR``.  The
-    vjp is -B^T adj B^T with B = A^{-1}.
+    vjp is -A^{-T} adj^T A^{-T}.
     """
     a = constant(a)
     cof = _cofactor3(a.data)
@@ -378,8 +371,9 @@ def inv3(a):
         idx = int(np.argmin(np.abs(det)))
         raise SingularMatrix(f"|det| at or below {DET_FLOOR:g} (first offender: index {idx})")
     inv_t = cof * (1.0 / det).reshape(np.shape(a.data)[:-2] + (1, 1))
-    inv = np.swapaxes(inv_t, -1, -2)
-    return record("inv3", inv, (a,), (lambda adj: -(inv_t @ adj @ inv_t),))
+    return record(
+        "inv_t3", inv_t, (a,), (lambda adj: -(inv_t @ np.swapaxes(adj, -1, -2) @ inv_t),)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EvenCount, UnknownPreset
+from .losses import MASK_TERMS
 from .materials import LopezPamies, NeoHookean
 from .network import BCEnforcer, DirichletFace
 
@@ -179,9 +180,6 @@ def build_point_sets(domain, patches=()):
     )
 
 
-LOSS_MASKS = ("full", "dem", "dcm")
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Complete description of one boundary-value problem."""
@@ -195,8 +193,8 @@ class ProblemSpec:
     reference: object = None  # callable X -> exact displacement, if known
 
     def __post_init__(self):
-        if self.mask not in LOSS_MASKS:
-            raise ValueError(f"mask must be one of {LOSS_MASKS}")
+        if self.mask not in MASK_TERMS:
+            raise ValueError(f"mask must be one of {tuple(MASK_TERMS)}")
         if not self.enforcer.faces:
             raise ValueError("at least one essential constraint is required")
 
@@ -257,6 +255,32 @@ def affine_dirichlet_problem(F0, material, grid=None, name="affine_dirichlet"):
         material=material,
         enforcer=affine_enforcer(domain, G),
         reference=ref,
+    )
+
+
+def affine_problem(spec, grid=None):
+    """Neo-Hookean affine patch test from a ``problem.affine`` value.
+
+    ``"shear:G"`` poses F0 = I + G e1 (x) e2 and ``"stretch:a,b,c"`` poses
+    F0 = diag(a, b, c); without the part after the colon G = 0.3 and the
+    stretches are 1.1,1,1.  The grid defaults to 9^3 nodes.
+    """
+    kind, _, arg = spec.partition(":")
+    if kind == "shear":
+        gamma = float(arg or 0.3)
+        F0 = np.eye(3)
+        F0[0, 1] = gamma
+        name = f"affine_shear_{gamma:g}"
+    elif kind == "stretch":
+        diag = [float(v) for v in (arg or "1.1,1,1").split(",")]
+        if len(diag) != 3:
+            raise ValueError(f"problem.affine stretch needs three stretches a,b,c, got '{arg}'")
+        F0 = np.diag(diag)
+        name = "affine_stretch_" + "x".join(f"{d:g}" for d in diag)
+    else:
+        raise ValueError(f"problem.affine kind must be shear or stretch, got '{kind}'")
+    return affine_dirichlet_problem(
+        F0, NeoHookean(lam=577.0, mu=385.0), grid or (9, 9, 9), name=name
     )
 
 

@@ -105,8 +105,8 @@ class RunConfig:
 
 
 def read_file(path):
-    """The ``key = value`` pairs of a config file; keys are checked when
-    the pairs reach a RunConfig."""
+    """The ``key = value`` pairs of a config file; a malformed line or an
+    unknown key is reported with its file and line."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -120,7 +120,10 @@ def read_file(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
         key, _, value = line.partition("=")
-        values[key.strip()] = value
+        key = key.strip()
+        if key not in DEFAULTS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
+        values[key] = value
     return values
 
 

@@ -30,24 +30,14 @@ TERM_NAMES = (
 
 N_TERMS = len(TERM_NAMES)
 
-_MASK_TERMS = {
+# the loss terms each mask trains on
+MASK_TERMS = {
     "full": (0, 1, 2, 3, 4, 5),
     "dem": (0,),
     "dcm": (2, 4),
 }
 
-
-def active_term_indices(mask, has_traction=True):
-    """Indices of loss terms that participate for a mask.
-
-    Traction terms drop out automatically on problems with no traction
-    faces (fully essential boundaries); they would be identically zero and
-    carry no weighting information.
-    """
-    idx = _MASK_TERMS[mask]
-    if not has_traction:
-        idx = tuple(i for i in idx if i not in (2, 3))
-    return idx
+ENERGY_SHIFT_EPS = 1e-8
 
 
 @dataclass
@@ -156,21 +146,6 @@ def assemble(u, P_net, problem, points):
     )
 
 
-def total_loss(breakdown, weights, mask="full", active=None):
-    """Weighted sum of the active terms; weights enter as constants.
-
-    ``weights`` is the full six-vector (zeros on inactive terms), so no
-    gradient flows through the weighting itself.
-    """
-    if active is None:
-        active = active_term_indices(mask)
-    if not active:
-        raise ValueError("no active loss terms")
-    terms = breakdown.terms()
-    w = np.array([float(weights[i]) for i in active])
-    return ad.einsum2("t,t->", ad.stack([terms[i] for i in active]), w)
-
-
 class CoVState:
     """Streaming statistics behind the adaptive loss weights.
 
@@ -218,3 +193,51 @@ class CoVState:
         if z <= 0.0:
             return np.full(self.n, 1.0 / self.n)
         return c / z
+
+
+class LossWeights:
+    """The adaptive weights of the six loss terms under one mask.
+
+    ``active`` lists the terms that take part: the mask's, less the two
+    traction terms on a problem without traction faces (they would be
+    identically zero and carry no weighting information).  ``values`` is
+    the six-vector of weights, zero off ``active`` and uniform over it
+    until the first update.
+
+    The raw energy may be negative, so its weighting statistic is the
+    distance to the lowest energy of the earlier updates,
+    |E - E_min| + ENERGY_SHIFT_EPS (just the epsilon at the first); the
+    floor is lowered after the statistic is taken, which keeps it from
+    collapsing to the epsilon on every improving step.  The weighted sum
+    applies the resulting weight to the raw energy.
+    """
+
+    def __init__(self, mask, has_traction):
+        active = MASK_TERMS[mask]
+        if not has_traction:
+            active = tuple(i for i in active if i not in (2, 3))
+        self.active = active
+        self.cov = CoVState(len(active))
+        self.values = np.zeros(N_TERMS)
+        self.values[list(active)] = 1.0 / len(active)
+        self.energy_floor = np.inf
+
+    def update(self, term_values):
+        """Refresh the weights from one accepted iterate's six term values."""
+        stats = np.array(term_values, dtype=np.float64)
+        energy = stats[0]
+        if np.isfinite(self.energy_floor):
+            stats[0] = abs(energy - self.energy_floor) + ENERGY_SHIFT_EPS
+        else:
+            stats[0] = ENERGY_SHIFT_EPS
+        self.energy_floor = min(self.energy_floor, energy)
+        self.values = np.zeros(N_TERMS)
+        self.values[list(self.active)] = self.cov.update(stats[list(self.active)])
+
+    def total(self, breakdown):
+        """Weighted sum of the active terms on the tape; the weights enter
+        as constants, so no gradient flows through the weighting."""
+        terms = breakdown.terms()
+        return ad.einsum2(
+            "t,t->", ad.stack([terms[i] for i in self.active]), self.values[list(self.active)]
+        )

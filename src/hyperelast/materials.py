@@ -151,7 +151,7 @@ def deformation_gradient(grad_u):
             f"det F = {Jdata[idx]:.3e} <= {J_FLOOR:g} (point index {idx})",
             point_index=idx,
         )
-    FiT = ad.transpose(ad.inv3(F))
+    FiT = ad.inv_t3(F)
     I1 = ad.einsum2("...ij,...ij->...", F, F)
     if dF is None:
         return DeformationState(ad.Jet(F), ad.Jet(J), ad.Jet(I1), ad.Jet(FiT))

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bvp import affine_dirichlet_problem
 from .errors import NoBracket, ZeroReference
-from .materials import NeoHookean, eval_cauchy, eval_stress
+from .materials import eval_cauchy, eval_stress
 
 
 @dataclass(frozen=True)
@@ -98,17 +97,3 @@ def uniaxial_oracle(stretch, material, bracket=(0.2, 2.0), tol=1e-10):
     F0 = np.diag([float(stretch), lt, lt])
     return affine_solution(F0, material)
 
-
-def affine_shear_problem(gamma=0.3, material=None, grid=(9, 9, 9)):
-    material = material or NeoHookean(lam=577.0, mu=385.0)
-    F0 = np.eye(3)
-    F0[0, 1] = float(gamma)
-    return affine_dirichlet_problem(F0, material, grid=grid, name=f"affine_shear_{gamma:g}")
-
-
-def affine_stretch_problem(diag=(1.1, 1.0, 1.0), material=None, grid=(9, 9, 9)):
-    material = material or NeoHookean(lam=577.0, mu=385.0)
-    F0 = np.diag([float(d) for d in diag])
-    return affine_dirichlet_problem(
-        F0, material, grid=grid, name="affine_stretch_" + "x".join(f"{d:g}" for d in diag)
-    )

@@ -26,19 +26,11 @@ from . import autodiff as ad
 from . import bvp
 from .config import RunConfig
 from .errors import ConfigError, InvertedState, NonFiniteObjective
-from .losses import (
-    CoVState,
-    N_TERMS,
-    active_term_indices,
-    assemble,
-    total_loss,
-)
+from .losses import N_TERMS, LossWeights, assemble
 from .materials import J_WARN, cauchy, deformation_gradient, von_mises
 from .network import FieldNetwork, MLPSpec, RFFMap, displacement_gradient
 from .optim import CurriculumSchedule, LBFGSConfig, curriculum_train
-from .reference import affine_shear_problem, affine_stretch_problem, l2_error
-
-ENERGY_SHIFT_EPS = 1e-8
+from .reference import l2_error
 
 log = logging.getLogger(__name__)
 
@@ -46,11 +38,10 @@ log = logging.getLogger(__name__)
 class TrainingObjective:
     """phi -> (loss, gradient) with adaptive weighting on iteration starts.
 
-    The raw energy term may be negative; its weighting statistic is the
-    running-minimum-shifted magnitude |energy - min_so_far| + eps, while
-    the weighted sum applies the resulting weight to the raw energy.
-    An inverted deformation state during a probe yields +inf (the line
-    search backs off); at an iteration start it aborts the run.
+    ``weights`` (a ``LossWeights``) is refreshed from the loss terms of
+    each accepted iterate.  An inverted deformation state during a probe
+    yields +inf (the line search backs off); at an iteration start it
+    aborts the run.
 
     Each finite probe keeps a copy of its point, its loss breakdown and
     its input Var until the next call.  ``begin_iteration`` at that very
@@ -75,14 +66,10 @@ class TrainingObjective:
             (net.rff.features(X[inner], 2), net.rff.features(X[rest], 1)),
             (inner, rest),
         )
-        self.bc = net.enforcer.bc_jets(self.points.points)
-        self.active = active_term_indices(
-            problem.mask, has_traction=self.points.n_traction > 0
-        )
-        self.cov = CoVState(len(self.active))
-        self.weights = np.zeros(N_TERMS)
-        self.weights[list(self.active)] = 1.0 / len(self.active)
-        self.energy_floor = np.inf
+        # the stage's (load-scaled) boundary data; given bc, the network's
+        # own enforcer is never read, so one network serves every stage
+        self.bc = problem.enforcer.bc_jets(self.points.points)
+        self.weights = LossWeights(problem.mask, has_traction=self.points.n_traction > 0)
         self.last_terms = np.zeros(N_TERMS)
         self.iteration = 0  # begin_iteration calls so far, i.e. in this stage
         self._held = None  # (point, breakdown, input Var) of the last finite probe
@@ -96,7 +83,7 @@ class TrainingObjective:
         return assemble(u, P, self.problem, self.points), phi
 
     def _finish(self, breakdown, phi):
-        total = total_loss(breakdown, self.weights, active=self.active)
+        total = self.weights.total(breakdown)
         grad = ad.reverse_gradient(total, phi)
         self.last_terms = breakdown.values()
         return float(total.data), grad
@@ -130,23 +117,11 @@ class TrainingObjective:
                 "min det F = %.3e at point index %d",
                 self.iteration, det_F.min(), int(np.argmin(det_F)),
             )
-        values = breakdown.values()
-        stats = values.copy()
-        # distance to the best energy seen before this iterate; updating
-        # the floor afterwards keeps the statistic from collapsing to eps
-        # on every improving step
-        if np.isfinite(self.energy_floor):
-            stats[0] = abs(values[0] - self.energy_floor) + ENERGY_SHIFT_EPS
-        else:
-            stats[0] = ENERGY_SHIFT_EPS
-        self.energy_floor = min(self.energy_floor, values[0])
-        w = self.cov.update(stats[list(self.active)])
-        self.weights = np.zeros(N_TERMS)
-        self.weights[list(self.active)] = w
+        self.weights.update(breakdown.values())
         return self._finish(breakdown, phi)
 
     def stats(self):
-        return {"terms": self.last_terms, "weights": self.weights}
+        return {"terms": self.last_terms, "weights": self.weights.values}
 
 
 @dataclass
@@ -174,16 +149,6 @@ def build_network(problem, *, hidden=(64, 64, 64), fourier_features=64,
     )
 
 
-def _stage_network(net, problem):
-    """Rebind the network to a (possibly load-scaled) problem's enforcer."""
-    if net.enforcer is problem.enforcer:
-        return net
-    return FieldNetwork(
-        rff=net.rff, mlp=net.mlp, enforcer=problem.enforcer,
-        stress_scale=net.stress_scale,
-    )
-
-
 def train(problem, net, *, schedule=None, opt_config=None, phi0=None,
           timing=False):
     """Run the full training loop and return (phi, history)."""
@@ -192,7 +157,7 @@ def train(problem, net, *, schedule=None, opt_config=None, phi0=None,
     phi = net.init_params() if phi0 is None else np.asarray(phi0, dtype=np.float64)
 
     def factory(stage_problem):
-        return TrainingObjective(stage_problem, _stage_network(net, stage_problem))
+        return TrainingObjective(stage_problem, net)
 
     return curriculum_train(problem, schedule, factory, phi, opt_config, timing=timing)
 
@@ -263,16 +228,7 @@ def problem_from_config(cfg: RunConfig):
     if preset_name and affine:
         raise ConfigError("set either problem.preset or problem.affine, not both")
     if affine:
-        kind, _, arg = affine.partition(":")
-        if kind == "shear":
-            problem = affine_shear_problem(
-                gamma=float(arg or 0.3), grid=grid or (9, 9, 9)
-            )
-        elif kind == "stretch":
-            diag = tuple(float(v) for v in arg.split(",")) if arg else (1.1, 1.0, 1.0)
-            problem = affine_stretch_problem(diag=diag, grid=grid or (9, 9, 9))
-        else:
-            raise ConfigError(f"problem.affine kind must be shear or stretch, got '{kind}'")
+        problem = bvp.affine_problem(affine, grid)
     elif preset_name:
         problem = bvp.preset(preset_name, grid=grid)
     else:

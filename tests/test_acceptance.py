@@ -22,11 +22,7 @@ from hyperelast.materials import (
     eval_stress,
 )
 from hyperelast.optim import LBFGSConfig, lbfgs_minimize
-from hyperelast.reference import (
-    affine_shear_problem,
-    affine_stretch_problem,
-    l2_error,
-)
+from hyperelast.reference import l2_error
 
 NH = NeoHookean(lam=577.0, mu=385.0)
 LP = LopezPamies(alphas=(1.0, -2.0), mus=(100.0, 50.0), lam=100.0)
@@ -212,8 +208,8 @@ class TestCriterion1AffinePatch:
         tic = time.time()
         results = {}
         for label, problem in (
-            ("shear 0.3", affine_shear_problem(gamma=0.3, grid=(9, 9, 9))),
-            ("stretch 1.1", affine_stretch_problem(diag=(1.1, 1.0, 1.0), grid=(9, 9, 9))),
+            ("shear 0.3", bvp.affine_problem("shear:0.3", (9, 9, 9))),
+            ("stretch 1.1", bvp.affine_problem("stretch:1.1,1.0,1.0", (9, 9, 9))),
         ):
             net, phi, hist = train_patch(problem, max_iters=300)
             assert len(hist) <= 2000

@@ -8,6 +8,7 @@ from hyperelast.bvp import (
     BoxDomain,
     PRESET_NAMES,
     TractionPatch,
+    affine_problem,
     build_point_sets,
     preset,
     simpson_weights_1d,
@@ -222,3 +223,25 @@ class TestPresets:
         assert loaded[0].traction == (0.0, -2.5, 0.0)
         # the exact field of a scaled stage is not the scaled exact field
         assert preset("nh_simple_shear", grid=(3, 3, 3)).scaled(0.5).reference is None
+
+
+class TestAffineProblem:
+    def test_defaults_and_names(self):
+        shear, stretch = affine_problem("shear"), affine_problem("stretch")
+        assert (shear.name, stretch.name) == ("affine_shear_0.3", "affine_stretch_1.1x1x1")
+        assert shear.domain.counts == stretch.domain.counts == (9, 9, 9)
+        X = np.array([[0.2, 0.5, 0.7]])
+        assert_allclose(shear.reference(X), [[0.15, 0.0, 0.0]], rtol=1e-15)
+        assert_allclose(stretch.reference(X), [[0.02, 0.0, 0.0]], atol=1e-17)
+        assert affine_problem("shear:0.3").name == "affine_shear_0.3"
+        assert affine_problem("stretch:1.1,1.0,1.0", (5, 5, 5)).name == "affine_stretch_1.1x1x1"
+        assert affine_problem("stretch:1.1,1.0,1.0", (5, 5, 5)).domain.counts == (5, 5, 5)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("stretch:1.1,1.0", "three stretches"),
+        ("twist:0.1", "shear or stretch"),
+        ("stretch:-1,1,1", "det F0"),
+    ])
+    def test_rejected(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            affine_problem(spec)

@@ -325,6 +325,7 @@ class TestCLI:
         ["--set", "problem.grid=4,4,4"],
         ["--set", "history.timing=on"],
         ["--affine", "stretch:-1,1,1"],
+        ["--affine", "stretch:1.1,1.0"],
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, bad):
         code = cli.main(["solve", *TINY_SOLVE, *bad, "--out", str(tmp_path)])
@@ -378,7 +379,7 @@ class TestCLI:
 
     @pytest.mark.parametrize("case", [
         "missing checkpoint", "not json", "no config", "text param", "short params",
-        "missing config file",
+        "missing config file", "unknown key in config file",
     ])
     def test_bad_input_file_exit_2(self, tmp_path, capsys, case):
         path = self.tiny_checkpoint(tmp_path)
@@ -400,10 +401,17 @@ class TestCLI:
         elif case == "missing config file":
             path = str(tmp_path / "missing.txt")
             argv = ["solve", "--config", path]
+        elif case == "unknown key in config file":
+            path = str(tmp_path / "f.txt")
+            with open(path, "w") as fh:
+                fh.write("network.bogus = 1\n")
+            argv = ["solve", "--config", path]
         code = cli.main([*argv, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and path in err
+        if case == "unknown key in config file":
+            assert f"{path}:1: unknown config key 'network.bogus'" in err
 
     def test_run_oracles_sizing_and_failed_status(self, monkeypatch, capsys):
         seen = []

@@ -10,21 +10,27 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hyperelast.autodiff as ad
-from hyperelast.bvp import BoxDomain, ProblemSpec, TractionPatch, build_point_sets, preset
+from hyperelast.bvp import (
+    BoxDomain,
+    ProblemSpec,
+    TractionPatch,
+    affine_problem,
+    build_point_sets,
+    preset,
+)
 from hyperelast.errors import LengthMismatch, NonFiniteLoss
 from hyperelast.losses import (
+    ENERGY_SHIFT_EPS,
     CoVState,
-    active_term_indices,
+    LossWeights,
     assemble,
     mse_constitutive,
     mse_interior,
     mse_traction,
     potential_energy,
-    total_loss,
 )
 from hyperelast.materials import NeoHookean
 from hyperelast.network import BCEnforcer, DirichletFace
-from hyperelast.reference import affine_shear_problem
 
 NH = NeoHookean(lam=577.0, mu=385.0)
 
@@ -55,7 +61,7 @@ def const_P_jets(X, P0):
 
 class TestPotentialEnergy:
     def test_zero_field_zero_energy(self):
-        problem = affine_shear_problem(gamma=0.3, grid=(3, 3, 3))
+        problem = affine_problem("shear:0.3", (3, 3, 3))
         ps = problem.point_sets()
         total, internal, external = potential_energy(
             zero_u_jets(ps.points), problem, ps
@@ -75,7 +81,7 @@ class TestPotentialEnergy:
         # psi is constant for homogeneous shear, so the quadrature is exact:
         # energy = mu/2 * gamma^2 * volume (J = 1, I1 = 3 + gamma^2)
         gamma = 0.4
-        problem = affine_shear_problem(gamma=gamma, grid=(5, 5, 5))
+        problem = affine_problem(f"shear:{gamma}", (5, 5, 5))
         ps = problem.point_sets()
         G = np.zeros((3, 3))
         G[0, 1] = gamma
@@ -240,7 +246,7 @@ class TestMSEInterior:
 
     def test_affine_displacement_equilibrium(self):
         # homogeneous deformation: constant stress, zero divergence
-        problem = affine_shear_problem(gamma=0.3, grid=(5, 5, 5))
+        problem = affine_problem("shear:0.3", (5, 5, 5))
         ps = problem.point_sets()
         G = np.zeros((3, 3))
         G[0, 1] = 0.3
@@ -347,6 +353,16 @@ class TestCoVUpdate:
             CoVState(3).update(np.ones(2))
 
 
+class ScriptedBreakdown:
+    """Six loss terms read off a (6,) Var, taped or constant."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def terms(self):
+        return tuple(ad.einsum2("t,t->", self.x, np.eye(6)[i]) for i in range(6))
+
+
 class TestTotalLoss:
     def _unit_breakdown(self, problem, ps):
         u = zero_u_jets(ps.points)
@@ -355,25 +371,26 @@ class TestTotalLoss:
 
     def test_uniform_weights_unit_terms(self):
         # direct check of the weighted-sum identity on scripted scalars
-        class Fake:
-            def terms(self):
-                return tuple(ad.constant(1.0) for _ in range(6))
-
-        total = total_loss(Fake(), np.full(6, 1 / 6), active=range(6))
+        total = LossWeights("full", has_traction=True).total(ScriptedBreakdown(np.ones(6)))
         assert_allclose(total.data, 1.0, rtol=1e-15)
 
     def test_dem_mask_keeps_energy_only(self):
         problem = preset("nh_cantilever_traction", grid=(5, 3, 3))
         ps = problem.point_sets()
         br = self._unit_breakdown(problem, ps)
-        w = np.ones(6)
-        total = total_loss(br, w, mask="dem")
+        total = LossWeights("dem", has_traction=True).total(br)
         assert total.data == br.energy.data
 
     def test_dcm_mask_terms(self):
-        assert active_term_indices("dcm") == (2, 4)
-        assert active_term_indices("dem") == (0,)
-        assert active_term_indices("full", has_traction=False) == (0, 1, 4, 5)
+        for mask, has_traction, active in (
+            ("full", True, (0, 1, 2, 3, 4, 5)),
+            ("full", False, (0, 1, 4, 5)),
+            ("dem", True, (0,)),
+            ("dem", False, (0,)),
+            ("dcm", True, (2, 4)),
+            ("dcm", False, (4,)),
+        ):
+            assert LossWeights(mask, has_traction).active == active
 
     def test_weighted_sum_matches_dot_product(self):
         problem = preset("nh_localized_traction", grid=(5, 5, 5))
@@ -383,9 +400,65 @@ class TestTotalLoss:
         u = linear_u_jets(ps.points, G)
         P = const_P_jets(ps.points, rng.standard_normal((3, 3)))
         br = assemble(u, P, problem, ps)
-        w = rng.uniform(0, 1, size=6)
-        total = total_loss(br, w, mask="full")
-        assert_allclose(total.data, float(np.dot(w, br.values())), rtol=1e-12)
+        weights = LossWeights("full", has_traction=True)
+        for _ in range(3):
+            weights.update(rng.uniform(0.1, 10.0, size=6))
+        assert np.all(weights.values > 0.0)
+        total = weights.total(br)
+        assert_allclose(total.data, float(np.dot(weights.values, br.values())), rtol=1e-12)
+
+    def test_total_tape_gradient_matches_fd(self):
+        rng = np.random.default_rng(8)
+        weights = LossWeights("full", has_traction=False)
+        for _ in range(4):
+            weights.update(rng.uniform(0.1, 10.0, size=6))
+
+        def total(x):
+            tape = ad.Tape()
+            xv = tape.input(x)
+            out = weights.total(ScriptedBreakdown(xv))
+            return float(out.data), ad.reverse_gradient(out, xv)
+
+        x = rng.uniform(0.1, 10.0, size=6)
+        _, g = total(x)
+        assert np.array_equal(g == 0.0, weights.values == 0.0)
+        assert ad.fd_check(lambda v: total(v)[0], x, g, h=1e-6) <= 1e-8
+
+
+class TestLossWeights:
+    def test_uniform_over_active_until_history(self):
+        weights = LossWeights("full", has_traction=False)
+        expected = np.array([0.25, 0.25, 0.0, 0.0, 0.25, 0.25])
+        assert np.array_equal(weights.values, expected)
+        # the coefficient of variation is degenerate after one update
+        weights.update(np.array([-3.0, 1.0, 0.0, 0.0, 10.0, 100.0]))
+        assert np.array_equal(weights.values, expected)
+
+    def test_energy_statistic_uses_earlier_floor(self, monkeypatch):
+        weights = LossWeights("dem", has_traction=True)
+        seen = []
+        inner = weights.cov.update
+        monkeypatch.setattr(weights.cov, "update", lambda v: seen.append(v.copy()) or inner(v))
+        energies = (5.0, 3.0, 4.0, 1.0, 2.0)
+        floors = []
+        for e in energies:
+            weights.update(np.array([e, 7.0, 7.0, 7.0, 7.0, 7.0]))
+            floors.append(weights.energy_floor)
+        assert floors == [5.0, 3.0, 3.0, 1.0, 1.0]
+        eps = ENERGY_SHIFT_EPS
+        expected = [eps, 2.0 + eps, 1.0 + eps, 2.0 + eps, 1.0 + eps]
+        assert [float(v[0]) for v in seen] == expected
+        assert all(v.shape == (1,) for v in seen)
+
+    @pytest.mark.parametrize("mask, has_traction", [("dcm", True), ("full", False), ("dem", True)])
+    def test_zero_off_active(self, mask, has_traction):
+        weights = LossWeights(mask, has_traction)
+        off = [i for i in range(6) if i not in weights.active]
+        rng = np.random.default_rng(10)
+        for _ in range(6):
+            weights.update(rng.uniform(0.1, 10.0, size=6))
+            assert np.all(weights.values[off] == 0.0)
+            assert abs(weights.values.sum() - 1.0) <= 1e-12
 
 
 class TestGradientFlow:

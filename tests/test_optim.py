@@ -237,10 +237,10 @@ class TestCurriculum:
     def test_warm_start_beats_cold_start(self):
         # train the affine shear patch test at half load, then compare the
         # full-load starting losses with and without the warm start
-        from hyperelast.reference import affine_shear_problem
+        from hyperelast.bvp import affine_problem
         from hyperelast.solver import TrainingObjective, build_network, train
 
-        problem = affine_shear_problem(gamma=0.3, grid=(5, 5, 5))
+        problem = affine_problem("shear:0.3", (5, 5, 5))
         net = build_network(problem, hidden=(12,), fourier_features=4, seed=10)
         phi0 = net.init_params()
         phi_warm, hist = train(

@@ -54,8 +54,8 @@ def _nearby_points(net):
 def _same_state(a, b, out_a, out_b):
     assert out_a[0] == out_b[0]
     assert np.array_equal(out_a[1], out_b[1])
-    assert np.array_equal(a.weights, b.weights)
-    assert a.energy_floor == b.energy_floor
+    assert np.array_equal(a.weights.values, b.weights.values)
+    assert a.weights.energy_floor == b.weights.energy_floor
     assert np.array_equal(a.last_terms, b.last_terms)
 
 
@@ -132,7 +132,7 @@ def _rows_equal(a, b):
 # every field is one batched jet from the network head to the loss, so an
 # evaluation records a few dozen nodes per stage rather than one per
 # scalar entry of a 3x3 matrix; this bound guards against regrowth
-TAPE_NODE_BUDGET = 89
+TAPE_NODE_BUDGET = 88
 
 
 @pytest.mark.parametrize("name", ["nh_cantilever_traction", "lp_cantilever_displacement"])
