@@ -28,6 +28,8 @@ by reference counting as soon as its evaluation ends.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, EmptyTape, SingularMatrix
@@ -259,54 +261,150 @@ def take(a, indices, axis=0):
     return record("take", out, (a,), (back,))
 
 
-def _name_batch_axes(spec, ndim, letters):
-    """Replace the ellipsis of ``spec`` by the last of ``letters`` it covers."""
-    if "..." not in spec:
-        return spec
-    n = ndim - (len(spec) - 3)
-    return spec.replace("...", letters[len(letters) - n:])
+# ---------------------------------------------------------------------------
+# contraction kernels
+# ---------------------------------------------------------------------------
+#
+# Every contraction of the evaluation path is one of the kernels below.
+# Each forward pass and vjp is one np.matmul or np.multiply on views whose
+# shapes follow from the operands; leading batch axes are fused into one.
+# The layouts are those numpy's einsum (2.4, optimize=True) builds for the
+# contraction quoted in each docstring -- the second operand on the left of
+# the matmul, the same axes fused and copied -- so the results equal it bit
+# for bit without parsing a subscript string on every call.
 
 
-def _einsum_back(out_spec, other_spec, target_spec, adj, other):
-    """Adjoint of one einsum operand by swapping its spec with the output's.
-
-    When the target spec carries no ellipsis (a weight shared by the whole
-    batch), the batch axes are named explicitly, right-aligned as
-    broadcasting aligns them, so that a single contraction sums them out
-    instead of materialising the per-point products first.
-    """
-    if "..." in target_spec:
-        return np.einsum(f"{out_spec},{other_spec}->{target_spec}", adj, other, optimize=True)
-    used = set(out_spec + other_spec + target_spec)
-    n_batch = adj.ndim - (len(out_spec) - 3) if "..." in out_spec else 0
-    letters = "".join(c for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ" if c not in used)[:n_batch]
-    spec = (
-        f"{_name_batch_axes(out_spec, adj.ndim, letters)},"
-        f"{_name_batch_axes(other_spec, other.ndim, letters)}->{target_spec}"
-    )
-    return np.einsum(spec, adj, other, optimize=True)
-
-
-def einsum2(spec, a, b):
-    """Two-operand einsum with contraction-style specs (no diagonals).
-
-    The backward rule swaps the output subscript with the operand's, which
-    is valid because every index of an operand appears either in the output
-    or in the other operand for the patterns used in this package.
-    """
-    a, b = _coerce(a, b)
-    ins, out_spec = spec.split("->")
-    sa, sb = ins.split(",")
-    out = np.einsum(spec, a.data, b.data, optimize=True)
-    ad, bd = a.data, b.data
+def _contraction(op, a, b, out, back_a, back_b):
+    """Record a two-operand kernel; back_x(adj, other operand's array)."""
+    ad_, bd = a.data, b.data
     return record(
-        f"einsum[{spec}]",
-        out,
-        (a, b),
-        (
-            lambda adj: _einsum_back(out_spec, sb, sa, adj, bd),
-            lambda adj: _einsum_back(out_spec, sa, sb, adj, ad),
-        ),
+        op, out, (a, b), (lambda adj: back_a(adj, bd), lambda adj: back_b(adj, ad_))
+    )
+
+
+def scale(s, m):
+    """s times m, with s broadcast over the trailing axes of m
+    ('...,...ij->...ij')."""
+    s, m = _coerce(s, m)
+    sd = s.data
+    s_b = sd.reshape(sd.shape + (1,) * (m.data.ndim - sd.ndim))
+    k = math.prod(m.data.shape[sd.ndim:])
+    return _contraction(
+        "scale", s, m, np.multiply(m.data, s_b),
+        lambda adj, md: np.matmul(md.reshape(-1, 1, k), adj.reshape(-1, k, 1)).reshape(sd.shape),
+        lambda adj, _: np.multiply(s_b, adj),
+    )
+
+
+def outer(m, v):
+    """Per-point outer product, v's last axis appended to m's axes
+    ('...ij,...k->...ijk')."""
+    m, v = _coerce(m, v)
+    md, vd = m.data, v.data
+    nb, q = vd.ndim - 1, vd.shape[-1]
+    k = math.prod(md.shape[nb:])
+    out = np.multiply(vd.reshape(vd.shape[:-1] + (1,) * (md.ndim - nb) + (q,)), md[..., None])
+    return _contraction(
+        "outer", m, v, out,
+        lambda adj, vd: np.matmul(
+            vd.reshape(-1, 1, q), np.moveaxis(adj, -1, nb).reshape(-1, q, k)
+        ).reshape(md.shape),
+        lambda adj, md: np.matmul(md.reshape(-1, 1, k), adj.reshape(-1, k, q)).reshape(vd.shape),
+    )
+
+
+def inner(a, b, batch_ndim=0):
+    """Sum of a * b over every axis past the first ``batch_ndim``
+    ('...ij,...ij->...'; 'n,n->' at batch_ndim 0)."""
+    a, b = _coerce(a, b)
+    ad_, bd = a.data, b.data
+    batch = ad_.shape[:batch_ndim]
+    lead = (-1,) if batch_ndim else ()
+    k = math.prod(ad_.shape[batch_ndim:])
+    out = np.matmul(bd.reshape(lead + (1, k)), ad_.reshape(lead + (k, 1))).reshape(batch)
+    spread = batch + (1,) * (ad_.ndim - batch_ndim)
+    return _contraction(
+        "inner", a, b, out,
+        lambda adj, bd: np.multiply(bd, adj.reshape(spread)),
+        lambda adj, ad_: np.multiply(ad_, adj.reshape(spread)),
+    )
+
+
+def matvec(m, v):
+    """Per-point matrix-vector product m v ('...kd,...d->...k')."""
+    m, v = _coerce(m, v)
+    md, vd = m.data, v.data
+    batch, (k, d) = vd.shape[:-1], md.shape[-2:]
+    out = np.matmul(md.reshape(-1, k, d), vd.reshape(-1, d, 1)).reshape(batch + (k,))
+    return _contraction(
+        "matvec", m, v, out,
+        lambda adj, vd: np.multiply(vd.reshape(batch + (1, d)), adj.reshape(batch + (k, 1))),
+        lambda adj, md: np.matmul(
+            np.swapaxes(md, -1, -2).reshape(-1, d, k), adj.reshape(-1, k, 1)
+        ).reshape(vd.shape),
+    )
+
+
+def vecmat(v, m, batch_ndim):
+    """Per-point product of v's axes past ``batch_ndim`` with the leading
+    non-batch axes of m ('...ij,...ijk->...k')."""
+    v, m = _coerce(v, m)
+    vd, md = v.data, m.data
+    batch, q = vd.shape[:batch_ndim], md.shape[-1]
+    k = math.prod(vd.shape[batch_ndim:])
+    out = np.matmul(
+        np.moveaxis(md, -1, batch_ndim).reshape(-1, q, k), vd.reshape(-1, k, 1)
+    ).reshape(batch + (q,))
+    spread = batch + (1,) * (vd.ndim - batch_ndim) + (q,)
+    return _contraction(
+        "vecmat", v, m, out,
+        lambda adj, md: np.matmul(md.reshape(-1, k, q), adj.reshape(-1, q, 1)).reshape(vd.shape),
+        lambda adj, vd: np.multiply(vd[..., None], adj.reshape(spread)),
+    )
+
+
+def contract(w, a, axes, dest=0):
+    """Contract ``axes`` of a (increasing) with the trailing axes of w.
+
+    The output holds a's remaining axes in order, with w's leading axes
+    inserted at position ``dest``: 'nij,fj->nfi' is
+    contract(normals, P, (2,), dest=1) and 'r...,r->...' is
+    contract(coeffs, powers, (0,)).
+    """
+    w, a = _coerce(w, a)
+    wd, ad_ = w.data, a.data
+    axes = tuple(ax % ad_.ndim for ax in axes)
+    if wd.shape[wd.ndim - len(axes):] != tuple(ad_.shape[ax] for ax in axes):
+        raise ValueError(f"contract: w {wd.shape} does not match axes {axes} of {ad_.shape}")
+    rest = tuple(i for i in range(ad_.ndim) if i not in axes)
+    perm = axes + rest
+    k = math.prod(wd.shape[wd.ndim - len(axes):])
+    free = wd.shape[: wd.ndim - len(axes)]
+    lands = tuple(range(dest, dest + len(free)))
+    rest_shape = tuple(ad_.shape[i] for i in rest)
+    a_mat = ad_.transpose(perm).reshape(k, -1)
+    out = np.matmul(wd.reshape(-1, k), a_mat).reshape(free + rest_shape)
+    out = np.moveaxis(out, tuple(range(len(free))), lands)
+
+    def adj_rows(adj):
+        return np.moveaxis(adj, lands, tuple(range(len(free)))).reshape(-1, a_mat.shape[1])
+
+    if free:
+        def back_a(adj, wd):
+            return np.matmul(wd.reshape(-1, k).T, adj_rows(adj)).reshape(
+                tuple(ad_.shape[i] for i in perm)
+            ).transpose(np.argsort(perm))
+    else:
+        a_spread = tuple(1 if i in axes else n for i, n in enumerate(ad_.shape))
+        w_spread = tuple(n if i in axes else 1 for i, n in enumerate(ad_.shape))
+
+        def back_a(adj, wd):
+            return np.multiply(wd.reshape(w_spread), adj.reshape(a_spread))
+
+    return _contraction(
+        "contract", w, a, out,
+        lambda adj, _: np.matmul(adj_rows(adj), a_mat.T).reshape(wd.shape),
+        back_a,
     )
 
 
@@ -338,10 +436,18 @@ def stack(operands):
     return record("stack", out, tuple(operands), vjps)
 
 
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
 def _cofactor3(m):
-    """Cofactor matrices of a batch of 3x3 matrices (..., 3, 3)."""
-    r0, r1, r2 = m[..., 0, :], m[..., 1, :], m[..., 2, :]
-    return np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-2)
+    """Cofactor matrices of a batch of 3x3 matrices (..., 3, 3): row i is
+    the cross product of rows i+1 and i+2, a_j b_k - a_k b_j (cyclic
+    j, k after i), all three rows at once; C-ordered like m."""
+    a, b = m[..., _NEXT, :], m[..., _PREV, :]
+    return np.subtract(
+        a[..., _NEXT] * b[..., _PREV], a[..., _PREV] * b[..., _NEXT], out=np.empty(m.shape)
+    )
 
 
 def _det3(m, cof):
@@ -373,6 +479,40 @@ def inv_t3(a):
     inv_t = cof * (1.0 / det).reshape(np.shape(a.data)[:-2] + (1, 1))
     return record(
         "inv_t3", inv_t, (a,), (lambda adj: -(inv_t @ np.swapaxes(adj, -1, -2) @ inv_t),)
+    )
+
+
+def inv_t3_grad(g, dA):
+    """Spatial gradient of A^{-T} from G = A^{-T} (..., 3, 3) and the
+    gradient dA (..., 3, 3, 3), derivative axis last: -G_cb dA_cdk G_ad,
+    as the two contractions '...cdk,...ad->...cak' and
+    '...cak,...cb->...abk' (two tape nodes, the sign folded into the
+    second)."""
+    g, dA = _coerce(g, dA)
+    gd, shape = g.data, dA.data.shape
+
+    def times(m, x_rows):  # m (..., 3, 3) @ x_rows (..., 3, 9) as (..., 3, 3, 3)
+        return np.matmul(m.reshape(-1, 3, 3), x_rows).reshape(shape)
+
+    def rows(x):  # (..., c, d, k) -> (..., d, ck)
+        return np.swapaxes(x, -3, -2).reshape(-1, 3, 9)
+
+    def cols(x):  # (..., c, a, k) -> (..., ck, a)
+        return np.swapaxes(x, -1, -2).reshape(-1, 9, 3)
+
+    gt = np.swapaxes(gd, -1, -2)
+    dA_rows = rows(dA.data)
+    t = np.swapaxes(times(gd, dA_rows), -3, -2)
+    t_rows = t.reshape(-1, 3, 9)
+    half = _contraction(
+        "inv_t3_grad", dA, g, t,
+        lambda adj, _: np.swapaxes(times(gt, rows(adj)), -3, -2),
+        lambda adj, _: np.swapaxes(np.matmul(dA_rows, cols(adj)), -1, -2).reshape(gd.shape),
+    )
+    return _contraction(
+        "inv_t3_grad", half, g, np.negative(np.swapaxes(times(gt, t_rows), -3, -2)),
+        lambda adj, _: times(gd, rows(np.negative(adj))),
+        lambda adj, _: np.matmul(t_rows, cols(np.negative(adj))).reshape(gd.shape),
     )
 
 

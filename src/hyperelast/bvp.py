@@ -45,6 +45,8 @@ class BoxDomain:
         object.__setattr__(self, "counts", tuple(int(v) for v in self.counts))
         if any(l <= 0.0 for l in self.lengths):
             raise ValueError(f"lengths must be positive, got {self.lengths}")
+        if len(self.counts) != 3:
+            raise ValueError(f"grid needs three counts, got {self.counts}")
         for n in self.counts:
             if n < 3 or n % 2 == 0:
                 raise EvenCount(f"grid counts must be odd and >= 3, got {self.counts}")
@@ -266,13 +268,22 @@ def affine_problem(spec, grid=None):
     stretches are 1.1,1,1.  The grid defaults to 9^3 nodes.
     """
     kind, _, arg = spec.partition(":")
+
+    def number(token):
+        try:
+            return float(token)
+        except ValueError:
+            raise ValueError(
+                f"problem.affine {kind} value '{token}' is not a number (in '{spec}')"
+            ) from None
+
     if kind == "shear":
-        gamma = float(arg or 0.3)
+        gamma = number(arg or 0.3)
         F0 = np.eye(3)
         F0[0, 1] = gamma
         name = f"affine_shear_{gamma:g}"
     elif kind == "stretch":
-        diag = [float(v) for v in (arg or "1.1,1,1").split(",")]
+        diag = [number(v) for v in (arg or "1.1,1,1").split(",")]
         if len(diag) != 3:
             raise ValueError(f"problem.affine stretch needs three stretches a,b,c, got '{arg}'")
         F0 = np.diag(diag)

@@ -79,9 +79,9 @@ def potential_energy(u, problem, points, state=None):
     psi = problem.material.psi(state)
     if psi.data.shape[0] != points.vol_weights.shape[0]:
         raise LengthMismatch("energy density not aligned with volume weights")
-    internal = ad.einsum2("n,n->", psi, points.vol_weights)
+    internal = ad.inner(psi, points.vol_weights)
     load = points.load
-    external = ad.einsum2("ni,ni->", u.val, load) if np.any(load) else ad.constant(0.0)
+    external = ad.inner(u.val, load) if np.any(load) else ad.constant(0.0)
     return ad.sub(internal, external), internal, external
 
 
@@ -91,7 +91,7 @@ def mse_constitutive(P_net, P_u):
         raise LengthMismatch("stress fields sampled on different point sets")
     d = ad.sub(P_net.val, P_u.val)
     n_points = d.data.size // 9
-    return ad.mul(ad.einsum2("...ij,...ij->", d, d), 1.0 / n_points)
+    return ad.mul(ad.inner(d, d), 1.0 / n_points)
 
 
 def mse_traction(P_u, P_net, points):
@@ -106,15 +106,15 @@ def mse_traction(P_u, P_net, points):
         return z, z
     sums = []
     for P in (P_u, P_net):
-        PN = ad.einsum2("nij,fj->nfi", P.val, points.normals)
+        PN = ad.contract(points.normals, P.val, (2,), dest=1)
         r = ad.mul(ad.sub(PN, points.tbar), points.member)
-        sums.append(ad.mul(ad.einsum2("nfi,nfi->", r, r), 1.0 / points.n_traction))
+        sums.append(ad.mul(ad.inner(r, r), 1.0 / points.n_traction))
     return sums[0], sums[1]
 
 
 def divergence_at(P, idx):
     """Row divergence (div P)_i = sum_j dP_ij/dX_j at selected points."""
-    return ad.einsum2("nijk,jk->ni", ad.take(P.grad, idx, axis=0), np.eye(3))
+    return ad.contract(np.eye(3), ad.take(P.grad, idx, axis=0), (2, 3))
 
 
 def mse_interior(P_u, P_net, points):
@@ -123,7 +123,7 @@ def mse_interior(P_u, P_net, points):
     sums = []
     for P in (P_u, P_net):
         r = divergence_at(P, idx)
-        sums.append(ad.mul(ad.einsum2("ni,ni->", r, r), 1.0 / idx.size))
+        sums.append(ad.mul(ad.inner(r, r), 1.0 / idx.size))
     return sums[0], sums[1]
 
 
@@ -238,6 +238,4 @@ class LossWeights:
         """Weighted sum of the active terms on the tape; the weights enter
         as constants, so no gradient flows through the weighting."""
         terms = breakdown.terms()
-        return ad.einsum2(
-            "t,t->", ad.stack([terms[i] for i in self.active]), self.values[list(self.active)]
-        )
+        return ad.inner(ad.stack([terms[i] for i in self.active]), self.values[list(self.active)])

@@ -110,13 +110,10 @@ def _scalar_times(s, M):
     """Product of a scalar jet (or float) s with a matrix jet M (..., 3, 3)."""
     if not isinstance(s, ad.Jet):
         return ad.Jet(ad.mul(M.val, s), None if M.grad is None else ad.mul(M.grad, s))
-    val = ad.einsum2("...,...ij->...ij", s.val, M.val)
+    val = ad.scale(s.val, M.val)
     if M.grad is None:
         return ad.Jet(val)
-    grad = ad.add(
-        ad.einsum2("...,...ijk->...ijk", s.val, M.grad),
-        ad.einsum2("...ij,...k->...ijk", M.val, s.grad),
-    )
+    grad = ad.add(ad.scale(s.val, M.grad), ad.outer(M.val, s.grad))
     return ad.Jet(val, grad)
 
 
@@ -132,7 +129,7 @@ def _scalar_jet(val, d_val, d_arg):
     """Jet of f(arg) from the values f and f' and the gradient of arg."""
     if d_arg is None:
         return ad.Jet(val)
-    return ad.Jet(val, ad.einsum2("...,...k->...k", d_val, d_arg))
+    return ad.Jet(val, ad.scale(d_val, d_arg))
 
 
 def deformation_gradient(grad_u):
@@ -152,15 +149,13 @@ def deformation_gradient(grad_u):
             point_index=idx,
         )
     FiT = ad.inv_t3(F)
-    I1 = ad.einsum2("...ij,...ij->...", F, F)
+    I1 = ad.inner(F, F, batch_ndim=F.data.ndim - 2)
     if dF is None:
         return DeformationState(ad.Jet(F), ad.Jet(J), ad.Jet(I1), ad.Jet(FiT))
-    dJ = ad.einsum2("...,...k->...k", J, ad.einsum2("...ij,...ijk->...k", FiT, dF))
-    dI1 = ad.mul(ad.einsum2("...ij,...ijk->...k", F, dF), 2.0)
-    # d(F^-T)_ab = -F^-T_cb dF_cd F^-T_ad
-    dFiT = ad.neg(
-        ad.einsum2("...cak,...cb->...abk", ad.einsum2("...cdk,...ad->...cak", dF, FiT), FiT)
-    )
+    nb = F.data.ndim - 2
+    dJ = ad.scale(J, ad.vecmat(FiT, dF, nb))
+    dI1 = ad.mul(ad.vecmat(F, dF, nb), 2.0)
+    dFiT = ad.inv_t3_grad(FiT, dF)
     return DeformationState(
         F=ad.Jet(F, dF), J=ad.Jet(J, dJ), I1=ad.Jet(I1, dI1), F_inv_T=ad.Jet(FiT, dFiT)
     )
@@ -196,7 +191,7 @@ def psi_lp(mat, state):
     alphas = np.array(mat.alphas)
     coeffs = 3.0 ** (1.0 - alphas) / (2.0 * alphas) * np.array(mat.mus)
     powers = ad.sub(ad.pow_(state.I1.val, _batched(alphas, state)), _batched(3.0**alphas, state))
-    total = ad.einsum2("r...,r->...", powers, coeffs)
+    total = ad.contract(coeffs, powers, (0,))
     J = state.J.val
     total = ad.sub(total, ad.mul(ad.log(J), sum(mat.mus)))
     Jm1 = ad.sub(J, 1.0)
@@ -210,9 +205,9 @@ def P_lp(mat, state):
     I1, J = state.I1, state.J
     powers = ad.pow_(I1.val, _batched(alphas - 1.0, state))
     scale = _scalar_jet(
-        ad.einsum2("r...,r->...", powers, coeffs),
+        ad.contract(coeffs, powers, (0,)),
         # d/dI1 of sum_r c_r I1^(a_r - 1) = sum_r c_r (a_r - 1) I1^(a_r - 1) / I1
-        ad.div(ad.einsum2("r...,r->...", powers, coeffs * (alphas - 1.0)), I1.val),
+        ad.div(ad.contract(coeffs * (alphas - 1.0), powers, (0,)), I1.val),
         I1.grad,
     )
     J2mJ = ad.sub(ad.mul(J.val, J.val), J.val)

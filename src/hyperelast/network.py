@@ -97,16 +97,23 @@ class RFFMap:
         X = np.asarray(X, dtype=np.float64)
         W = 2.0 * np.pi * self.freq  # (m, 3)
         w = np.einsum("...d,md->...m", X, W, optimize=True)
-        cw, sw = np.cos(w)[..., None, :], np.sin(w)[..., None, :]
+        c, s = np.cos(w), np.sin(w)
         stack = np.empty(X.shape[:-1] + (10 if order == 2 else 4, 2 * self.m))
-        stack[..., :1, 0::2] = cw
-        stack[..., :1, 1::2] = sw
-        stack[..., 1:4, 0::2] = -sw * W.T
-        stack[..., 1:4, 1::2] = cw * W.T
+        # the value row and its quarter turn (-sin, cos) are interleaved
+        # once; each derivative channel block is then one product with the
+        # frequency factors repeated per cos/sin pair, written contiguously
+        val = stack[..., 0, :]
+        val[..., 0::2] = c
+        val[..., 1::2] = s
+        turn = np.empty_like(val)
+        np.negative(s, out=turn[..., 0::2])
+        turn[..., 1::2] = c
+        np.multiply(turn[..., None, :], np.repeat(W.T, 2, axis=-1), out=stack[..., 1:4, :])
         if order == 2:
             WW = (W[:, ad.PACK_A] * W[:, ad.PACK_B]).T  # (6, m)
-            stack[..., 4:, 0::2] = -cw * WW
-            stack[..., 4:, 1::2] = -sw * WW
+            np.multiply(
+                np.negative(val)[..., None, :], np.repeat(WW, 2, axis=-1), out=stack[..., 4:, :]
+            )
         return stack
 
 
@@ -442,14 +449,14 @@ class BCEnforcer:
         val = ad.add(lift.val, ad.mul(y_u.val, Bv))
         grad = ad.add(
             lift.grad,
-            ad.add(ad.mul(y_u.grad, Bv[..., None]), ad.einsum2("...i,...id->...id", y_u.val, Bg)),
+            ad.add(ad.mul(y_u.grad, Bv[..., None]), ad.scale(y_u.val, Bg)),
         )
         if order < 2:
             return ad.Jet(val, grad)
         Bh = mask.hess.data
         hess = ad.add(
-            ad.add(ad.mul(y_u.hess, Bv[..., None]), ad.einsum2("...i,...ik->...ik", y_u.val, Bh)),
-            ad.einsum2("...id,...ikd->...ik", y_u.grad, cross),
+            ad.add(ad.mul(y_u.hess, Bv[..., None]), ad.scale(y_u.val, Bh)),
+            ad.matvec(cross, y_u.grad),
         )
         return ad.Jet(val, grad, hess)
 

@@ -223,6 +223,8 @@ def _config_rejects(build):
 @_config_rejects
 def problem_from_config(cfg: RunConfig):
     grid = cfg.int_list("problem.grid") or None
+    if grid is not None and len(grid) != 3:
+        raise ConfigError(f"problem.grid needs three counts, got '{cfg.get('problem.grid')}'")
     preset_name = cfg.get("problem.preset")
     affine = cfg.get("problem.affine")
     if preset_name and affine:

@@ -148,7 +148,7 @@ def check_tape_gradient(seed=0, h=1e-6, tol=1e-5):
         coeffs[~hess_read, 4:] = 0.0
 
         def loss(p):
-            return ad.einsum2("ncj,ncj->", forward(spec, p, stacks, rows), coeffs)
+            return ad.inner(forward(spec, p, stacks, rows), coeffs)
 
         p = ad.Tape().input(phi0)
         g = ad.reverse_gradient(loss(p), p)

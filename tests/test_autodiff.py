@@ -59,11 +59,20 @@ class TestJetPrimitives:
         def loss(x):
             tape = ad.Tape()
             a = tape.input(x)
-            out = ad.einsum2("nij,nij->", ad.inv_t3(a), C)
+            out = ad.inner(ad.inv_t3(a), C)
             return float(out.data), ad.reverse_gradient(out, a)
 
         _, g = loss(A)
         assert ad.fd_check(lambda x: loss(x)[0], A, g, h=1e-6) <= 1e-6
+
+    def test_cofactor_rows_are_cross_products(self):
+        # the one-pass cofactor equals np.cross of the other two rows, bit
+        # for bit (both round a_j b_k and a_k b_j, then subtract)
+        A = np.random.default_rng(6).standard_normal((50, 3, 3))
+        r0, r1, r2 = A[..., 0, :], A[..., 1, :], A[..., 2, :]
+        want = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-2)
+        assert np.array_equal(ad._cofactor3(A), want)
+        assert ad._cofactor3(A).flags.c_contiguous
 
     def test_log_domain_error(self):
         with pytest.raises(DomainError):
@@ -104,10 +113,122 @@ class TestJetPrimitives:
         rng = np.random.default_rng(4)
         A = rng.standard_normal((3, 3))
         B = rng.standard_normal((3, 3))
-        prod = ad.einsum2("ij,jk->ik", ad.constant(A), ad.constant(B))
+        prod = ad.contract(A, ad.constant(B), (0,))
         assert_allclose(prod.data, A @ B, rtol=1e-14)
-        trace = ad.einsum2("ij,ij->", ad.constant(A), np.eye(3))
+        trace = ad.inner(ad.constant(A), np.eye(3))
         assert_allclose(trace.data, np.trace(A), rtol=1e-14)
+
+
+
+def _strided(rng, shape):
+    """Random array of ``shape`` presented as a non-contiguous view."""
+    return np.swapaxes(rng.standard_normal(shape[:-2] + shape[:-3:-1]), -1, -2)
+
+
+def _inv_t3_grad_reference(g, dA):
+    t = np.einsum("...cdk,...ad->...cak", dA, g, optimize=True)
+    return -np.einsum("...cak,...cb->...abk", t, g, optimize=True)
+
+
+# kernel, its einsum subscripts, operand shapes, and the call; 'nb' names a
+# batch of two points (the kernels fuse leading batch axes)
+KERNEL_CASES = [
+    ("scale", "...,...ij->...ij", [(5,), (5, 3, 3)], lambda s, m: ad.scale(s, m)),
+    ("scale_bc", "...i,...id->...id", [(5, 3), (5, 3, 6)], lambda s, m: ad.scale(s, m)),
+    ("outer", "...ij,...k->...ijk", [(5, 3, 3), (5, 3)], lambda m, v: ad.outer(m, v)),
+    ("inner_batched", "...ij,...ij->...", [(5, 3, 3), (5, 3, 3)],
+     lambda a, b: ad.inner(a, b, batch_ndim=1)),
+    ("inner_full", "nfi,nfi->", [(5, 2, 3), (5, 2, 3)], lambda a, b: ad.inner(a, b)),
+    ("matvec", "...kd,...d->...k", [(5, 3, 6, 3), (5, 3, 3)], lambda m, v: ad.matvec(m, v)),
+    ("vecmat", "...ij,...ijk->...k", [(5, 3, 3), (5, 3, 3, 3)],
+     lambda v, m: ad.vecmat(v, m, batch_ndim=1)),
+    ("contract_sum", "r...,r->...", [(2, 5), (2,)], lambda a, w: ad.contract(w, a, (0,))),
+    ("contract_trace", "nijk,jk->ni", [(5, 3, 3, 3), (3, 3)],
+     lambda a, w: ad.contract(w, a, (2, 3))),
+    ("contract_normals", "nij,fj->nfi", [(5, 3, 3), (2, 3)],
+     lambda a, w: ad.contract(w, a, (2,), dest=1)),
+    ("contract_matrix", "ni,oi->no", [(5, 4), (3, 4)], lambda a, w: ad.contract(w, a, (1,), dest=1)),
+]
+
+
+class TestContractionKernels:
+    """Each kernel against np.einsum on the same operands (forward pass)
+    and against central differences (every vjp)."""
+
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_forward_matches_einsum(self, case, strided):
+        _, spec, shapes, kernel = case
+        rng = np.random.default_rng(41)
+        make = (lambda s: _strided(rng, s) if len(s) >= 2 else rng.standard_normal(s)) \
+            if strided else rng.standard_normal
+        ops = [make(s) for s in shapes]
+        got = kernel(*(ad.constant(x) for x in ops)).data
+        want = np.einsum(spec, *ops, optimize=True)
+        # a few ulps of the sum of |terms|, so the test pins no summation order
+        scale = np.einsum(spec, *(np.abs(x) for x in ops), optimize=True)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+    def test_vjps_match_fd(self, case):
+        _, _, shapes, kernel = case
+        rng = np.random.default_rng(42)
+        ops = [rng.standard_normal(s) for s in shapes]
+        weights = rng.standard_normal(kernel(*ops).shape)
+        for i in range(len(ops)):
+            def loss(x, i=i):
+                tape = ad.Tape()
+                var = tape.input(x)
+                args = [var if j == i else ad.constant(y) for j, y in enumerate(ops)]
+                out = ad.inner(kernel(*args), weights)
+                return float(out.data), ad.reverse_gradient(out, var)
+
+            _, g = loss(ops[i])
+            assert ad.fd_check(lambda x: loss(x)[0], ops[i], g, h=1e-4) <= 1e-6
+
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_inv_t3_grad_forward_matches_einsum(self, strided):
+        rng = np.random.default_rng(43)
+        g = np.eye(3) + 0.3 * rng.standard_normal((5, 3, 3))
+        dA = _strided(rng, (5, 3, 3, 3)) if strided else rng.standard_normal((5, 3, 3, 3))
+        got = ad.inv_t3_grad(ad.constant(g), ad.constant(dA)).data
+        want = _inv_t3_grad_reference(g, dA)
+        scale = -_inv_t3_grad_reference(np.abs(g), np.abs(dA))
+        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * scale)
+
+    def test_inv_t3_grad_vjps_match_fd(self):
+        rng = np.random.default_rng(44)
+        ops = [np.eye(3) + 0.3 * rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 3, 3))]
+        weights = rng.standard_normal((2, 3, 3, 3))
+        for i in range(2):
+            def loss(x, i=i):
+                tape = ad.Tape()
+                var = tape.input(x)
+                args = [var if j == i else ad.constant(y) for j, y in enumerate(ops)]
+                out = ad.inner(ad.inv_t3_grad(*args), weights)
+                return float(out.data), ad.reverse_gradient(out, var)
+
+            _, g = loss(ops[i])
+            assert ad.fd_check(lambda x: loss(x)[0], ops[i], g, h=1e-4) <= 1e-6
+
+    def test_inv_t3_grad_is_the_gradient_of_the_inverse_transpose(self):
+        # d(A^{-T}) along a direction dA, against central differences of inv_t3
+        rng = np.random.default_rng(45)
+        A = np.eye(3) + 0.3 * rng.standard_normal((4, 3, 3))
+        dA = rng.standard_normal((4, 3, 3, 3))
+        got = ad.inv_t3_grad(ad.inv_t3(ad.constant(A)), ad.constant(dA)).data
+        h = 1e-6
+        for k in range(3):
+            fd = (
+                ad.inv_t3(ad.constant(A + h * dA[..., k])).data
+                - ad.inv_t3(ad.constant(A - h * dA[..., k])).data
+            ) / (2 * h)
+            assert_allclose(got[..., k], fd, rtol=1e-6, atol=1e-8)
+
+    def test_contract_rejects_mismatched_axes(self):
+        with pytest.raises(ValueError):
+            ad.contract(np.eye(3), ad.constant(np.zeros((2, 3, 4))), (1, 2))
 
 
 def _field_jets(X):
@@ -167,9 +288,9 @@ def _two_layer_loss(phi, x, shapes):
     n1 = i1 * o1
     W1 = ad.reshape(ad.take(p, np.arange(n1)), (o1, i1))
     W2 = ad.reshape(ad.take(p, np.arange(n1, n1 + i2 * o2)), (o2, i2))
-    hidden = ad.tanh(ad.einsum2("i,oi->o", ad.constant(x), W1))
-    out = ad.einsum2("i,oi->o", hidden, W2)
-    loss = ad.einsum2("o,o->", out, np.full(o2, 1.0 / o2))
+    hidden = ad.tanh(ad.contract(W1, ad.constant(x), (0,)))
+    out = ad.contract(W2, hidden, (0,))
+    loss = ad.inner(out, np.full(o2, 1.0 / o2))
     return loss, p
 
 
@@ -177,7 +298,7 @@ class TestReverseGradient:
     def test_quadratic(self):
         tape = ad.Tape()
         phi = tape.input(np.array([1.0, 2.0]))
-        loss = ad.einsum2("i,i->", phi, phi)
+        loss = ad.inner(phi, phi)
         assert_allclose(ad.reverse_gradient(loss, phi), [2.0, 4.0], rtol=1e-15)
 
     def test_constant_loss_gives_zeros(self):

@@ -25,6 +25,14 @@ from hyperelast.exports import (
 )
 from hyperelast.optim import HistoryRow, TrainingHistory
 
+# malformed values whose message must name the key and the bad token
+NAMED_IN_MESSAGE = {
+    "problem.grid=5,5": ("problem.grid", "'5,5'"),
+    "problem.grid=5,5,5,5": ("problem.grid", "'5,5,5,5'"),
+    "shear:abc": ("problem.affine", "'abc'"),
+    "stretch:1.1,,1": ("problem.affine", "''"),
+}
+
 TINY_SOLVE = [
     "--affine", "shear:0.3",
     "--set", "problem.grid=5,5,5",
@@ -326,11 +334,21 @@ class TestCLI:
         ["--set", "history.timing=on"],
         ["--affine", "stretch:-1,1,1"],
         ["--affine", "stretch:1.1,1.0"],
+        ["--set", "problem.grid=5,5"],
+        ["--set", "problem.grid=5,5,5,5"],
+        ["--preset", "nh_cantilever_traction", "--set", "problem.grid=5,5"],
+        ["--affine", "stretch:1.1,,1"],
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, bad):
-        code = cli.main(["solve", *TINY_SOLVE, *bad, "--out", str(tmp_path)])
+        args = [*TINY_SOLVE, *bad]
+        if bad[0] == "--preset":
+            args = args[2:]  # drop TINY_SOLVE's --affine
+        code = cli.main(["solve", *args, "--out", str(tmp_path)])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        for part in NAMED_IN_MESSAGE.get(bad[-1], ()):
+            assert part in err
 
     @pytest.mark.parametrize("method, code", [("lbfgs", 0), ("gd", 2)])
     def test_checkpoint_with_optimizer_method_key(self, tmp_path, method, code):

@@ -360,7 +360,7 @@ class ScriptedBreakdown:
         self.x = x
 
     def terms(self):
-        return tuple(ad.einsum2("t,t->", self.x, np.eye(6)[i]) for i in range(6))
+        return tuple(ad.inner(self.x, np.eye(6)[i]) for i in range(6))
 
 
 class TestTotalLoss:

@@ -52,6 +52,26 @@ class TestRFFMap:
             err = np.abs(grad[..., k] - fd) / np.maximum(np.abs(grad[..., k]), 1e-8)
             assert err.max() <= 1e-6
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_equal_to_stride_two_interleave(self, order):
+        # the channel blocks are written contiguously from interleaved
+        # pairs; every entry must equal the plain stride-2 interleave
+        rff = RFFMap(m=7, sigma=1.3, seed=4)
+        X = np.random.default_rng(8).uniform(-1, 1, size=(4, 5, 3))
+        W = 2.0 * np.pi * rff.freq
+        w = np.einsum("...d,md->...m", X, W, optimize=True)
+        cw, sw = np.cos(w)[..., None, :], np.sin(w)[..., None, :]
+        want = np.empty(X.shape[:-1] + (10 if order == 2 else 4, 2 * rff.m))
+        want[..., :1, 0::2] = cw
+        want[..., :1, 1::2] = sw
+        want[..., 1:4, 0::2] = -sw * W.T
+        want[..., 1:4, 1::2] = cw * W.T
+        if order == 2:
+            WW = (W[:, ad.PACK_A] * W[:, ad.PACK_B]).T
+            want[..., 4:, 0::2] = -cw * WW
+            want[..., 4:, 1::2] = -sw * WW
+        assert np.array_equal(rff.features(X, order), want)
+
     def test_unit_norm_sum(self):
         rff = RFFMap(m=13, sigma=0.7, seed=5)
         X = np.random.default_rng(6).uniform(-2, 2, size=(50, 3))
@@ -89,7 +109,7 @@ class TestMLPSpec:
 
 def _node_loss(out, coeffs):
     """Fixed linear functional of every channel of the perceptron node."""
-    return ad.einsum2("ncj,ncj->", out, coeffs)
+    return ad.inner(out, coeffs)
 
 
 class TestForward:
@@ -200,9 +220,9 @@ class TestForward:
             W = ad.reshape(ad.take(phi, np.arange(ws.start, ws.stop)), (fo, fi))
             b = ad.take(phi, np.arange(bs.start, bs.stop))
             z = ad.Jet(
-                ad.add(ad.einsum2("ni,oi->no", y.val, W), b),
-                ad.einsum2("nid,oi->nod", y.grad, W),
-                ad.einsum2("nik,oi->nok", y.hess, W),
+                ad.add(ad.contract(W, y.val, (1,), dest=1), b),
+                ad.contract(W, y.grad, (1,), dest=1),
+                ad.contract(W, y.hess, (1,), dest=1),
             )
             y = z
             if li == len(slices) - 1:
@@ -217,8 +237,8 @@ class TestForward:
             assert_allclose(got, want.data, rtol=1e-14)
         c_val, c_grad, c_hess = slots(coeffs)
         ref_loss = ad.add(
-            ad.add(ad.einsum2("nj,nj->", y.val, c_val), ad.einsum2("njd,njd->", y.grad, c_grad)),
-            ad.einsum2("njk,njk->", y.hess, c_hess),
+            ad.add(ad.inner(y.val, c_val), ad.inner(y.grad, c_grad)),
+            ad.inner(y.hess, c_hess),
         )
         g_ref = ad.reverse_gradient(ref_loss, phi)
         assert_allclose(g_fused, g_ref, rtol=1e-12, atol=1e-13 * np.abs(g_ref).max())
@@ -349,7 +369,7 @@ class TestHardBC:
         assert readers == list(range(mlp + 1, mlp + 6))
         assert all(ops[i].startswith("mlp_slot[") for i in readers)
         assert {P.val.node, P.grad.node} < set(readers)
-        assert {op.split("[")[0] for op in ops[mlp + 6:]} == {"add", "mul", "einsum"}
+        assert {op.split("[")[0] for op in ops[mlp + 6:]} == {"add", "mul", "scale", "matvec"}
         assert u.hess.node == len(ops) - 1
 
     def test_mask_vanishes_only_on_dirichlet_faces(self):
