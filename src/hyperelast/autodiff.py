@@ -32,24 +32,27 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, EmptyTape, SingularMatrix
+from .errors import DomainError, EmptyTape, InvertedState
 
-DET_FLOOR = 1e-12  # |det| at or below this raises SingularMatrix
+DET_FLOOR = 1e-12  # det F at or below this raises InvertedState
 
 
 class Node:
     """One recorded operation: identifier, parent node ids, backward rules.
 
-    ``edges`` pairs each differentiable parent's node id with the callable
-    producing its adjoint contribution; constant parents carry no edge.
+    ``edges`` holds (node id, output index, callable producing the adjoint
+    contribution) per differentiable parent; constant parents carry no
+    edge.  ``outputs`` is the number of outputs of a node recorded with a
+    tuple, None for a single-array node (output index None).
     """
 
-    __slots__ = ("op", "parents", "edges")
+    __slots__ = ("op", "parents", "edges", "outputs")
 
-    def __init__(self, op, parents, edges):
+    def __init__(self, op, parents, edges, outputs=None):
         self.op = op
         self.parents = parents
         self.edges = edges
+        self.outputs = outputs
 
 
 class Tape:
@@ -68,25 +71,22 @@ class Tape:
         self.nodes.append(Node("input", (), ()))
         return var
 
-    def _record(self, op, out_data, parents, edges):
-        var = Var(self, out_data, len(self.nodes))
-        self.nodes.append(Node(op, parents, edges))
-        return var
-
 
 class Var:
     """Array-valued variable, optionally tracked on a tape.
 
     ``node`` is None for constants; operations whose operands are all
-    constant produce constants and leave the tape untouched.
+    constant produce constants and leave the tape untouched.  ``out`` is
+    the output index within a node with several outputs, else None.
     """
 
-    __slots__ = ("tape", "data", "node")
+    __slots__ = ("tape", "data", "node", "out")
 
-    def __init__(self, tape, data, node=None):
+    def __init__(self, tape, data, node=None, out=None):
         self.tape = tape
         self.data = np.asarray(data, dtype=np.float64)
         self.node = node
+        self.out = out
 
     @property
     def shape(self):
@@ -97,23 +97,14 @@ class Var:
         return f"Var({tag}, shape={self.data.shape})"
 
 
-def constant(value, tape=None):
+def constant(value):
     if isinstance(value, Var):
         return value
-    return Var(tape, np.asarray(value, dtype=np.float64))
+    return Var(None, np.asarray(value, dtype=np.float64))
 
 
 def _coerce(a, b):
-    a = constant(a)
-    b = constant(b)
-    return a, b
-
-
-def _tape_of(*vars_):
-    for v in vars_:
-        if v.tape is not None and v.node is not None:
-            return v.tape
-    return None
+    return constant(a), constant(b)
 
 
 def record(op, out_data, operands, vjps):
@@ -121,16 +112,24 @@ def record(op, out_data, operands, vjps):
 
     ``vjps`` maps operand position -> callable(adjoint) -> contribution;
     only edges to differentiable parents are kept.  The callables must not
-    capture a Var (see the module docstring).
+    capture a Var (see the module docstring).  Given a tuple of arrays,
+    ``out_data`` makes one node with one output Var per array, returned as
+    a tuple; its callables then take the tuple of the outputs' adjoints,
+    None for an output nothing read.
     """
-    tape = _tape_of(*operands)
+    several = isinstance(out_data, tuple)
+    tape = next((v.tape for v in operands if v.node is not None), None)
     if tape is None:
-        return Var(None, out_data)
+        return tuple(Var(None, d) for d in out_data) if several else Var(None, out_data)
     parents = tuple(v.node for v in operands)
     edges = tuple(
-        (node, vjps[i]) for i, node in enumerate(parents) if node is not None
+        (v.node, v.out, vjps[i]) for i, v in enumerate(operands) if v.node is not None
     )
-    return tape._record(op, out_data, parents, edges)
+    nid = len(tape.nodes)
+    tape.nodes.append(Node(op, parents, edges, len(out_data) if several else None))
+    if several:
+        return tuple(Var(tape, d, nid, k) for k, d in enumerate(out_data))
+    return Var(tape, out_data, nid)
 
 
 def _unbroadcast(adj, shape):
@@ -173,11 +172,6 @@ def sub(a, b):
         (a, b),
         (lambda adj: _unbroadcast(adj, sa), lambda adj: _unbroadcast(-adj, sb)),
     )
-
-
-def neg(a):
-    a = constant(a)
-    return record("neg", -a.data, (a,), (lambda adj: -adj,))
 
 
 def mul(a, b):
@@ -456,28 +450,27 @@ def _det3(m, cof):
     return (row[..., 0] * c[..., 0] + row[..., 1] * c[..., 1]) + row[..., 2] * c[..., 2]
 
 
-def det3(a):
-    """Determinant of 3x3 matrices (..., 3, 3); d det / dA = cof(A)."""
-    a = constant(a)
-    cof = _cofactor3(a.data)
-    return record("det3", _det3(a.data, cof), (a,), (lambda adj: adj[..., None, None] * cof,))
+def det_inv_t3(a):
+    """Determinant J and inverse transpose A^{-T} = cof(A) / J of 3x3
+    matrices (..., 3, 3), from one cofactor pass.
 
-
-def inv_t3(a):
-    """Inverse transpose A^{-T} of 3x3 matrices (..., 3, 3): cofactor
-    over determinant.
-
-    Raises SingularMatrix where |det| is at or below ``DET_FLOOR``.  The
-    vjp is -A^{-T} adj^T A^{-T}.
+    Raises InvertedState where J is at or below ``DET_FLOOR``, naming the
+    first offending index.  J and A^{-T} are two nodes, recorded in that
+    order (d det / dA = cof(A); the vjp of A^{-T} is -A^{-T} adj^T A^{-T}),
+    so A's adjoint receives their contributions one addition at a time.
     """
     a = constant(a)
     cof = _cofactor3(a.data)
-    det = np.atleast_1d(_det3(a.data, cof))
-    if np.min(np.abs(det)) <= DET_FLOOR:
-        idx = int(np.argmin(np.abs(det)))
-        raise SingularMatrix(f"|det| at or below {DET_FLOOR:g} (first offender: index {idx})")
-    inv_t = cof * (1.0 / det).reshape(np.shape(a.data)[:-2] + (1, 1))
-    return record(
+    det = _det3(a.data, cof)
+    flat = np.atleast_1d(det)
+    if np.min(flat) <= DET_FLOOR:
+        idx = int(np.argmin(flat))
+        raise InvertedState(
+            f"det F = {flat[idx]:.3e} <= {DET_FLOOR:g} (point index {idx})", point_index=idx
+        )
+    inv_t = cof * (1.0 / flat).reshape(np.shape(a.data)[:-2] + (1, 1))
+    J = record("det3", det, (a,), (lambda adj: adj[..., None, None] * cof,))
+    return J, record(
         "inv_t3", inv_t, (a,), (lambda adj: -(inv_t @ np.swapaxes(adj, -1, -2) @ inv_t),)
     )
 
@@ -544,22 +537,29 @@ def reverse_gradient(loss, wrt):
     if wrt.node > loss.node:
         return np.zeros_like(wrt.data)
     # adjoint arrays are never mutated in place, so contributions may be
-    # stored by reference on first touch
+    # stored by reference on first touch; a node with several outputs
+    # holds a list of per-output adjoints
     adjoints = [None] * (loss.node + 1)
-    adjoints[loss.node] = np.ones(())
     nodes = tape.nodes
+
+    def accumulate(node, out, contrib):
+        held, i = adjoints, node
+        if out is not None:
+            held, i = adjoints[node] or [None] * nodes[node].outputs, out
+            adjoints[node] = held
+        held[i] = contrib if held[i] is None else held[i] + contrib
+
+    accumulate(loss.node, loss.out, np.ones(()))
     # nodes recorded before wrt cannot contribute to its adjoint
     for nid in range(loss.node, wrt.node, -1):
         adj = adjoints[nid]
         if adj is None:
             continue
         adjoints[nid] = None
-        for parent, vjp in nodes[nid].edges:
-            contrib = vjp(adj)
-            if adjoints[parent] is None:
-                adjoints[parent] = contrib
-            else:
-                adjoints[parent] = adjoints[parent] + contrib
+        if nodes[nid].outputs is not None:
+            adj = tuple(adj)
+        for parent, out, vjp in nodes[nid].edges:
+            accumulate(parent, out, vjp(adj))
     grad = adjoints[wrt.node]
     if grad is None:
         return np.zeros_like(wrt.data)

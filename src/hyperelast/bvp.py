@@ -51,10 +51,6 @@ class BoxDomain:
             if n < 3 or n % 2 == 0:
                 raise EvenCount(f"grid counts must be odd and >= 3, got {self.counts}")
 
-    @property
-    def volume(self):
-        return float(np.prod(self.lengths))
-
     def axes(self):
         """Per-axis node coordinates; linspace keeps both endpoints exact."""
         return [

@@ -9,10 +9,6 @@ class DomainError(HyperelastError, ValueError):
     """Argument outside the mathematical domain of an operation (ln/pow of a non-positive value, zero exponent, ...)."""
 
 
-class SingularMatrix(HyperelastError, ArithmeticError):
-    """3x3 matrix determinant below the invertibility floor."""
-
-
 class EmptyTape(HyperelastError, RuntimeError):
     """Reverse sweep requested on a tape with no recorded nodes."""
 

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DomainError, InvertedState
+from .errors import DomainError
 
-J_FLOOR = 1e-12  # determinant at or below this is a hard inversion error
 J_WARN = 0.05  # near-inversion threshold, logged per accepted iterate but not fatal
 
 
@@ -135,20 +134,12 @@ def _scalar_jet(val, d_val, d_arg):
 def deformation_gradient(grad_u):
     """Build a DeformationState from the displacement-gradient jet.
 
-    Raises InvertedState if det F falls at or below the floor anywhere in
-    the batch.
+    Raises InvertedState if det F falls at or below ``ad.DET_FLOOR``
+    anywhere in the batch.
     """
     F = ad.add(grad_u.val, np.eye(3))
     dF = grad_u.grad
-    J = ad.det3(F)
-    Jdata = np.atleast_1d(J.data)
-    if np.min(Jdata) <= J_FLOOR:
-        idx = int(np.argmin(Jdata))
-        raise InvertedState(
-            f"det F = {Jdata[idx]:.3e} <= {J_FLOOR:g} (point index {idx})",
-            point_index=idx,
-        )
-    FiT = ad.inv_t3(F)
+    J, FiT = ad.det_inv_t3(F)
     I1 = ad.inner(F, F, batch_ndim=F.data.ndim - 2)
     if dF is None:
         return DeformationState(ad.Jet(F), ad.Jet(J), ad.Jet(I1), ad.Jet(FiT))

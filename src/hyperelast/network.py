@@ -17,13 +17,13 @@ afresh.  Within a block the jets are (C, b, w): an affine layer is one
 matrix product with the bias on channel 0, and the tanh rules scale
 whole contiguous channels by per-unit factors.
 
-The node's output (N, C, 12) is read by one slot node per head field:
-the displacement jet u (N, 3) with gradient (N, 3, 3) and packed
-Hessian (N, 3, 6), and the stress jet P (N, 3, 3) one order lower,
-because only the divergence of the stress is ever needed, with the
-stress scale folded into its slots.  Training asks for u at order 2,
-sampling at order 1, where every stage passes a None Hessian slot
-through.
+The node's output (N, C, 12) is read by one head node with one output
+per head field: the displacement jet u (N, 3) with gradient (N, 3, 3)
+and packed Hessian (N, 3, 6), and the stress jet P (N, 3, 3) one order
+lower, because only the divergence of the stress is ever needed, with
+the stress scale folded into its slots.  Its vjp fills one (N, C, 12)
+adjoint.  Training asks for u at order 2, sampling at order 1, where
+every stage passes a None Hessian slot through.
 
 Training feeds two stacks, order 2 at the interior points and order 1
 elsewhere.  Contract: u's Hessian is computed at interior rows only and
@@ -43,6 +43,7 @@ from . import autodiff as ad
 from .errors import ShapeMismatch
 
 N_OUTPUTS = 12  # 3 displacement + 9 stress components
+HEAD_SCALE = 0.01  # factor on the output layer's initial weight bound
 # points per block of the perceptron node: a block's (10, 128, 64) jets
 # take 0.66 MB, so a layer's temporaries fit in L2 and are reused from
 # block to block.  One default-cantilever evaluation (25x9x9 points,
@@ -152,10 +153,10 @@ class MLPSpec:
             out.append((w, b, fi, fo))
         return out
 
-    def init_params(self, rng, head_scale=0.01):
+    def init_params(self, rng):
         """Glorot-uniform weights, zero biases.
 
-        The output layer is shrunk by ``head_scale`` so the initial fields
+        The output layer is shrunk by ``HEAD_SCALE`` so the initial fields
         start near the boundary-condition lift; a full-scale random head
         can seed an inverted deformation state before the first update.
         """
@@ -164,7 +165,7 @@ class MLPSpec:
         for li, (w, _b, fi, fo) in enumerate(slices):
             bound = np.sqrt(6.0 / (fi + fo))
             if li == len(slices) - 1:
-                bound *= head_scale
+                bound *= HEAD_SCALE
             phi[w] = rng.uniform(-bound, bound, size=fi * fo)
         return phi
 
@@ -318,22 +319,43 @@ def forward(spec, phi, stacks, rows=None):
     return ad.record(op, out, (phi,), (back,))
 
 
-def _head_slot(y, name, channels, cols, shape, scale=1.0):
-    """Output columns ``cols`` of the perceptron node y (N, C, 12) at the
-    slice ``channels``, channels last, times ``scale``, as one tape node of
-    shape ``shape``.  The vjp captures shapes only, so the tape does not
-    keep y alive.
-    """
-    part = np.moveaxis(y.data[:, channels, cols], 1, -1)  # (N, k, channels)
-    full, moved = y.data.shape, part.shape
+def _head(y, order, scale):
+    """Head jets off the perceptron node y (N, C, 12) as one tape node:
+    the displacement y_u (N, 3) of ``order`` (2 or 1) and the stress P
+    (N, 3, 3) one order lower, times ``scale``.
 
-    def back(adj):
+    Each slot is its output columns at its channels, channels last.  The
+    vjp writes the adjoints of the slots read into one (N, C, 12) buffer
+    and captures shapes only, so the tape does not keep y alive.
+    """
+    full, u, p = y.data.shape, slice(0, 3), slice(3, N_OUTPUTS)
+    # (channels, columns, shape past N, factor) of u.val, u.grad, u.hess, P.val, P.grad
+    slots = [
+        (slice(0, 1), u, (3,), 1.0),
+        (slice(1, 4), u, (3, 3), 1.0),
+        (slice(4, 10), u, (3, 6), 1.0),
+        (slice(0, 1), p, (3, 3), scale),
+        (slice(1, 4), p, (3, 3, 3), scale),
+    ]
+    if order < 2:
+        del slots[4], slots[2]
+
+    def back(adjs):
         out = np.zeros(full)
-        out[:, channels, cols] = np.moveaxis(adj.reshape(moved) * scale, -1, 1)
+        for (ch, cols, _, s), adj in zip(slots, adjs):
+            if adj is not None:
+                part = np.moveaxis(out[:, ch, cols], 1, -1)
+                part[...] = adj.reshape(part.shape) * s
         return out
 
-    data = np.multiply(part, scale, order="C").reshape(shape)
-    return ad.record(f"mlp_slot[{name}]", data, (y,), (back,))
+    data = tuple(
+        np.multiply(np.moveaxis(y.data[:, ch, cols], 1, -1), s, order="C").reshape(full[:1] + shape)
+        for ch, cols, shape, s in slots
+    )
+    heads = ad.record("mlp_head", data, (y,), (back,))
+    if order < 2:
+        heads = heads[:2] + (None,) + heads[2:] + (None,)
+    return ad.Jet(*heads[:3]), ad.Jet(*heads[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -484,26 +506,14 @@ class FieldNetwork:
 
     def raw_outputs(self, phi, X, features=None, order=2):
         """Head jets: displacement y_u (N, 3) of ``order`` (2 or 1) and the
-        scaled stress P (N, 3, 3) one order lower, one slot node each off
-        the perceptron node.
+        scaled stress P (N, 3, 3) one order lower, one head node off the
+        perceptron node.
 
         ``features`` is a (stacks, rows) pair for :func:`forward` carrying
         at least ``order``; by default the features of X at ``order``.
         """
         stacks, rows = ((self.rff.features(X, order),), None) if features is None else features
-        y = forward(self.mlp, phi, stacks, rows)
-        n, s = len(y.data), self.stress_scale
-        ucols, pcols = slice(0, 3), slice(3, N_OUTPUTS)
-        y_u = ad.Jet(
-            _head_slot(y, "u.val", slice(0, 1), ucols, (n, 3)),
-            _head_slot(y, "u.grad", slice(1, 4), ucols, (n, 3, 3)),
-            _head_slot(y, "u.hess", slice(4, 10), ucols, (n, 3, 6)) if order == 2 else None,
-        )
-        P = ad.Jet(
-            _head_slot(y, "P.val", slice(0, 1), pcols, (n, 3, 3), s),
-            _head_slot(y, "P.grad", slice(1, 4), pcols, (n, 3, 3, 3), s) if order == 2 else None,
-        )
-        return y_u, P
+        return _head(forward(self.mlp, phi, stacks, rows), order, self.stress_scale)
 
     def fields(self, phi, X, features=None, bc=None, order=2):
         """Displacement jet of ``order`` and scaled stress jet one order

@@ -116,7 +116,8 @@ class HistoryRow:
 
 @dataclass
 class TrainingHistory:
-    """One row per accepted iteration, plus the termination status."""
+    """One row per accepted iteration (or the starting iterate's, when a
+    stage takes no step), plus the termination status."""
 
     rows: list = field(default_factory=list)
     status: str = "running"
@@ -132,9 +133,6 @@ class TrainingHistory:
 
     def __len__(self):
         return len(self.rows)
-
-    def totals(self):
-        return np.array([r.total for r in self.rows])
 
 
 def _zeros_stats():
@@ -266,6 +264,8 @@ def lbfgs_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
     Curvature pairs with s.y <= 1e-10 |s||y| are skipped.  A failed line
     search first retries once along steepest descent with cleared memory;
     a second failure terminates with the last accepted iterate retained.
+    A stage that ends before its first accepted step (converged, or no
+    step found) records one row for its starting iterate, with step 0.
     """
     config = config or LBFGSConfig()
     obj = as_objective(objective)
@@ -286,6 +286,8 @@ def lbfgs_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
         if not np.isfinite(f):
             raise NonFiniteObjective(f"objective is {f} at the current iterate")
         gnorm = float(np.linalg.norm(g))
+        if it == 1:  # the row of a stage that ends before its first step
+            start = _make_row(stage, iter_offset + 1, f, obj, gnorm, 0.0, 0.0, 0)
         if gnorm <= config.grad_tol:
             history.status = "converged"
             break
@@ -330,6 +332,9 @@ def lbfgs_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
                       np.linalg.norm(g_new), alpha, seconds, n_evals)
         )
         history.wolfe.append((f, dg, alpha, f_new, float(np.dot(g_new, d))))
+    if not history.rows:
+        seconds = (time.perf_counter() - tic) if timing else 0.0
+        history.append(replace(start, seconds=seconds, n_evals=n_evals))
     return phi, history
 
 

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hyperelast.autodiff as ad
-from hyperelast.errors import DomainError, EmptyTape, SingularMatrix
+from hyperelast.errors import DomainError, EmptyTape, InvertedState
 
 
 class TestJetPrimitives:
@@ -29,11 +29,13 @@ class TestJetPrimitives:
         assert np.all(j[0, 4:] == 0.0)
 
     def test_det_of_constant_identity(self):
-        d = ad.det3(ad.constant(np.eye(3)))
-        assert d.data == 1.0 and d.node is None
+        d, inv_t = ad.det_inv_t3(ad.constant(np.eye(3)))
+        assert d.data == 1.0 and d.node is None and inv_t.node is None
         tape = ad.Tape()
         A = tape.input(np.eye(3))
-        assert np.array_equal(ad.reverse_gradient(ad.det3(A), A), np.eye(3))
+        d, _ = ad.det_inv_t3(A)
+        assert [node.op for node in tape.nodes] == ["input", "det3", "inv_t3"]
+        assert np.array_equal(ad.reverse_gradient(d, A), np.eye(3))
 
     def test_log_det_rank_one_update(self):
         # d/dX1 ln det(I + X1 e1 x e1) = 1/(1 + X1) = 1 at X1 = 0, and the
@@ -41,7 +43,7 @@ class TestJetPrimitives:
         def log_det(A):
             tape = ad.Tape()
             a = tape.input(A)
-            out = ad.log(ad.det3(a))
+            out = ad.log(ad.det_inv_t3(a)[0])
             return float(out.data), ad.reverse_gradient(out, a)
 
         _, g = log_det(np.eye(3))
@@ -59,7 +61,7 @@ class TestJetPrimitives:
         def loss(x):
             tape = ad.Tape()
             a = tape.input(x)
-            out = ad.inner(ad.inv_t3(a), C)
+            out = ad.inner(ad.det_inv_t3(a)[1], C)
             return float(out.data), ad.reverse_gradient(out, a)
 
         _, g = loss(A)
@@ -82,9 +84,18 @@ class TestJetPrimitives:
         with pytest.raises(DomainError):
             ad.pow_(ad.constant(-2.0), 0.5)
 
-    def test_singular_matrix(self):
-        with pytest.raises(SingularMatrix):
-            ad.inv_t3(ad.constant(np.zeros((3, 3))))
+    def test_inverted_state_at_zero_and_negative_det(self):
+        # the floor is on the signed determinant: singular and reflected
+        # matrices both raise before anything is recorded, naming the
+        # first offending index
+        A = np.stack([np.eye(3), np.zeros((3, 3)), np.diag([1.0, 1.0, -1.0])])
+        for bad in (1, 2):
+            tape = ad.Tape()
+            with pytest.raises(InvertedState) as info:
+                ad.det_inv_t3(tape.input(A[[0, bad]]))
+            assert info.value.point_index == 1
+            assert str(info.value).startswith(f"det F = {np.linalg.det(A[bad]):.3e} <= 1e-12")
+            assert len(tape) == 1
 
     def test_mul_hess_symmetric_bitwise(self):
         # the Hessian of the product u = A + B y, unpacked into the
@@ -105,9 +116,9 @@ class TestJetPrimitives:
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(3)
         A = np.eye(3) + 0.3 * rng.standard_normal((20, 3, 3))
-        inv_t = ad.inv_t3(ad.constant(A))
+        _, inv_t = ad.det_inv_t3(ad.constant(A))
         assert_allclose(inv_t.data, np.swapaxes(np.linalg.inv(A), -1, -2), atol=1e-12)
-        assert_allclose(ad.inv_t3(inv_t).data, A, atol=1e-12)
+        assert_allclose(ad.det_inv_t3(inv_t)[1].data, A, atol=1e-12)
 
     def test_matmul_trace(self):
         rng = np.random.default_rng(4)
@@ -213,17 +224,19 @@ class TestContractionKernels:
             assert ad.fd_check(lambda x: loss(x)[0], ops[i], g, h=1e-4) <= 1e-6
 
     def test_inv_t3_grad_is_the_gradient_of_the_inverse_transpose(self):
-        # d(A^{-T}) along a direction dA, against central differences of inv_t3
+        # d(A^{-T}) along a direction dA, against central differences of
+        # det_inv_t3's inverse transpose
         rng = np.random.default_rng(45)
         A = np.eye(3) + 0.3 * rng.standard_normal((4, 3, 3))
         dA = rng.standard_normal((4, 3, 3, 3))
-        got = ad.inv_t3_grad(ad.inv_t3(ad.constant(A)), ad.constant(dA)).data
+
+        def inv_t(x):
+            return ad.det_inv_t3(ad.constant(x))[1]
+
+        got = ad.inv_t3_grad(inv_t(A), ad.constant(dA)).data
         h = 1e-6
         for k in range(3):
-            fd = (
-                ad.inv_t3(ad.constant(A + h * dA[..., k])).data
-                - ad.inv_t3(ad.constant(A - h * dA[..., k])).data
-            ) / (2 * h)
+            fd = (inv_t(A + h * dA[..., k]).data - inv_t(A - h * dA[..., k]).data) / (2 * h)
             assert_allclose(got[..., k], fd, rtol=1e-6, atol=1e-8)
 
     def test_contract_rejects_mismatched_axes(self):
@@ -345,6 +358,95 @@ class TestReverseGradient:
         l2, p2 = _two_layer_loss(phi0, x, ((4, 6), (6, 3)))
         assert float(l1.data) == float(l2.data)
         assert np.array_equal(ad.reverse_gradient(l1, p1), ad.reverse_gradient(l2, p2))
+
+
+def _square_and_triple(a, seen=None):
+    """One node with the outputs a^2 and 3a; ``seen`` collects the adjoint
+    tuples its vjp receives."""
+    x = a.data
+
+    def back(adjs):
+        if seen is not None:
+            seen.append(adjs)
+        sq, lin = adjs
+        out = np.zeros(x.shape)
+        if sq is not None:
+            out = out + 2.0 * x * sq
+        if lin is not None:
+            out = out + 3.0 * lin
+        return out
+
+    return ad.record("square_and_triple", (x * x, 3.0 * x), (a,), (back,))
+
+
+class TestMultiOutputNodes:
+    rng = np.random.default_rng(26)
+    x, w, v = rng.standard_normal((3, 5))
+
+    def test_equals_two_single_output_nodes(self):
+        tape = ad.Tape()
+        a = tape.input(self.x)
+        sq, lin = _square_and_triple(a)
+        assert len(tape) == 2 and (sq.node, sq.out, lin.node, lin.out) == (1, 0, 1, 1)
+        loss = ad.add(ad.inner(sq, self.w), ad.inner(lin, self.v))
+        got = ad.reverse_gradient(loss, a)
+
+        tape = ad.Tape()
+        b = tape.input(self.x)
+        x = self.x
+        sq1 = ad.record("square", x * x, (b,), (lambda adj: 2.0 * x * adj,))
+        lin1 = ad.record("triple", 3.0 * x, (b,), (lambda adj: 3.0 * adj,))
+        assert np.array_equal(sq.data, sq1.data) and np.array_equal(lin.data, lin1.data)
+        want = ad.reverse_gradient(ad.add(ad.inner(sq1, self.w), ad.inner(lin1, self.v)), b)
+        assert np.array_equal(got, want)
+        assert_allclose(got, 2.0 * self.x * self.w + 3.0 * self.v, rtol=1e-15)
+
+    def test_unread_output_gets_none(self):
+        seen = []
+        tape = ad.Tape()
+        a = tape.input(self.x)
+        _, lin = _square_and_triple(a, seen)
+        got = ad.reverse_gradient(ad.inner(lin, self.v), a)
+        assert len(seen) == 1 and seen[0][0] is None
+        assert np.array_equal(seen[0][1], self.v)
+        assert np.array_equal(got, 3.0 * self.v)
+
+    def test_output_read_twice_accumulates(self):
+        seen = []
+        tape = ad.Tape()
+        a = tape.input(self.x)
+        sq, _ = _square_and_triple(a, seen)
+        got = ad.reverse_gradient(ad.add(ad.inner(sq, self.w), ad.inner(sq, self.v)), a)
+        assert len(seen) == 1 and seen[0][1] is None
+        assert np.array_equal(seen[0][0], self.w + self.v)
+        assert np.array_equal(got, 2.0 * self.x * (self.w + self.v))
+
+    def test_constant_operands_record_nothing(self):
+        tape = ad.Tape()
+        tape.input(self.x)
+        outs = _square_and_triple(ad.constant(self.x))
+        assert len(tape) == 1
+        assert isinstance(outs, tuple) and len(outs) == 2
+        assert all(v.node is None and v.tape is None for v in outs)
+        assert np.array_equal(outs[1].data, 3.0 * self.x)
+
+    def test_tape_dead_after_the_sweep(self):
+        # the outputs share one node and their vjp captures arrays only,
+        # so reference counting frees the tape once the loss is dropped
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tape = ad.Tape()
+            a = tape.input(self.x)
+            sq, lin = _square_and_triple(a)
+            loss = ad.add(ad.inner(sq, self.w), ad.inner(lin, self.v))
+            ad.reverse_gradient(loss, a)
+            ref = weakref.ref(tape)
+            del tape, a, sq, lin, loss
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestTapeRelease:

@@ -289,6 +289,22 @@ class TestCheckpoint:
 
 
 class TestCLI:
+    @pytest.mark.parametrize("command", ["solve", "compare-masks"])
+    def test_converged_at_first_iterate_exit_0(self, tmp_path, command):
+        # grad_tol far above the first gradient: the run ends before any
+        # step and records one row for its starting iterate
+        out = str(tmp_path / "run")
+        args = ["--affine", "shear", "--set", "problem.grid=5,5,5", "--set", "network.hidden=8",
+                "--set", "network.fourier_features=2", "--set", "optimizer.grad_tol=1e9"]
+        assert cli.main([command, *args, "--out", out]) == 0
+        if command == "solve":
+            (row,) = read_history(os.path.join(out, "history.csv")).rows
+            assert (row.iter, row.step, row.n_evals) == (1, 0.0, 1) and row.grad_norm > 0.0
+        else:
+            table = open(os.path.join(out, "mask_comparison.csv")).read().splitlines()[1:]
+            assert [line.split(",")[2] for line in table] == ["1", "1", "1"]
+            assert all(line.endswith(",converged") for line in table)
+
     def test_solve_writes_outputs(self, tmp_path):
         out = str(tmp_path / "run")
         code = cli.main(["solve", *TINY_SOLVE, "--out", out])

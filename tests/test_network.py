@@ -356,9 +356,9 @@ class TestHardBC:
             assert np.array_equal(u1.grad.data, u2.grad.data)
 
     def test_head_fields_read_straight_off_the_perceptron_node(self):
-        # five slot nodes read the perceptron node (u value, gradient and
-        # Hessian, scaled P value and gradient); past them the tape holds
-        # only the BC composition of u
+        # one head node reads the perceptron node, its five outputs u's
+        # value, gradient and Hessian and the scaled P value and gradient;
+        # past it the tape holds only the BC composition of u
         problem, net = cantilever_net(seed=5)
         X = np.random.default_rng(17).uniform(0.1, 0.9, size=(6, 3))
         tape = ad.Tape()
@@ -366,10 +366,10 @@ class TestHardBC:
         ops = [node.op for node in tape.nodes]
         (mlp,) = [i for i, op in enumerate(ops) if op.startswith("mlp[")]
         readers = [i for i, node in enumerate(tape.nodes) if mlp in node.parents]
-        assert readers == list(range(mlp + 1, mlp + 6))
-        assert all(ops[i].startswith("mlp_slot[") for i in readers)
-        assert {P.val.node, P.grad.node} < set(readers)
-        assert {op.split("[")[0] for op in ops[mlp + 6:]} == {"add", "mul", "scale", "matvec"}
+        assert readers == [mlp + 1] and ops[mlp + 1] == "mlp_head"
+        assert tape.nodes[mlp + 1].outputs == 5
+        assert [(v.node, v.out) for v in (P.val, P.grad)] == [(mlp + 1, 3), (mlp + 1, 4)]
+        assert {op.split("[")[0] for op in ops[mlp + 2:]} == {"add", "mul", "scale", "matvec"}
         assert u.hess.node == len(ops) - 1
 
     def test_mask_vanishes_only_on_dirichlet_faces(self):

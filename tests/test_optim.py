@@ -90,6 +90,18 @@ class TestLBFGS:
         phi, hist = lbfgs_minimize(nan_away, phi0, LBFGSConfig(max_iters=5))
         assert hist.status == "line_search_failure"
         assert np.array_equal(phi, phi0)
+        # no step taken: one row for the starting iterate, with every probe
+        (row,) = hist.rows
+        assert (row.iter, row.total, row.step) == (1, 1.0, 0.0)
+        assert row.grad_norm == np.sqrt(2.0) and row.n_evals == 1 + LBFGSConfig().max_probes
+
+    def test_start_at_minimum_records_one_row(self):
+        center = np.array([1.0, -2.0])
+        phi, hist = lbfgs_minimize(quadratic(center), center, stage=2, iter_offset=5)
+        assert hist.status == "converged" and np.array_equal(phi, center)
+        (row,) = hist.rows
+        assert (row.stage, row.iter, row.total, row.grad_norm) == (2, 6, 0.0, 0.0)
+        assert (row.step, row.n_evals) == (0.0, 1)
 
     def test_steepest_descent_retry_bookkeeping(self):
         # the first line search of iteration 2 sees only NaN probes and
@@ -133,7 +145,7 @@ class TestLBFGS:
     def test_monotone_totals_on_fixed_objective(self):
         fn, _ = spd_quadratic(30, seed=2, cond=50.0)
         _, hist = lbfgs_minimize(fn, np.ones(30), LBFGSConfig(max_iters=40, grad_tol=1e-10))
-        totals = hist.totals()
+        totals = np.array([r.total for r in hist.rows])
         assert np.all(np.diff(totals) <= 1e-12 * np.maximum(1.0, np.abs(totals[:-1])))
 
     def test_wolfe_conditions_at_every_accepted_step(self):
@@ -165,7 +177,7 @@ class TestLBFGS:
         phi1, h1 = lbfgs_minimize(fn, np.ones(25), LBFGSConfig(max_iters=30))
         phi2, h2 = lbfgs_minimize(fn, np.ones(25), LBFGSConfig(max_iters=30))
         assert np.array_equal(phi1, phi2)
-        assert h1.totals().tolist() == h2.totals().tolist()
+        assert [r.total for r in h1.rows] == [r.total for r in h2.rows]
 
 
 class TestStrongWolfe:
@@ -232,7 +244,7 @@ class TestCurriculum:
         )
         phi_b, hist_b = lbfgs_minimize(fn, np.ones(8), LBFGSConfig(max_iters=30))
         assert np.array_equal(phi_a, phi_b)
-        assert hist_a.totals().tolist() == hist_b.totals().tolist()
+        assert [r.total for r in hist_a.rows] == [r.total for r in hist_b.rows]
 
     def test_warm_start_beats_cold_start(self):
         # train the affine shear patch test at half load, then compare the

@@ -111,7 +111,7 @@ class TestCurriculumSolve:
         (phi_a, hist_a, calls_a), (phi_b, hist_b, calls_b) = runs
         assert hist_a.status == "max_iters"
         assert [r.stage for r in hist_a.rows] == [0] * 4 + [1] * 4
-        assert np.all(np.isfinite(hist_a.totals()))
+        assert np.all(np.isfinite([r.total for r in hist_a.rows]))
         # one fresh evaluation per stage start; every later iteration
         # starts at the probe its line search accepted
         assert calls_a == sum(r.n_evals - 1 for r in hist_a.rows) + 2
@@ -132,7 +132,7 @@ def _rows_equal(a, b):
 # every field is one batched jet from the network head to the loss, so an
 # evaluation records a few dozen nodes per stage rather than one per
 # scalar entry of a 3x3 matrix; this bound guards against regrowth
-TAPE_NODE_BUDGET = 87
+TAPE_NODE_BUDGET = 83
 
 
 @pytest.mark.parametrize("name", ["nh_cantilever_traction", "lp_cantilever_displacement"])
