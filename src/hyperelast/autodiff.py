@@ -455,7 +455,7 @@ def det_inv_t3(a):
     matrices (..., 3, 3), from one cofactor pass.
 
     Raises InvertedState where J is at or below ``DET_FLOOR``, naming the
-    first offending index.  J and A^{-T} are two nodes, recorded in that
+    index of the smallest J.  J and A^{-T} are two nodes, recorded in that
     order (d det / dA = cof(A); the vjp of A^{-T} is -A^{-T} adj^T A^{-T}),
     so A's adjoint receives their contributions one addition at a time.
     """
@@ -465,9 +465,7 @@ def det_inv_t3(a):
     flat = np.atleast_1d(det)
     if np.min(flat) <= DET_FLOOR:
         idx = int(np.argmin(flat))
-        raise InvertedState(
-            f"det F = {flat[idx]:.3e} <= {DET_FLOOR:g} (point index {idx})", point_index=idx
-        )
+        raise InvertedState(f"det F = {flat[idx]:.3e} <= {DET_FLOOR:g}", point_index=idx)
     inv_t = cof * (1.0 / flat).reshape(np.shape(a.data)[:-2] + (1, 1))
     J = record("det3", det, (a,), (lambda adj: adj[..., None, None] * cof,))
     return J, record(

@@ -20,13 +20,21 @@ class ShapeMismatch(HyperelastError, ValueError):
 class InvertedState(HyperelastError, ArithmeticError):
     """Deformation gradient determinant at or below the inversion floor.
 
-    ``point_index`` identifies the first offending sample when the state was
-    evaluated on a batch of points.
+    ``point_index`` is the index of the smallest determinant in the batch
+    that raised, when the state was evaluated on a batch of points; the
+    message ends with it, so a caller that evaluated a slice of a larger
+    batch can shift it to an index of that batch.
     """
 
     def __init__(self, message, point_index=None):
         super().__init__(message)
         self.point_index = point_index
+
+    def __str__(self):
+        message = super().__str__()
+        if self.point_index is None:
+            return message
+        return f"{message} (point index {self.point_index})"
 
 
 class EvenCount(HyperelastError, ValueError):

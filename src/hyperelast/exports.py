@@ -38,11 +38,13 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _write_rows(fh, table, format_row, block=4096):
-    """Write ``format_row(row)`` for each row of an array, as Python floats,
-    ``block`` rows per write so the text of the whole table never exists."""
-    for start in range(0, table.shape[0], block):
-        fh.write("".join(map(format_row, table[start:start + block].tolist())))
+def _write_rows(fh, columns, format_row, block=4096):
+    """Write ``format_row(row)`` for each row of the table whose columns are
+    the arrays ``columns`` side by side, as Python floats, ``block`` rows
+    per write: only one block of the table, and of its text, ever exists."""
+    for start in range(0, len(columns[0]), block):
+        rows = np.hstack([col[start:start + block] for col in columns])
+        fh.write("".join(map(format_row, rows.tolist())))
 
 
 def write_history(history, path):
@@ -93,14 +95,16 @@ def write_fields_csv(path, X, fields, metadata=None):
     hash, seed); readers skip them.
     """
     n = np.asarray(X).size // 3
-    cols = (X, fields["u"], fields["P"], fields["von_mises"])
-    table = np.hstack([np.asarray(a, dtype=np.float64).reshape(n, -1) for a in cols])
+    cols = [
+        np.asarray(a, dtype=np.float64).reshape(n, -1)
+        for a in (X, fields["u"], fields["P"], fields["von_mises"])
+    ]
     with open(path, "w") as fh:
         fh.write("# units: X in m, u in m, P and von_mises in Pa\n")
         for key, val in (metadata or {}).items():
             fh.write(f"# {key}: {val}\n")
         fh.write(",".join(FIELD_COLUMNS) + "\n")
-        _write_rows(fh, table, lambda row: ",".join(map(repr, row)) + "\n")
+        _write_rows(fh, cols, lambda row: ",".join(map(repr, row)) + "\n")
 
 
 def read_fields_csv(path):
@@ -144,10 +148,10 @@ def write_vtk_structured(path, dims, origin, spacing, fields, title="hyperelast"
         fh.write(f"SPACING {spacing[0]:.12g} {spacing[1]:.12g} {spacing[2]:.12g}\n")
         fh.write(f"POINT_DATA {n1 * n2 * n3}\n")
         fh.write("VECTORS displacement double\n")
-        _write_rows(fh, u_vtk, lambda row: "%.12g %.12g %.12g\n" % tuple(row))
+        _write_rows(fh, [u_vtk], lambda row: "%.12g %.12g %.12g\n" % tuple(row))
         fh.write("SCALARS von_mises double 1\n")
         fh.write("LOOKUP_TABLE default\n")
-        _write_rows(fh, vm_vtk, "%.12g\n".__mod__)
+        _write_rows(fh, [vm_vtk], "%.12g\n".__mod__)
 
 
 def save_checkpoint(path, cfg, phi):

@@ -52,12 +52,12 @@ HEAD_SCALE = 0.01  # factor on the output layer's initial weight bound
 BLOCK_POINTS = 128
 
 
-def _row_blocks(n):
-    """(lo, hi) ranges of ``BLOCK_POINTS`` rows, the remainder joining the
-    last one: OpenBLAS rounds a product of few rows differently, so a
-    sliver block would make a row's result depend on how rows are grouped.
+def row_blocks(n, size):
+    """(lo, hi) ranges of ``size`` rows, the remainder joining the last
+    one: OpenBLAS rounds a product of few rows differently, so a sliver
+    block would make a row's result depend on how rows are grouped.
     """
-    starts = list(range(0, n - BLOCK_POINTS + 1, BLOCK_POINTS)) or [0]
+    starts = list(range(0, n - size + 1, size)) or [0]
     return list(zip(starts, starts[1:] + [n]))
 
 
@@ -302,7 +302,7 @@ def forward(spec, phi, stacks, rows=None):
     saved = []  # (output rows, channels, per-layer jets) per block
     for set_rows, stack in zip(rows, stacks):
         C = stack.shape[1]
-        for lo, hi in _row_blocks(len(stack)):
+        for lo, hi in row_blocks(len(stack), BLOCK_POINTS):
             sel = slice(lo, hi) if set_rows is None else set_rows[lo:hi]
             acts = _block_forward(layers, stack[lo:hi], out, sel)
             if phi.node is not None:

@@ -19,6 +19,7 @@ point just probed.  ``n_evals`` in the history counts objective calls
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field, replace
 
@@ -30,7 +31,9 @@ from .errors import (
     NonFiniteObjective,
     NotDescentDirection,
 )
-from .losses import N_TERMS
+from .losses import N_TERMS, TERM_NAMES
+
+log = logging.getLogger(__name__)
 
 
 class _PlainObjective:
@@ -154,6 +157,15 @@ def _make_row(stage, it, f, obj, grad_norm, step, seconds, n_evals):
     )
 
 
+def _log_row(row):
+    """One INFO line per history row: the progress of a run under -v."""
+    weights = " ".join(f"{name}={w:.3g}" for name, w in zip(TERM_NAMES, row.weights))
+    log.info(
+        "stage %d iter %d: total %.6e, grad norm %.3e, step %.3e, %d evals; weights %s",
+        row.stage, row.iter, row.total, row.grad_norm, row.step, row.n_evals, weights,
+    )
+
+
 def _cubic_step(lo, f_lo, dg_lo, hi, f_hi, dg_hi):
     """Minimizer of the cubic through both endpoint values and slopes."""
     d1 = dg_lo + dg_hi - 3.0 * (f_lo - f_hi) / (lo - hi)
@@ -266,6 +278,7 @@ def lbfgs_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
     a second failure terminates with the last accepted iterate retained.
     A stage that ends before its first accepted step (converged, or no
     step found) records one row for its starting iterate, with step 0.
+    Each row is logged at INFO level as it is recorded.
     """
     config = config or LBFGSConfig()
     obj = as_objective(objective)
@@ -331,10 +344,12 @@ def lbfgs_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
             _make_row(stage, iter_offset + it, f_new, obj,
                       np.linalg.norm(g_new), alpha, seconds, n_evals)
         )
+        _log_row(history.rows[-1])
         history.wolfe.append((f, dg, alpha, f_new, float(np.dot(g_new, d))))
     if not history.rows:
         seconds = (time.perf_counter() - tic) if timing else 0.0
         history.append(replace(start, seconds=seconds, n_evals=n_evals))
+        _log_row(history.rows[-1])
     return phi, history
 
 

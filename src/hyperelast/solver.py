@@ -28,11 +28,18 @@ from .config import RunConfig
 from .errors import ConfigError, InvertedState, NonFiniteObjective
 from .losses import N_TERMS, LossWeights, assemble
 from .materials import J_WARN, cauchy, deformation_gradient, von_mises
-from .network import FieldNetwork, MLPSpec, RFFMap, displacement_gradient
+from .network import BLOCK_POINTS, FieldNetwork, MLPSpec, RFFMap, displacement_gradient, row_blocks
 from .optim import CurriculumSchedule, LBFGSConfig, curriculum_train
 from .reference import l2_error
 
 log = logging.getLogger(__name__)
+
+# rows per chunk of evaluate_fields, a whole number of perceptron blocks.
+# Exporting the power-law cantilever's (32, 32) network on 81x21x21 points
+# (one core, one BLAS thread) peaked at 54.4 / 56.8 / 57.7 / 64.9 MB with
+# chunks of 4 / 8 / 16 / 32 blocks (94.4 MB in one pass); evaluate_fields
+# took 202 / 166 / 155 / 156 ms (170 ms in one pass).
+SAMPLE_CHUNK_POINTS = 16 * BLOCK_POINTS
 
 
 class TrainingObjective:
@@ -162,17 +169,9 @@ def train(problem, net, *, schedule=None, opt_config=None, phi0=None,
     return curriculum_train(problem, schedule, factory, phi, opt_config, timing=timing)
 
 
-def evaluate_fields(net, phi, X, material=None):
-    """Sample trained fields at arbitrary points (no gradients recorded).
-
-    Returns displacement, the stress-head prediction, the Cauchy stress
-    pushed forward from the head, and its von Mises intensity; passing a
-    material adds the constitutive-branch stress "P_u".  Only first-order
-    jets are built: sampling needs no spatial derivatives of the state.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    phi_const = ad.constant(np.asarray(phi, dtype=np.float64))
-    u, P = net.fields(phi_const, X, order=1)
+def _sample(net, phi, X, material):
+    """The fields of :func:`evaluate_fields` at the rows X, in one pass."""
+    u, P = net.fields(phi, X, order=1)
     state = deformation_gradient(displacement_gradient(u))
     F, J = state.F.val.data, state.J.val.data
     S = cauchy(P.val.data, F, J)
@@ -186,6 +185,39 @@ def evaluate_fields(net, phi, X, material=None):
     }
     if material is not None:
         out["P_u"] = material.stress(state).val.data
+    return out
+
+
+def evaluate_fields(net, phi, X, material=None):
+    """Sample trained fields at arbitrary points (no gradients recorded).
+
+    Returns displacement, the stress-head prediction, the Cauchy stress
+    pushed forward from the head, and its von Mises intensity; passing a
+    material adds the constitutive-branch stress "P_u".  Only first-order
+    jets are built: sampling needs no spatial derivatives of the state.
+
+    The points are sampled in chunks of ``SAMPLE_CHUNK_POINTS`` rows, the
+    remainder joining the last chunk, into output arrays allocated once,
+    so the jets of one chunk at a time are alive.  Chunks start on
+    multiples of ``BLOCK_POINTS`` and hold whole blocks, so every block of
+    the perceptron, and every product inside it, is the block of one pass
+    over all rows: the result does not depend on the chunk size.  The
+    first inverted chunk raises InvertedState, its ``point_index`` (the
+    smallest det F in that chunk) counted in rows of X.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    phi_const = ad.constant(np.asarray(phi, dtype=np.float64))
+    out = {}
+    for lo, hi in row_blocks(len(X), SAMPLE_CHUNK_POINTS):
+        try:
+            chunk = _sample(net, phi_const, X[lo:hi], material)
+        except InvertedState as err:
+            err.point_index += lo
+            raise
+        for key, value in chunk.items():
+            if key not in out:
+                out[key] = np.empty((len(X),) + value.shape[1:], dtype=value.dtype)
+            out[key][lo:hi] = value
     return out
 
 

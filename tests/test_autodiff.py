@@ -87,7 +87,7 @@ class TestJetPrimitives:
     def test_inverted_state_at_zero_and_negative_det(self):
         # the floor is on the signed determinant: singular and reflected
         # matrices both raise before anything is recorded, naming the
-        # first offending index
+        # index of the smallest determinant
         A = np.stack([np.eye(3), np.zeros((3, 3)), np.diag([1.0, 1.0, -1.0])])
         for bad in (1, 2):
             tape = ad.Tape()

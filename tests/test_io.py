@@ -3,6 +3,9 @@
 import json
 import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -205,6 +208,31 @@ class TestFieldIO:
         assert text.startswith("# units:")
 
 
+    def test_blocks_written_without_the_whole_table(self, tmp_path):
+        # twelve 4096-row blocks and a remainder; values with short
+        # reprs keep a block's text small next to the table
+        n = 12 * 4096 + 100
+        table = np.random.default_rng(3).integers(-8, 8, (n, 16)) / 8
+        X, fields = table[:, :3], {
+            "u": table[:, 3:6], "P": table[:, 6:15].reshape(n, 3, 3), "von_mises": table[:, 15],
+        }
+        path = tmp_path / "fields.csv"
+        tracemalloc.start()
+        try:
+            write_fields_csv(path, X, fields, metadata={"seed": 0})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes
+        # the text of one hstack-ed table, row by row
+        whole = np.hstack([X, fields["u"], fields["P"].reshape(n, 9), fields["von_mises"][:, None]])
+        assert path.read_text() == (
+            "# units: X in m, u in m, P and von_mises in Pa\n# seed: 0\n"
+            + ",".join(FIELD_COLUMNS) + "\n"
+            + "".join(",".join(map(repr, row)) + "\n" for row in whole.tolist())
+        )
+
+
 class TestVTK:
     def test_structured_points_layout(self, tmp_path):
         dims = (3, 4, 5)
@@ -304,6 +332,25 @@ class TestCLI:
             table = open(os.path.join(out, "mask_comparison.csv")).read().splitlines()[1:]
             assert [line.split(",")[2] for line in table] == ["1", "1", "1"]
             assert all(line.endswith(",converged") for line in table)
+
+    def test_progress_lines_only_with_verbose(self, tmp_path):
+        # at the default level a solve writes nothing to stderr; -v adds one
+        # progress line per history row
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        stderr = []
+        for flags in ([], ["-v"]):
+            out = str(tmp_path / f"run{len(stderr)}")
+            proc = subprocess.run(
+                [sys.executable, "-m", "hyperelast.cli", *flags, "solve", *TINY_SOLVE,
+                 "--out", out],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            stderr.append(proc.stderr)
+        assert stderr[0] == ""
+        rows = read_history(os.path.join(out, "history.csv")).rows
+        lines = [l for l in stderr[1].splitlines() if l.startswith("INFO hyperelast.optim: ")]
+        assert [l.split(":")[1] for l in lines] == [f" stage 0 iter {r.iter}" for r in rows]
 
     def test_solve_writes_outputs(self, tmp_path):
         out = str(tmp_path / "run")

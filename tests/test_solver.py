@@ -2,6 +2,7 @@
 end-to-end curriculum solve on a built-in preset."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import hyperelast.autodiff as ad
 from hyperelast import solver
 from hyperelast.bvp import affine_problem, preset
 from hyperelast.config import RunConfig
-from hyperelast.errors import NonFiniteObjective
+from hyperelast.losses import TERM_NAMES
+from hyperelast.errors import InvertedState, NonFiniteObjective
 from hyperelast.materials import cauchy, deformation_gradient, von_mises
 from hyperelast.network import BLOCK_POINTS, FieldNetwork, displacement_gradient
 from hyperelast.optim import CurriculumSchedule, LBFGSConfig
@@ -203,17 +205,91 @@ def test_evaluate_fields_bitwise_equal_to_second_order_pass(name):
     X = np.asarray(dom.origin) + rng.uniform(0, 1, size=(40, 3)) * np.asarray(dom.lengths)
     u, P = net.fields(ad.constant(phi), X)
     assert u.hess is not None
+    _assert_sampled(evaluate_fields(net, phi, X, material=problem.material), u, P, problem.material)
+
+
+def _assert_sampled(out, u, P, material):
+    """``out`` holds, bit for bit, the fields post-processed from u and P."""
     state = deformation_gradient(displacement_gradient(u))
     F, J = state.F.val.data, state.J.val.data
     S = cauchy(P.val.data, F, J)
     expected = {
         "u": u.val.data, "P": P.val.data, "F": F, "J": J, "S": S,
-        "von_mises": von_mises(S), "P_u": problem.material.stress(state).val.data,
+        "von_mises": von_mises(S), "P_u": material.stress(state).val.data,
     }
-    out = evaluate_fields(net, phi, X, material=problem.material)
     assert out.keys() == expected.keys()
     for key, value in expected.items():
         assert np.array_equal(out[key], value), key
+
+
+def _sampling_case(n, seed=0):
+    """A small network, parameters near its initial ones and n random
+    points in the domain of the power-law cantilever."""
+    problem = preset("lp_cantilever_displacement", grid=(3, 3, 3))
+    net = build_network(problem, hidden=(6, 6), fourier_features=3, seed=2)
+    rng = np.random.default_rng(seed)
+    phi = net.init_params() + 1e-3 * rng.standard_normal(net.n_params)
+    dom = problem.domain
+    X = np.asarray(dom.origin) + rng.uniform(0, 1, size=(n, 3)) * np.asarray(dom.lengths)
+    return problem, net, phi, X
+
+
+CHUNK = solver.SAMPLE_CHUNK_POINTS
+
+
+@pytest.mark.parametrize("n", [
+    CHUNK - 1,  # one chunk
+    2 * CHUNK,
+    2 * CHUNK + BLOCK_POINTS // 2,  # a remainder shorter than a block
+    2 * CHUNK + BLOCK_POINTS + 17,  # a remainder of a block and more
+])
+def test_evaluate_fields_chunks_bitwise_equal_to_one_pass(n):
+    assert CHUNK % BLOCK_POINTS == 0
+    problem, net, phi, X = _sampling_case(n)
+    u, P = net.fields(ad.constant(phi), X, order=1)
+    _assert_sampled(evaluate_fields(net, phi, X, material=problem.material), u, P, problem.material)
+
+
+def _traced_peak(fn):
+    """(fn(), the peak of the memory traced while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_fields_memory_does_not_grow_with_rows():
+    # beyond its outputs, sampling holds one chunk's jets at a time
+    working = []
+    for n_chunks in (2, 8):
+        problem, net, phi, X = _sampling_case(n_chunks * CHUNK)
+        out, peak = _traced_peak(lambda: evaluate_fields(net, phi, X, material=problem.material))
+        working.append(peak - sum(a.nbytes for a in out.values()))
+    assert working[1] <= 1.25 * working[0]
+
+
+def test_inverted_chunk_names_a_row_of_the_batch(monkeypatch):
+    # the third chunk inverts at its row 100: the index is shifted by the
+    # chunk's start, in the attribute and in the message
+    problem, net, phi, X = _sampling_case(3 * CHUNK + 10)
+    inner, calls = solver.deformation_gradient, []
+
+    def deformation_gradient(grad_u):
+        calls.append(1)
+        if len(calls) == 3:
+            val = grad_u.val.data.copy()
+            val[100] = -np.eye(3)  # F = 0
+            grad_u = ad.Jet(ad.constant(val))
+        return inner(grad_u)
+
+    monkeypatch.setattr(solver, "deformation_gradient", deformation_gradient)
+    with pytest.raises(InvertedState) as info:
+        evaluate_fields(net, phi, X)
+    assert len(calls) == 3
+    assert info.value.point_index == 2 * CHUNK + 100
+    assert str(info.value).endswith(f"(point index {2 * CHUNK + 100})")
 
 
 # one step per curriculum stage of the power-law cantilever: a line-search
@@ -248,3 +324,22 @@ def test_near_inversion_logged_per_accepted_iterate(caplog, monkeypatch):
     messages = _near_inversion_messages(caplog)
     assert len(messages) == len(rows) == 3
     assert all(f"iteration {r.iter} of this stage:" in m for r, m in zip(rows, messages))
+
+
+def test_progress_line_per_history_row(caplog):
+    # -v shows each accepted iterate as it is recorded, read off its row
+    cfg = RunConfig({
+        "problem.affine": "shear:0.3", "problem.grid": "5,5,5", "network.hidden": "8",
+        "network.fourier_features": "4", "optimizer.max_iters": "3",
+    })
+    with caplog.at_level(logging.INFO, logger="hyperelast.optim"):
+        rows = solve_config(cfg).history.rows
+    lines = [r.getMessage() for r in caplog.records if r.name == "hyperelast.optim"]
+    assert len(lines) == len(rows) == 3
+    for row, line in zip(rows, lines):
+        weights = " ".join(f"{name}={w:.3g}" for name, w in zip(TERM_NAMES, row.weights))
+        assert line == (
+            f"stage {row.stage} iter {row.iter}: total {row.total:.6e}, "
+            f"grad norm {row.grad_norm:.3e}, step {row.step:.3e}, {row.n_evals} evals; "
+            f"weights {weights}"
+        )
