@@ -38,7 +38,7 @@ DET_FLOOR = 1e-12  # det F at or below this raises InvertedState
 
 
 class Node:
-    """One recorded operation: identifier, parent node ids, backward rules.
+    """One recorded operation: identifier and backward rules.
 
     ``edges`` holds (node id, output index, callable producing the adjoint
     contribution) per differentiable parent; constant parents carry no
@@ -46,11 +46,10 @@ class Node:
     tuple, None for a single-array node (output index None).
     """
 
-    __slots__ = ("op", "parents", "edges", "outputs")
+    __slots__ = ("op", "edges", "outputs")
 
-    def __init__(self, op, parents, edges, outputs=None):
+    def __init__(self, op, edges, outputs=None):
         self.op = op
-        self.parents = parents
         self.edges = edges
         self.outputs = outputs
 
@@ -68,7 +67,7 @@ class Tape:
         """Register a differentiation root (e.g. the flat parameter vector)."""
         data = np.asarray(data, dtype=np.float64)
         var = Var(self, data, len(self.nodes))
-        self.nodes.append(Node("input", (), ()))
+        self.nodes.append(Node("input", ()))
         return var
 
 
@@ -121,12 +120,11 @@ def record(op, out_data, operands, vjps):
     tape = next((v.tape for v in operands if v.node is not None), None)
     if tape is None:
         return tuple(Var(None, d) for d in out_data) if several else Var(None, out_data)
-    parents = tuple(v.node for v in operands)
     edges = tuple(
         (v.node, v.out, vjps[i]) for i, v in enumerate(operands) if v.node is not None
     )
     nid = len(tape.nodes)
-    tape.nodes.append(Node(op, parents, edges, len(out_data) if several else None))
+    tape.nodes.append(Node(op, edges, len(out_data) if several else None))
     if several:
         return tuple(Var(tape, d, nid, k) for k, d in enumerate(out_data))
     return Var(tape, out_data, nid)

@@ -7,7 +7,7 @@ interior) and the built-in benchmark presets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,23 +195,6 @@ class ProblemSpec:
             raise ValueError(f"mask must be one of {tuple(MASK_TERMS)}")
         if not self.enforcer.faces:
             raise ValueError("at least one essential constraint is required")
-
-    def scaled(self, factor):
-        """Scale tractions and prescribed displacements (load stepping).
-
-        The scaled problem has no reference field: under traction with a
-        nonlinear material the exact field does not scale with the load.
-        """
-        patches = tuple(
-            replace(p, traction=tuple(factor * t for t in p.traction))
-            for p in self.patches
-        )
-        return replace(
-            self,
-            patches=patches,
-            enforcer=self.enforcer.scaled(factor),
-            reference=None,
-        )
 
     def point_sets(self):
         return build_point_sets(self.domain, self.patches)

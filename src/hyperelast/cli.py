@@ -109,7 +109,7 @@ def cmd_export_fields(args):
             f"the configured network needs {net.n_params}"
         )
     dims, X, spacing = _export_grid_points(cfg, problem.domain)
-    fields = solver.evaluate_fields(net, phi, X, material=problem.material)
+    fields = solver.evaluate_fields(net, phi, X)
     meta = {"config_hash": cfg.hash(), "seed": cfg.get("network.seed"),
             "problem": problem.name}
     exports.write_fields_csv(os.path.join(out, "fields.csv"), X, fields, metadata=meta)

@@ -5,7 +5,9 @@ stress components).  Inputs pass through a Gaussian random Fourier
 feature map, then a tanh multilayer perceptron with a linear head.
 Displacement outputs are composed with distance functions so essential
 boundary conditions hold exactly; stress outputs pass through unchanged
-up to a fixed conditioning scale.
+up to a fixed conditioning scale.  The lift and mask of that composition
+are plain arrays, laid out once per point set by
+:meth:`BCEnforcer.bc_jets`; a load stage scales the two lift arrays.
 
 The perceptron takes its input jets as channel-major feature stacks
 (N, C, w) from :meth:`RFFMap.features`: channel 0 holds the values, 1-3
@@ -23,7 +25,8 @@ and packed Hessian (N, 3, 6), and the stress jet P (N, 3, 3) one order
 lower, because only the divergence of the stress is ever needed, with
 the stress scale folded into its slots.  Its vjp fills one (N, C, 12)
 adjoint.  Training asks for u at order 2, sampling at order 1, where
-every stage passes a None Hessian slot through.
+every stage passes a None Hessian slot through; the head reads the order
+off the node's channel count.
 
 Training feeds two stacks, order 2 at the interior points and order 1
 elsewhere.  Contract: u's Hessian is computed at interior rows only and
@@ -319,10 +322,11 @@ def forward(spec, phi, stacks, rows=None):
     return ad.record(op, out, (phi,), (back,))
 
 
-def _head(y, order, scale):
+def _head(y, scale):
     """Head jets off the perceptron node y (N, C, 12) as one tape node:
-    the displacement y_u (N, 3) of ``order`` (2 or 1) and the stress P
-    (N, 3, 3) one order lower, times ``scale``.
+    the displacement y_u (N, 3), of order 2 when y carries the Hessian
+    channels (C = 10) and of order 1 when it does not (C = 4), and the
+    stress P (N, 3, 3) one order lower, times ``scale``.
 
     Each slot is its output columns at its channels, channels last.  The
     vjp writes the adjoints of the slots read into one (N, C, 12) buffer
@@ -337,7 +341,8 @@ def _head(y, order, scale):
         (slice(0, 1), p, (3, 3), scale),
         (slice(1, 4), p, (3, 3, 3), scale),
     ]
-    if order < 2:
+    first_order = full[1] == 4
+    if first_order:
         del slots[4], slots[2]
 
     def back(adjs):
@@ -353,7 +358,7 @@ def _head(y, order, scale):
         for ch, cols, shape, s in slots
     )
     heads = ad.record("mlp_head", data, (y,), (back,))
-    if order < 2:
+    if first_order:
         heads = heads[:2] + (None,) + heads[2:] + (None,)
     return ad.Jet(*heads[:3]), ad.Jet(*heads[3:])
 
@@ -389,6 +394,11 @@ class BCEnforcer:
     component and is a product of normalized face distances elsewhere.
     Only the displacement is composed; traction conditions on the stress
     are handled softly in the loss.
+
+    :meth:`bc_jets` lays A and B out at a point set once, as plain arrays
+    (constants with respect to the network weights), and :meth:`apply`
+    composes a raw displacement jet with them.  A load stage scales the
+    prescribed displacement by scaling the two lift arrays.
     """
 
     origin: tuple
@@ -397,28 +407,27 @@ class BCEnforcer:
     lift_const: tuple = (0.0, 0.0, 0.0)
     lift_lin: tuple = ((0.0,) * 3,) * 3
 
-    def scaled(self, factor):
-        """Scale the prescribed displacement data (load stepping)."""
-        c = tuple(factor * v for v in self.lift_const)
-        g = tuple(tuple(factor * v for v in row) for row in self.lift_lin)
-        return BCEnforcer(self.origin, self.lengths, self.faces, c, g)
+    def bc_jets(self, X, order=2):
+        """The composition data at points X (..., 3), cacheable per point
+        set: the tuple ``(lift, lift_grad, mask, mask_grad, mask_hess,
+        cross)`` of plain arrays.
 
-    def lift_jets(self, X):
-        """A(X) = c + G X as a constant first-order jet (..., 3)."""
-        X = np.asarray(X, dtype=np.float64)
-        G = np.asarray(self.lift_lin)
-        val = np.asarray(self.lift_const) + np.einsum("ij,...j->...i", G, X, optimize=True)
-        grad = np.broadcast_to(G, X.shape[:-1] + (3, 3)).copy()
-        return ad.Jet(ad.constant(val), ad.constant(grad))
-
-    def mask_jets(self, X, order=2):
-        """B(X) per component as a constant jet (..., 3) of order 2 or 1.
-
-        Each factor is a normalized face distance, linear in one
-        coordinate, so the product rule needs no Hessian of the factor.
+        lift (..., 3) is A and lift_grad (..., 3, 3) its gradient G; mask
+        (..., 3), mask_grad (..., 3, 3) and the packed mask_hess (..., 3, 6)
+        are B per component.  Each factor of B is a normalized face
+        distance, linear in one coordinate, so the product rule needs no
+        Hessian of the factor.  cross (..., 3, 6, 3) holds the coefficient
+        of d y_i / dX_d in packed entry k of grad B_i (x) grad y_i +
+        grad y_i (x) grad B_i, so that this term of the product rule is
+        one contraction.  At order 1 mask_hess and cross are None.
         """
         X = np.asarray(X, dtype=np.float64)
         batch = X.shape[:-1]
+        G = np.asarray(self.lift_lin, dtype=np.float64)
+        lift = np.asarray(self.lift_const, dtype=np.float64) + np.einsum(
+            "ij,...j->...i", G, X, optimize=True
+        )
+        lift_grad = np.broadcast_to(G, batch + (3, 3)).copy()
         val = np.ones(batch + (3,))
         grad = np.zeros(batch + (3, 3))
         hess = np.zeros(batch + (3, 6)) if order == 2 else None
@@ -438,44 +447,29 @@ class BCEnforcer:
                     )
                 grad[..., i, :] = grad[..., i, :] * xi[..., None] + val[..., i, None] * dxi
                 val[..., i] = val[..., i] * xi
-        return ad.Jet(*(a if a is None else ad.constant(a) for a in (val, grad, hess)))
-
-    def bc_jets(self, X, order=2):
-        """Constant lift and mask jets, cacheable per point set.
-
-        The third entry, cross (..., 3, 6, 3), holds the coefficient of
-        d y_i / dX_d in packed entry k of grad B_i (x) grad y_i +
-        grad y_i (x) grad B_i, so that this term of the product rule is
-        one contraction.  At order 1 the mask has no Hessian and cross is
-        None.
-        """
-        mask = self.mask_jets(X, order)
-        if order < 2:
-            return self.lift_jets(X), mask, None
-        Bg = mask.grad.data
-        cross = np.zeros(Bg.shape[:-1] + (6, 3))
+        if hess is None:
+            return lift, lift_grad, val, grad, None, None
+        cross = np.zeros(batch + (3, 6, 3))
         for k, (a, b) in enumerate(zip(ad.PACK_A, ad.PACK_B)):
-            cross[..., k, b] += Bg[..., a]
-            cross[..., k, a] += Bg[..., b]
-        return self.lift_jets(X), mask, cross
+            cross[..., k, b] += grad[..., a]
+            cross[..., k, a] += grad[..., b]
+        return lift, lift_grad, val, grad, hess, cross
 
-    def apply(self, X, y_u, bc=None):
-        """Displacement jet u = A + B y_u from the raw displacement jet.
+    def apply(self, y_u, bc):
+        """Displacement jet u = A + B y_u from the raw displacement jet and
+        the arrays ``bc`` of :meth:`bc_jets`.
 
         Product rule, with A of zero Hessian.  u has the order of y_u
         (2 or 1); ``bc`` must carry at least that order.
         """
-        order = 1 if y_u.hess is None else 2
-        lift, mask, cross = bc if bc is not None else self.bc_jets(X, order)
-        Bv, Bg = mask.val.data, mask.grad.data
-        val = ad.add(lift.val, ad.mul(y_u.val, Bv))
+        lift, lift_grad, Bv, Bg, Bh, cross = bc
+        val = ad.add(lift, ad.mul(y_u.val, Bv))
         grad = ad.add(
-            lift.grad,
+            lift_grad,
             ad.add(ad.mul(y_u.grad, Bv[..., None]), ad.scale(y_u.val, Bg)),
         )
-        if order < 2:
+        if y_u.hess is None:
             return ad.Jet(val, grad)
-        Bh = mask.hess.data
         hess = ad.add(
             ad.add(ad.mul(y_u.hess, Bv[..., None]), ad.scale(y_u.val, Bh)),
             ad.matvec(cross, y_u.grad),
@@ -505,27 +499,31 @@ class FieldNetwork:
         return self.mlp.init_params(rng)
 
     def raw_outputs(self, phi, X, features=None, order=2):
-        """Head jets: displacement y_u (N, 3) of ``order`` (2 or 1) and the
-        scaled stress P (N, 3, 3) one order lower, one head node off the
-        perceptron node.
+        """Head jets: displacement y_u (N, 3) and the scaled stress P
+        (N, 3, 3) one order lower, one head node off the perceptron node.
 
-        ``features`` is a (stacks, rows) pair for :func:`forward` carrying
-        at least ``order``; by default the features of X at ``order``.
+        ``features`` is a (stacks, rows) pair for :func:`forward`; by
+        default the features of X at ``order`` (2 or 1).  y_u is of order 2
+        when some stack carries a Hessian, else of order 1.
         """
         stacks, rows = ((self.rff.features(X, order),), None) if features is None else features
-        return _head(forward(self.mlp, phi, stacks, rows), order, self.stress_scale)
+        return _head(forward(self.mlp, phi, stacks, rows), self.stress_scale)
 
     def fields(self, phi, X, features=None, bc=None, order=2):
         """Displacement jet of ``order`` and scaled stress jet one order
         lower at points X (N, 3).
 
+        ``bc`` is the composition data of :meth:`BCEnforcer.bc_jets` at X;
+        by default the network's enforcer lays it out at the order of y_u.
         With features whose stacks are of order 2 on some rows and order 1
         on the rest, u's Hessian is computed on the order-2 rows only and
         is zero elsewhere, so the stress-branch gradients at the other rows
         are never read.
         """
         y_u, P = self.raw_outputs(phi, X, features, order)
-        return self.enforcer.apply(X, y_u, bc=bc), P
+        if bc is None:
+            bc = self.enforcer.bc_jets(X, 1 if y_u.hess is None else 2)
+        return self.enforcer.apply(y_u, bc), P
 
 
 def displacement_gradient(u):

@@ -353,20 +353,18 @@ def lbfgs_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
     return phi, history
 
 
-def curriculum_train(problem, schedule, objective_factory, phi0, config,
-                     *, timing=False):
-    """Load-stepped training: scale all loads by each fraction in turn,
+def curriculum_train(schedule, objective_factory, phi0, config, *, timing=False):
+    """Load-stepped training: one stage per fraction of the schedule,
     warm-starting parameters between stages.
 
-    ``objective_factory(problem_stage)`` builds a fresh objective (and
-    fresh weighting statistics) for each scaled problem.
+    ``objective_factory(fraction)`` builds a fresh objective (and fresh
+    weighting statistics) with all loads scaled by ``fraction``.
     """
     phi = np.array(phi0, dtype=np.float64, copy=True)
     history = TrainingHistory()
     offset = 0
     for k, fraction in enumerate(schedule.fractions):
-        stage_problem = problem if fraction == 1.0 else problem.scaled(fraction)
-        objective = objective_factory(stage_problem)
+        objective = objective_factory(fraction)
         stage_config = config
         if schedule.stage_iters is not None:
             stage_config = replace(config, max_iters=schedule.stage_iters[k])

@@ -45,6 +45,13 @@ SAMPLE_CHUNK_POINTS = 16 * BLOCK_POINTS
 class TrainingObjective:
     """phi -> (loss, gradient) with adaptive weighting on iteration starts.
 
+    ``fraction`` is the load fraction of a curriculum stage: the laid-out
+    patch tractions ``tbar``, nodal load ``load`` and the lift arrays of
+    the boundary data are multiplied by it.  For a power-of-two fraction
+    this equals laying out the problem with its loads scaled, bit for
+    bit; another fraction may round the nodal load and lift differently
+    in the last bit.
+
     ``weights`` (a ``LossWeights``) is refreshed from the loss terms of
     each accepted iterate.  An inverted deformation state during a probe
     yields +inf (the line search backs off); at an iteration start it
@@ -63,19 +70,21 @@ class TrainingObjective:
     probes, rejected ones included, log nothing.
     """
 
-    def __init__(self, problem, net):
+    def __init__(self, problem, net, fraction=1.0):
         self.problem = problem
         self.net = net
-        self.points = problem.point_sets()
+        points = problem.point_sets()
+        self.points = replace(points, tbar=fraction * points.tbar, load=fraction * points.load)
         # u's Hessian is read at interior points only (strong-form residuals)
-        X, inner, rest = self.points.points, self.points.interior_idx, self.points.boundary_idx
+        X, inner, rest = points.points, points.interior_idx, points.boundary_idx
         self.features = (
             (net.rff.features(X[inner], 2), net.rff.features(X[rest], 1)),
             (inner, rest),
         )
-        # the stage's (load-scaled) boundary data; given bc, the network's
-        # own enforcer is never read, so one network serves every stage
-        self.bc = problem.enforcer.bc_jets(self.points.points)
+        # given bc, the network's own enforcer is never read, so one
+        # network serves every stage
+        lift, lift_grad, *mask = problem.enforcer.bc_jets(X)
+        self.bc = (fraction * lift, fraction * lift_grad, *mask)
         self.weights = LossWeights(problem.mask, has_traction=self.points.n_traction > 0)
         self.last_terms = np.zeros(N_TERMS)
         self.iteration = 0  # begin_iteration calls so far, i.e. in this stage
@@ -162,11 +171,10 @@ def train(problem, net, *, schedule=None, opt_config=None, phi0=None,
     schedule = schedule or CurriculumSchedule()
     opt_config = opt_config or LBFGSConfig()
     phi = net.init_params() if phi0 is None else np.asarray(phi0, dtype=np.float64)
-
-    def factory(stage_problem):
-        return TrainingObjective(stage_problem, net)
-
-    return curriculum_train(problem, schedule, factory, phi, opt_config, timing=timing)
+    return curriculum_train(
+        schedule, lambda fraction: TrainingObjective(problem, net, fraction), phi, opt_config,
+        timing=timing,
+    )
 
 
 def _sample(net, phi, X, material):

@@ -217,13 +217,6 @@ class TestPresets:
         for name in ("normals", "tbar", "member", "load"):
             assert np.array_equal(getattr(pa, name), getattr(pb, name))
 
-    def test_load_scaling(self):
-        p = preset("nh_cantilever_traction", grid=(5, 5, 5)).scaled(0.5)
-        loaded = [q for q in p.patches if any(q.traction)]
-        assert loaded[0].traction == (0.0, -2.5, 0.0)
-        # the exact field of a scaled stage is not the scaled exact field
-        assert preset("nh_simple_shear", grid=(3, 3, 3)).scaled(0.5).reference is None
-
 
 class TestAffineProblem:
     def test_defaults_and_names(self):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hyperelast import cli, solver
+from hyperelast import cli, materials, solver
 from hyperelast.config import DEFAULTS, RunConfig, parse_override, read_file
 from hyperelast.errors import ConfigError
 from hyperelast.exports import (
@@ -523,6 +523,19 @@ class TestCLI:
         back = read_fields_csv(os.path.join(exp, "fields.csv"))
         assert back["X"].shape == (125, 3)
         assert os.path.exists(os.path.join(exp, "fields.vtk"))
+
+    def test_export_fields_makes_no_constitutive_stress_call(self, tmp_path, monkeypatch):
+        # fields.csv and fields.vtk hold no constitutive-branch stress
+        def stress(self, state):
+            raise AssertionError("export-fields evaluated the constitutive stress")
+
+        for cls in (materials.NeoHookean, materials.LopezPamies):
+            monkeypatch.setattr(cls, "stress", stress)
+        code = cli.main([
+            "export-fields", "--checkpoint", self.tiny_checkpoint(tmp_path),
+            "--set", "export.grid=5,5,5", "--out", str(tmp_path / "fields"),
+        ])
+        assert code == 0
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HYPERELAST_OUT", str(tmp_path))

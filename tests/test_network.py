@@ -347,10 +347,10 @@ class TestHardBC:
         phi = ad.constant(rng.standard_normal(net.n_params))
         X = rng.uniform(0.1, 0.9, size=(6, 3))
         y_u, _ = net.raw_outputs(phi, X)
-        u2 = net.enforcer.apply(X, y_u)
+        u2 = net.enforcer.apply(y_u, net.enforcer.bc_jets(X))
         y1 = ad.Jet(y_u.val, y_u.grad)
-        for bc in (None, net.enforcer.bc_jets(X), net.enforcer.bc_jets(X, order=1)):
-            u1 = net.enforcer.apply(X, y1, bc=bc)
+        for bc in (net.enforcer.bc_jets(X), net.enforcer.bc_jets(X, order=1)):
+            u1 = net.enforcer.apply(y1, bc)
             assert u1.hess is None
             assert np.array_equal(u1.val.data, u2.val.data)
             assert np.array_equal(u1.grad.data, u2.grad.data)
@@ -365,7 +365,7 @@ class TestHardBC:
         u, P = net.fields(tape.input(np.zeros(net.n_params)), X)
         ops = [node.op for node in tape.nodes]
         (mlp,) = [i for i, op in enumerate(ops) if op.startswith("mlp[")]
-        readers = [i for i, node in enumerate(tape.nodes) if mlp in node.parents]
+        readers = [i for i, node in enumerate(tape.nodes) if mlp in [e[0] for e in node.edges]]
         assert readers == [mlp + 1] and ops[mlp + 1] == "mlp_head"
         assert tape.nodes[mlp + 1].outputs == 5
         assert [(v.node, v.out) for v in (P.val, P.grad)] == [(mlp + 1, 3), (mlp + 1, 4)]
@@ -376,7 +376,7 @@ class TestHardBC:
         problem = preset("lp_cantilever_displacement", grid=(5, 5, 5))
         enforcer = problem.enforcer
         X = np.array([[0.0, 0.5, 0.5], [4.0, 0.5, 0.5], [2.0, 0.0, 0.5]])
-        vals = enforcer.mask_jets(X).val.data
+        _, _, vals, _, _, _ = enforcer.bc_jets(X)
         for i in range(3):
             assert vals[0, i] == 0.0 and vals[1, i] == 0.0
             assert vals[2, i] > 0.0

@@ -233,15 +233,16 @@ class TestCurriculum:
 
     def test_single_stage_identical_to_plain_minimize(self):
         fn, _ = spd_quadratic(8, seed=9)
+        fractions = []
 
-        class P:
-            def scaled(self, f):
-                raise AssertionError("must not rescale for fraction 1.0")
+        def factory(fraction):
+            fractions.append(fraction)
+            return fn
 
         phi_a, hist_a = curriculum_train(
-            P(), CurriculumSchedule(fractions=(1.0,)), lambda p: fn,
-            np.ones(8), LBFGSConfig(max_iters=30),
+            CurriculumSchedule(fractions=(1.0,)), factory, np.ones(8), LBFGSConfig(max_iters=30),
         )
+        assert fractions == [1.0]
         phi_b, hist_b = lbfgs_minimize(fn, np.ones(8), LBFGSConfig(max_iters=30))
         assert np.array_equal(phi_a, phi_b)
         assert [r.total for r in hist_a.rows] == [r.total for r in hist_b.rows]
@@ -271,8 +272,7 @@ class TestCurriculum:
     def test_stage_budgets_applied(self):
         fn, _ = spd_quadratic(6, seed=11)
         _, hist = curriculum_train(
-            type("P", (), {"scaled": lambda self, f: self})(),
             CurriculumSchedule(fractions=(0.5, 1.0), stage_iters=(2, 3)),
-            lambda p: fn, np.ones(6), LBFGSConfig(max_iters=100),
+            lambda fraction: fn, np.ones(6), LBFGSConfig(max_iters=100),
         )
         assert max(r.iter for r in hist.rows if r.stage == 0) <= 2

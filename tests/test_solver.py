@@ -3,6 +3,7 @@ end-to-end curriculum solve on a built-in preset."""
 
 import logging
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,6 +122,31 @@ class TestCurriculumSolve:
         assert np.array_equal(phi_a, phi_b)
         assert len(hist_a.rows) == len(hist_b.rows)
         assert all(_rows_equal(a, b) for a, b in zip(hist_a.rows, hist_b.rows))
+
+    @pytest.mark.parametrize("name", ["nh_cantilever_traction", "lp_cantilever_displacement"])
+    def test_stage_scales_loads_and_lift(self, name):
+        # a stage at half load is the problem with its patch tractions and
+        # prescribed displacement halved by hand; 0.5 scales exactly
+        problem = preset(name, grid=(5, 5, 5))
+        enforcer = problem.enforcer
+        by_hand = replace(
+            problem,
+            patches=tuple(
+                replace(p, traction=tuple(0.5 * t for t in p.traction)) for p in problem.patches
+            ),
+            enforcer=replace(
+                enforcer,
+                lift_const=tuple(0.5 * c for c in enforcer.lift_const),
+                lift_lin=tuple(tuple(0.5 * g for g in row) for row in enforcer.lift_lin),
+            ),
+        )
+        net = build_network(problem, hidden=(6,), fourier_features=2, seed=1)
+        phi = net.init_params() + 1e-3 * np.random.default_rng(4).standard_normal(net.n_params)
+        f_half, g_half = TrainingObjective(problem, net, 0.5)(phi)
+        f_hand, g_hand = TrainingObjective(by_hand, net)(phi)
+        assert f_half == f_hand
+        assert np.array_equal(g_half, g_hand)
+        assert f_half != TrainingObjective(problem, net)(phi)[0]
 
 
 def _rows_equal(a, b):
