@@ -38,13 +38,22 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _write_rows(fh, columns, format_row, block=4096):
-    """Write ``format_row(row)`` for each row of the table whose columns are
-    the arrays ``columns`` side by side, as Python floats, ``block`` rows
-    per write: only one block of the table, and of its text, ever exists."""
+def _write_rows(fh, columns, format_rows, block=4096):
+    """Write ``format_rows(rows)`` for each block of ``block`` rows of the
+    table whose columns are the arrays ``columns`` side by side: only one
+    block of the table, and of its text, ever exists."""
     for start in range(0, len(columns[0]), block):
-        rows = np.hstack([col[start:start + block] for col in columns])
-        fh.write("".join(map(format_row, rows.tolist())))
+        fh.write(format_rows(np.hstack([col[start:start + block] for col in columns])))
+
+
+def _repr_csv(rows):
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+
+
+def _printf(row_format):
+    """Rows formatter applying ``row_format`` to every row with one ``%``
+    on the format repeated once per row."""
+    return lambda rows: (row_format * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def write_history(history, path):
@@ -104,7 +113,7 @@ def write_fields_csv(path, X, fields, metadata=None):
         for key, val in (metadata or {}).items():
             fh.write(f"# {key}: {val}\n")
         fh.write(",".join(FIELD_COLUMNS) + "\n")
-        _write_rows(fh, cols, lambda row: ",".join(map(repr, row)) + "\n")
+        _write_rows(fh, cols, _repr_csv)
 
 
 def read_fields_csv(path):
@@ -148,10 +157,10 @@ def write_vtk_structured(path, dims, origin, spacing, fields, title="hyperelast"
         fh.write(f"SPACING {spacing[0]:.12g} {spacing[1]:.12g} {spacing[2]:.12g}\n")
         fh.write(f"POINT_DATA {n1 * n2 * n3}\n")
         fh.write("VECTORS displacement double\n")
-        _write_rows(fh, [u_vtk], lambda row: "%.12g %.12g %.12g\n" % tuple(row))
+        _write_rows(fh, [u_vtk], _printf("%.12g %.12g %.12g\n"))
         fh.write("SCALARS von_mises double 1\n")
         fh.write("LOOKUP_TABLE default\n")
-        _write_rows(fh, [vm_vtk], "%.12g\n".__mod__)
+        _write_rows(fh, [vm_vtk], _printf("%.12g\n"))
 
 
 def save_checkpoint(path, cfg, phi):

@@ -17,7 +17,11 @@ pass and its vjp over blocks of ``BLOCK_POINTS`` points, so every
 temporary stays cache-sized and is reused instead of being allocated
 afresh.  Within a block the jets are (C, b, w): an affine layer is one
 matrix product with the bias on channel 0, and the tanh rules scale
-whole contiguous channels by per-unit factors.
+whole contiguous channels by per-unit factors.  For its vjp a taped node
+keeps, per block and hidden layer, only the pre-activation jet Z and the
+unit values t = tanh(Z[0]): C + 1 channels, where Z and the tanh jet T
+would take 2C.  The vjp rebuilds each T from them once per sweep, by the
+forward's own elementwise rules, so the gradient is unchanged bit for bit.
 
 The node's output (N, C, 12) is read by one head node with one output
 per head field: the displacement jet u (N, 3) with gradient (N, 3, 3)
@@ -173,51 +177,53 @@ class MLPSpec:
         return phi
 
 
-def _packed_square(G, out=None):
+def _packed_square(G):
     """Packed products G[A] * G[B] (6, b, o) of gradient channels (3, b, o)."""
-    gg = np.empty((6,) + G.shape[1:]) if out is None else out
+    gg = np.empty((6,) + G.shape[1:])
     np.multiply(G[:1], G, out=gg[0:3])
     np.multiply(G[1:2], G[1:], out=gg[3:5])
     np.multiply(G[2:], G[2:], out=gg[5:])
     return gg
 
 
-def _tanh_jet(Z):
-    """tanh of every unit's jet (C, b, o).
+def _tanh_jet(Z, t, T):
+    """Fill the derivative channels of T (C, b, o), the tanh of every
+    unit's jet Z, whose value channel T[0] already holds t = tanh(Z[0]).
 
-    With t = tanh(z), t1 = 1 - t^2 = t' and t2 = -2 t t1 = t'':
-    value t, gradient t1 G and Hessian t1 H + t2 G[A] G[B] (packed).
+    With t1 = 1 - t^2 = t' and t2 = -2 t t1 = t'': gradient t1 G and
+    Hessian t2 G[A] G[B] + t1 H (packed).  Returns the factors (t1, t2,
+    G[A] G[B]) that :func:`_tanh_jet_back` reads as well, the last None
+    without Hessian channels.  The forward pass and the vjp's rebuild of
+    T both run through here, so they agree bit for bit.
     """
-    T = np.empty_like(Z)
-    t = np.tanh(Z[0], out=T[0])
     t1 = 1.0 - t * t
+    t2 = (-2.0 * t) * t1
     np.multiply(Z[1:4], t1, out=T[1:4])
+    gg = None
     if Z.shape[0] > 4:
-        t2 = (-2.0 * t) * t1
-        hess = _packed_square(Z[1:4], out=T[4:])
-        hess *= t2
-        hess += Z[4:] * t1
-    return T
+        gg = _packed_square(Z[1:4])
+        np.multiply(gg, t2, out=T[4:])
+        T[4:] += Z[4:] * t1
+    return t1, t2, gg
 
 
-def _tanh_jet_back(Z, T, dT):
-    """Adjoint of the tanh jet's input Z from that of its output T = tanh(Z).
+def _tanh_jet_back(Z, t, factors, dT):
+    """Adjoint of the tanh jet's input Z from that of its output, given
+    t = tanh(Z[0]) and the ``factors`` of :func:`_tanh_jet`, whose packed
+    square it overwrites.
 
     Closed forms in t1, t2 and t3 = t2' = t1 (6 t^2 - 2); the adjoint of
     the packed products G[A] G[B] is written into the gradient channels,
     where a diagonal product G_d G_d counts twice in row d and an
     off-diagonal one once in each of its two rows.
     """
-    t = T[0]
-    t1 = 1.0 - t * t
-    t2 = (-2.0 * t) * t1
+    t1, t2, prod = factors
     G, dG = Z[1:4], dT[1:4]
     A = np.empty_like(Z)
     dz = (dG * G).sum(axis=0) * t2
     if Z.shape[0] > 4:
         t3 = t1 * (6.0 * t * t - 2.0)
         dH = dT[4:]
-        prod = _packed_square(G)
         prod *= dH
         hz = prod.sum(axis=0) * t3
         np.multiply(dH, Z[4:], out=prod)
@@ -235,36 +241,53 @@ def _tanh_jet_back(Z, T, dT):
     return A
 
 
-def _block_forward(layers, S, out, rows):
+def _block_forward(layers, S, out, rows, keep):
     """One block of jets S (b, C, i) through every layer into rows
     ``rows`` (a slice or an index array) of ``out`` (N, >= C, 12).
 
-    Inside the block the jets are (C, b, w).  Returns, per layer, its
-    input jet and (hidden layers) its pre-activation jet: all the vjp needs.
+    Inside the block the jets are (C, b, w).  With ``keep``, returns per
+    hidden layer its pre-activation jet Z and t = tanh(Z[0]) (b, o), all
+    the vjp needs besides the block's features; the tanh jet T itself
+    feeds the next layer's product and is dropped.  Without, keeps nothing.
     """
-    acts = []
+    hidden = []
     S = S.transpose(1, 0, 2)
     for W, bias in layers[:-1]:
         Z = np.matmul(S, W.T)
         Z[0] += bias
-        acts.append((S, Z))
-        S = _tanh_jet(Z)
+        S = np.empty_like(Z)
+        t = np.tanh(Z[0], out=S[0])
+        _tanh_jet(Z, t, S)
+        if keep:
+            hidden.append((Z, t.copy()))
     W, bias = layers[-1]
     Y = np.matmul(S, W.T)
     Y[0] += bias
     out[rows, :Y.shape[0]] = Y.transpose(1, 0, 2)
-    acts.append((S, None))
-    return acts
+    return hidden
 
 
-def _block_backward(layers, acts, dY, grads):
+def _block_backward(layers, S0, hidden, dY, grads):
     """Add one block's parameter adjoints into ``grads`` ((dW, db) views),
-    given the adjoint dY (b, C, 12) of its output."""
+    given its features S0 (b, C, i), the ``hidden`` (Z, t) pairs of
+    :func:`_block_forward` and the adjoint dY (b, C, 12) of its output.
+
+    Each hidden layer's tanh jet is rebuilt once, as the input of the next
+    layer's weight adjoint, and its factors serve the layer's tanh rule.
+    Nothing saved is written to, so the tape can be swept again.
+    """
     dY = dY.transpose(1, 0, 2)
+    factors = None
     for li in range(len(layers) - 1, -1, -1):
         W = layers[li][0]
-        S, Z = acts[li]
-        A = dY if Z is None else _tanh_jet_back(Z, acts[li + 1][0], dY)
+        A = dY if li == len(hidden) else _tanh_jet_back(*hidden[li], factors, dY)
+        if li > 0:
+            Z, t = hidden[li - 1]
+            S = np.empty_like(Z)
+            S[0] = t
+            factors = _tanh_jet(Z, t, S)
+        else:
+            S = S0.transpose(1, 0, 2)
         A2 = A.reshape(-1, W.shape[0])
         dW, db = grads[li]
         dW += A2.T @ S.reshape(-1, W.shape[1])
@@ -283,10 +306,11 @@ def forward(spec, phi, stacks, rows=None):
     whose Hessian channels are zero on the rows of an order-1 stack.  Each
     stack runs its own blocks of ``BLOCK_POINTS`` points at its order,
     forward and in the vjp, and the blocks' parameter adjoints are summed
-    in block order; only a taped ``phi`` keeps the per-block jets its vjp
-    needs.  When every stack spans a block, a row equals bit for bit that
-    of an all-rows order-2 pass, and a loss reading Hessians of order-2
-    rows only has the same gradient.
+    in block order.  Only a taped ``phi`` keeps what its vjp needs: per
+    block and hidden layer, the pre-activation jet and the tanh values;
+    a constant ``phi`` (the export) keeps nothing.  When every stack spans
+    a block, a row equals bit for bit that of an all-rows order-2 pass, and
+    a loss reading Hessians of order-2 rows only has the same gradient.
     """
     if phi.data.shape != (spec.n_params,):
         raise ShapeMismatch(
@@ -302,20 +326,21 @@ def forward(spec, phi, stacks, rows=None):
     out = np.zeros((sum(len(stack) for stack in stacks), n_channels, N_OUTPUTS))
     slices = spec.layer_slices()
     layers = [(phi.data[ws].reshape(fo, fi), phi.data[bs]) for ws, bs, fi, fo in slices]
-    saved = []  # (output rows, channels, per-layer jets) per block
+    keep = phi.node is not None
+    saved = []  # (output rows, channels, features, hidden (Z, t)) per block
     for set_rows, stack in zip(rows, stacks):
         C = stack.shape[1]
         for lo, hi in row_blocks(len(stack), BLOCK_POINTS):
             sel = slice(lo, hi) if set_rows is None else set_rows[lo:hi]
-            acts = _block_forward(layers, stack[lo:hi], out, sel)
-            if phi.node is not None:
-                saved.append((sel, C, acts))
+            hidden = _block_forward(layers, stack[lo:hi], out, sel, keep)
+            if keep:
+                saved.append((sel, C, stack[lo:hi], hidden))
 
     def back(adj):
         grad = np.zeros(spec.n_params)
         grads = [(grad[ws].reshape(fo, fi), grad[bs]) for ws, bs, fi, fo in slices]
-        for sel, C, acts in saved:
-            _block_backward(layers, acts, adj[sel, :C], grads)
+        for sel, C, S0, hidden in saved:
+            _block_backward(layers, S0, hidden, adj[sel, :C], grads)
         return grad
 
     op = "mlp[val,grad,hess]" if n_channels > 4 else "mlp[val,grad]"

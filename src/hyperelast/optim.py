@@ -167,7 +167,10 @@ def _log_row(row):
 
 
 def _cubic_step(lo, f_lo, dg_lo, hi, f_hi, dg_hi):
-    """Minimizer of the cubic through both endpoint values and slopes."""
+    """Minimizer of the cubic through both endpoint values and slopes, None
+    when there is none or an endpoint value is not finite."""
+    if not (np.isfinite(f_lo) and np.isfinite(f_hi)):
+        return None
     d1 = dg_lo + dg_hi - 3.0 * (f_lo - f_hi) / (lo - hi)
     disc = d1 * d1 - dg_lo * dg_hi
     if disc < 0.0:

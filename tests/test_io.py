@@ -249,6 +249,33 @@ class TestVTK:
         vec_start = lines.index("VECTORS displacement double") + 1
         assert len(lines[vec_start].split()) == 3
 
+    def test_matches_per_row_writer_across_blocks(self, tmp_path):
+        # 4624 points: one full 4096-row block and a ragged one, with values
+        # of every magnitude, signed zeros and non-finite entries mixed in
+        dims = (17, 16, 17)
+        n = int(np.prod(dims))
+        rng = np.random.default_rng(12)
+        u = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-320, 300, (n, 3))
+        u[:7].flat = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16]
+        vm = rng.uniform(0, 1, n) * 10.0 ** rng.integers(-12, 12, n)
+        origin, spacing = (0.0, -1.5, 2.0), (0.25, 1 / 3, 0.125)
+        path = tmp_path / "f.vtk"
+        write_vtk_structured(path, dims, origin, spacing, {"u": u, "von_mises": vm})
+
+        # the same file written one row at a time, x fastest
+        n1, n2, n3 = dims
+        u_vtk = u.reshape(n1, n2, n3, 3).transpose(2, 1, 0, 3).reshape(-1, 3)
+        vm_vtk = vm.reshape(n1, n2, n3).transpose(2, 1, 0).reshape(-1)
+        want = (
+            "# vtk DataFile Version 3.0\nhyperelast\nASCII\nDATASET STRUCTURED_POINTS\n"
+            "DIMENSIONS 17 16 17\nORIGIN 0 -1.5 2\nSPACING 0.25 0.333333333333 0.125\n"
+            f"POINT_DATA {n}\nVECTORS displacement double\n"
+            + "".join("%.12g %.12g %.12g\n" % tuple(row) for row in u_vtk.tolist())
+            + "SCALARS von_mises double 1\nLOOKUP_TABLE default\n"
+            + "".join("%.12g\n" % v for v in vm_vtk.tolist())
+        )
+        assert path.read_text() == want
+
 
 
 def test_writers_exact_text_for_edge_values(tmp_path):

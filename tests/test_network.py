@@ -1,10 +1,13 @@
 """Coordinate-network tests: features, forward pass, hard BCs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import hyperelast.autodiff as ad
+import hyperelast.network as network
 from hyperelast.bvp import BoxDomain, build_point_sets, preset
 from hyperelast.errors import ShapeMismatch
 from hyperelast.network import (
@@ -272,6 +275,80 @@ class TestForward:
         assert np.all(split[rest, 4:] == 0.0)
         assert tapes[0] == tapes[1]
         assert np.abs(grads[1] - grads[0]).max() <= 1e-12 * np.abs(grads[0]).max()
+
+
+class TestPerceptronMemory:
+    """What the perceptron node keeps for its vjp: per block and hidden
+    layer, the pre-activation jet Z (C, b, o) and t = tanh(Z[0]) (b, o)."""
+
+    HIDDEN = 64
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        # an order-2 stack of three blocks and 17 rows and an order-1 stack
+        # of two blocks and 5 rows, scattered over interleaved output rows
+        rff = RFFMap(m=16, sigma=1.0, seed=51)
+        spec = MLPSpec(widths=(32, self.HIDDEN, self.HIDDEN, 12))
+        rng = np.random.default_rng(52)
+        n2, n1 = 3 * BLOCK_POINTS + 17, 2 * BLOCK_POINTS + 5
+        perm = rng.permutation(n2 + n1)
+        X = rng.uniform(-1, 1, size=(n2 + n1, 3))
+        rows = (np.sort(perm[:n2]), np.sort(perm[n2:]))
+        stacks = (rff.features(X[rows[0]]), rff.features(X[rows[1]], 1))
+        x = 0.5 * rng.standard_normal(spec.n_params)
+        return spec, x, stacks, rows
+
+    @staticmethod
+    def _held(run):
+        """Bytes still allocated after ``run()`` returns, with its result."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        return result, held
+
+    def test_taped_forward_keeps_z_and_t_per_hidden_layer(self, case):
+        spec, x, stacks, rows = case
+        phi = ad.Tape().input(x)
+        out, held = self._held(lambda: forward(spec, phi, stacks, rows))
+        n_hidden = len(spec.widths) - 2
+        saved = sum(
+            (stack.shape[1] + 1) * len(stack) * self.HIDDEN * 8 * n_hidden for stack in stacks
+        )
+        # Z and the whole tanh jet T would be 2C channels instead of C + 1
+        assert out.data.nbytes + saved <= held <= out.data.nbytes + 1.02 * saved
+
+    def test_vjp_sweeps_twice_bit_for_bit(self, case):
+        spec, x, stacks, rows = case
+        tape = ad.Tape()
+        out = forward(spec, tape.input(x), stacks, rows)
+        (_, _, vjp), = tape.nodes[out.node].edges
+        adj = np.random.default_rng(53).standard_normal(out.data.shape)
+        first = vjp(adj)
+        assert np.array_equal(vjp(adj), first)
+        # the sweep matches the one of a fresh forward pass
+        tape = ad.Tape()
+        again = forward(spec, tape.input(x), stacks, rows)
+        assert np.array_equal(tape.nodes[again.node].edges[0][2](adj), first)
+
+    def test_constant_forward_keeps_nothing_and_copies_no_t(self, case, monkeypatch):
+        spec, x, stacks, rows = case
+        fills = []
+
+        def spy(Z, t, T):
+            fills.append(np.shares_memory(t, T))
+            return tanh_jet(Z, t, T)
+
+        tanh_jet = network._tanh_jet
+        monkeypatch.setattr(network, "_tanh_jet", spy)
+        out, held = self._held(lambda: forward(spec, ad.constant(x), stacks, rows))
+        assert out.node is None
+        assert out.data.nbytes <= held <= out.data.nbytes + 16384
+        # every block's tanh values were written straight into its jet
+        assert len(fills) == 2 * (3 + 2) and all(fills)
 
 
 def cantilever_net(seed=0, m=3, hidden=(6,)):

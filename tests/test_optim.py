@@ -1,5 +1,7 @@
 """Optimizer tests: LBFGS, strong Wolfe search, curriculum."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -219,6 +221,28 @@ class TestStrongWolfe:
         with pytest.raises(LineSearchFailure):
             strong_wolfe_search(bad, np.zeros(1), np.array([-1.0]), 1.0,
                                 np.array([1.0]), max_probes=6)
+
+    def test_infinite_probe_in_zoom_falls_back_to_bisection_silently(self):
+        # f is +inf on (0.15, 0.95): the first step overshoots into a finite
+        # but too high value, zoom's bisection probes land in the infinite
+        # gap, and the cubic through an infinite endpoint must not be formed
+        probes = []
+
+        def fn(phi):
+            a = float(phi[0])
+            probes.append(a)
+            f = np.inf if 0.15 < a < 0.95 else (a - 0.1) ** 2 + (10.0 if a >= 0.95 else 0.0)
+            return f, np.array([2.0 * (a - 0.1)])
+
+        f0, g0 = fn(np.zeros(1))
+        probes.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha, f_a, _, n = strong_wolfe_search(
+                fn, np.zeros(1), np.array([1.0]), f0, g0, c2=0.1, alpha0=1.0
+            )
+        assert (alpha, f_a, n) == (0.1, 0.0, 5)
+        assert probes == [1.0, 0.5, 0.25, 0.125, 0.1]
 
 
 class TestCurriculum:
