@@ -9,19 +9,24 @@ up to a fixed conditioning scale.  The lift and mask of that composition
 are plain arrays, laid out once per point set by
 :meth:`BCEnforcer.bc_jets`; a load stage scales the two lift arrays.
 
-The perceptron takes its input jets as channel-major feature stacks
-(N, C, w) from :meth:`RFFMap.features`: channel 0 holds the values, 1-3
-the spatial gradient and 4-9 the packed Hessian (C = 10, or 4 without a
-Hessian).  The whole perceptron is one tape node that runs its forward
-pass and its vjp over blocks of ``BLOCK_POINTS`` points, so every
-temporary stays cache-sized and is reused instead of being allocated
-afresh.  Within a block the jets are (C, b, w): an affine layer is one
-matrix product with the bias on channel 0, and the tanh rules scale
-whole contiguous channels by per-unit factors.  For its vjp a taped node
-keeps, per block and hidden layer, only the pre-activation jet Z and the
-unit values t = tanh(Z[0]): C + 1 channels, where Z and the tanh jet T
-would take 2C.  The vjp rebuilds each T from them once per sweep, by the
-forward's own elementwise rules, so the gradient is unchanged bit for bit.
+The perceptron's input jets have C channels per point: channel 0 holds
+the values, 1-3 the spatial gradient and 4-9 the packed Hessian (C = 10,
+or 4 without a Hessian).  For Fourier features every derivative channel
+is the value row or its quarter turn (-sin, cos) times fixed frequency
+factors, so :meth:`RFFMap.features` keeps only those two rows per point,
+a :class:`FeatureStack` (n, 2, w) standing for the dense (n, C, w) stack.
+The whole perceptron is one tape node that runs its forward pass and its
+vjp over blocks of ``BLOCK_POINTS`` points, so every temporary stays
+cache-sized and is reused instead of being allocated afresh.  Within a
+block the jets are (C, b, w), built from the stack per block: an affine
+layer is one matrix product with the bias on channel 0, and the tanh
+rules scale whole contiguous channels by per-unit factors.  For its vjp
+a taped node keeps, per block and hidden layer, only the pre-activation
+jet Z and the unit values t = tanh(Z[0]): C + 1 channels, where Z and
+the tanh jet T would take 2C.  The vjp rebuilds each T from them once
+per sweep, by the forward's own elementwise rules, and a block's input
+jets once more when it reaches layer 0, so the gradient is unchanged
+bit for bit.
 
 The node's output (N, C, 12) is read by one head node with one output
 per head field: the displacement jet u (N, 3) with gradient (N, 3, 3)
@@ -42,6 +47,7 @@ adjoint is exactly zero and the gradient is unchanged.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,34 +101,68 @@ class RFFMap:
         return 2 * self.m
 
     def features(self, X, order=2):
-        """Feature values and exact spatial derivatives at points X (..., 3).
-
-        Returns the channel-major stack (..., C, 2m): values, the three
-        gradient channels and, at order 2, the six packed Hessian channels
-        (C = 10, or 4 at order 1).  The map has no trainable parameters,
-        so these are constants with respect to the network weights.
+        """Feature values and exact spatial derivatives at points X (n, 3),
+        as the :class:`FeatureStack` of ``order`` (2 or 1) that stands for
+        the channel-major stack (n, C, 2m): values, the three gradient
+        channels and, at order 2, the six packed Hessian channels (C = 10,
+        or 4 at order 1).  The map has no trainable parameters, so these
+        are constants with respect to the network weights.
         """
+        if order not in (1, 2):
+            raise ValueError(f"feature order must be 1 or 2, got {order!r}")
         X = np.asarray(X, dtype=np.float64)
         W = 2.0 * np.pi * self.freq  # (m, 3)
         w = np.einsum("...d,md->...m", X, W, optimize=True)
         c, s = np.cos(w), np.sin(w)
-        stack = np.empty(X.shape[:-1] + (10 if order == 2 else 4, 2 * self.m))
-        # the value row and its quarter turn (-sin, cos) are interleaved
-        # once; each derivative channel block is then one product with the
-        # frequency factors repeated per cos/sin pair, written contiguously
-        val = stack[..., 0, :]
-        val[..., 0::2] = c
-        val[..., 1::2] = s
-        turn = np.empty_like(val)
-        np.negative(s, out=turn[..., 0::2])
-        turn[..., 1::2] = c
-        np.multiply(turn[..., None, :], np.repeat(W.T, 2, axis=-1), out=stack[..., 1:4, :])
+        # the value row and its quarter turn (-sin, cos), interleaved once
+        rows = np.empty((len(X), 2, 2 * self.m))
+        val, turn = rows[:, 0], rows[:, 1]
+        val[:, 0::2] = c
+        val[:, 1::2] = s
+        np.negative(s, out=turn[:, 0::2])
+        turn[:, 1::2] = c
+        hess = None
         if order == 2:
-            WW = (W[:, ad.PACK_A] * W[:, ad.PACK_B]).T  # (6, m)
-            np.multiply(
-                np.negative(val)[..., None, :], np.repeat(WW, 2, axis=-1), out=stack[..., 4:, :]
-            )
-        return stack
+            hess = np.repeat((W[:, ad.PACK_A] * W[:, ad.PACK_B]).T, 2, axis=-1)  # (6, 2m)
+        return FeatureStack(rows, np.repeat(W.T, 2, axis=-1), hess)
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureStack:
+    """Fourier features of n points, kept as the rows that every channel
+    is a multiple of.
+
+    ``rows`` (n, 2, w) holds per point the value row and its quarter turn;
+    the gradient channel d is the turn times ``grad[d]`` and the packed
+    Hessian channel k minus the values times ``hess[k]``, the frequency
+    factors (3, w) and (6, w) repeated per cos/sin pair (``hess`` is None
+    at order 1).  ``shape`` and ``len`` are those of the dense stack
+    (n, C, w) it stands for; :meth:`jets` builds a block of it.
+    """
+
+    rows: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray = None
+
+    @property
+    def shape(self):
+        return (len(self.rows), 4 if self.hess is None else 10, self.rows.shape[-1])
+
+    def __len__(self):
+        return len(self.rows)
+
+    def jets(self, lo=0, hi=None, buf=None):
+        """The channel-major jets (C, b, w) of rows lo:hi, each channel
+        block one product of a row with its factors; written to the front
+        of the flat array ``buf`` when one is given."""
+        val, turn = self.rows[lo:hi, 0], self.rows[lo:hi, 1]
+        shape = (self.shape[1],) + val.shape
+        S = np.empty(shape) if buf is None else buf[:np.prod(shape)].reshape(shape)
+        S[0] = val
+        np.multiply(turn, self.grad[:, None, :], out=S[1:4])
+        if self.hess is not None:
+            np.multiply(np.negative(val), self.hess[:, None, :], out=S[4:])
+        return S
 
 
 @dataclass(frozen=True)
@@ -242,16 +282,16 @@ def _tanh_jet_back(Z, t, factors, dT):
 
 
 def _block_forward(layers, S, out, rows, keep):
-    """One block of jets S (b, C, i) through every layer into rows
-    ``rows`` (a slice or an index array) of ``out`` (N, >= C, 12).
+    """One block of channel-major input jets S (C, b, i) through every
+    layer into rows ``rows`` (a slice or an index array) of ``out``
+    (N, >= C, 12).
 
-    Inside the block the jets are (C, b, w).  With ``keep``, returns per
-    hidden layer its pre-activation jet Z and t = tanh(Z[0]) (b, o), all
-    the vjp needs besides the block's features; the tanh jet T itself
-    feeds the next layer's product and is dropped.  Without, keeps nothing.
+    With ``keep``, returns per hidden layer its pre-activation jet Z and
+    t = tanh(Z[0]) (b, o), all the vjp needs besides the block's input;
+    the tanh jet T itself feeds the next layer's product and is dropped.
+    Without, keeps nothing.
     """
     hidden = []
-    S = S.transpose(1, 0, 2)
     for W, bias in layers[:-1]:
         Z = np.matmul(S, W.T)
         Z[0] += bias
@@ -267,14 +307,16 @@ def _block_forward(layers, S, out, rows, keep):
     return hidden
 
 
-def _block_backward(layers, S0, hidden, dY, grads):
+def _block_backward(layers, inputs, hidden, dY, grads):
     """Add one block's parameter adjoints into ``grads`` ((dW, db) views),
-    given its features S0 (b, C, i), the ``hidden`` (Z, t) pairs of
-    :func:`_block_forward` and the adjoint dY (b, C, 12) of its output.
+    given ``inputs``, which builds the block's input jets (C, b, i) when
+    called, the ``hidden`` (Z, t) pairs of :func:`_block_forward` and the
+    adjoint dY (b, C, 12) of its output.
 
     Each hidden layer's tanh jet is rebuilt once, as the input of the next
-    layer's weight adjoint, and its factors serve the layer's tanh rule.
-    Nothing saved is written to, so the tape can be swept again.
+    layer's weight adjoint, and its factors serve the layer's tanh rule;
+    the input jets are built only for layer 0's weight adjoint.  Nothing
+    saved is written to, so the tape can be swept again.
     """
     dY = dY.transpose(1, 0, 2)
     factors = None
@@ -287,7 +329,7 @@ def _block_backward(layers, S0, hidden, dY, grads):
             S[0] = t
             factors = _tanh_jet(Z, t, S)
         else:
-            S = S0.transpose(1, 0, 2)
+            S = inputs()
         A2 = A.reshape(-1, W.shape[0])
         dW, db = grads[li]
         dW += A2.T @ S.reshape(-1, W.shape[1])
@@ -299,17 +341,19 @@ def _block_backward(layers, S0, hidden, dY, grads):
 def forward(spec, phi, stacks, rows=None):
     """Propagate feature stacks through the perceptron as one tape node.
 
-    ``phi`` is the flat parameter Var; ``stacks`` a tuple of channel-major
-    feature arrays (n_k, C_k, w) from :meth:`RFFMap.features` and ``rows``
-    the output row indices of each; by default one stack covers every row
-    in order.  Returns the node, a Var (N, C, 12) with C the largest C_k,
-    whose Hessian channels are zero on the rows of an order-1 stack.  Each
-    stack runs its own blocks of ``BLOCK_POINTS`` points at its order,
-    forward and in the vjp, and the blocks' parameter adjoints are summed
-    in block order.  Only a taped ``phi`` keeps what its vjp needs: per
-    block and hidden layer, the pre-activation jet and the tanh values;
-    a constant ``phi`` (the export) keeps nothing.  When every stack spans
-    a block, a row equals bit for bit that of an all-rows order-2 pass, and
+    ``phi`` is the flat parameter Var; ``stacks`` a tuple of
+    :class:`FeatureStack` (n_k, C_k, w) from :meth:`RFFMap.features` and
+    ``rows`` the output row indices of each; by default one stack covers
+    every row in order.  Returns the node, a Var (N, C, 12) with C the
+    largest C_k, whose Hessian channels are zero on the rows of an order-1
+    stack.  Each stack runs its own blocks of ``BLOCK_POINTS`` points at
+    its order, forward and in the vjp, and the blocks' parameter adjoints
+    are summed in block order.  A block's channel-major input jets are
+    built from its stack in the forward pass, into one buffer per stack,
+    and again when the vjp reaches layer 0.  Only a taped ``phi`` keeps what its vjp needs: per
+    block and hidden layer, the pre-activation jet and the tanh values; a
+    constant ``phi`` (the export) keeps nothing.  When every stack spans a
+    block, a row equals bit for bit that of an all-rows order-2 pass, and
     a loss reading Hessians of order-2 rows only has the same gradient.
     """
     if phi.data.shape != (spec.n_params,):
@@ -327,20 +371,26 @@ def forward(spec, phi, stacks, rows=None):
     slices = spec.layer_slices()
     layers = [(phi.data[ws].reshape(fo, fi), phi.data[bs]) for ws, bs, fi, fo in slices]
     keep = phi.node is not None
-    saved = []  # (output rows, channels, features, hidden (Z, t)) per block
+    saved = []  # (output rows, channels, input builder, hidden (Z, t)) per block
     for set_rows, stack in zip(rows, stacks):
         C = stack.shape[1]
-        for lo, hi in row_blocks(len(stack), BLOCK_POINTS):
+        blocks = row_blocks(len(stack), BLOCK_POINTS)
+        # one buffer for the input jets of every block of the stack: a
+        # fresh array per block is often page-faulted in afresh (a seed-0
+        # lp_curriculum_export solve, one BLAS thread: 112k minor faults,
+        # 87k with the buffer)
+        buf = np.empty(C * max(hi - lo for lo, hi in blocks) * stack.shape[2])
+        for lo, hi in blocks:
             sel = slice(lo, hi) if set_rows is None else set_rows[lo:hi]
-            hidden = _block_forward(layers, stack[lo:hi], out, sel, keep)
+            hidden = _block_forward(layers, stack.jets(lo, hi, buf), out, sel, keep)
             if keep:
-                saved.append((sel, C, stack[lo:hi], hidden))
+                saved.append((sel, C, functools.partial(stack.jets, lo, hi), hidden))
 
     def back(adj):
         grad = np.zeros(spec.n_params)
         grads = [(grad[ws].reshape(fo, fi), grad[bs]) for ws, bs, fi, fo in slices]
-        for sel, C, S0, hidden in saved:
-            _block_backward(layers, S0, hidden, adj[sel, :C], grads)
+        for sel, C, inputs, hidden in saved:
+            _block_backward(layers, inputs, hidden, adj[sel, :C], grads)
         return grad
 
     op = "mlp[val,grad,hess]" if n_channels > 4 else "mlp[val,grad]"

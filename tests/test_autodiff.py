@@ -11,6 +11,20 @@ import hyperelast.autodiff as ad
 from hyperelast.errors import DomainError, EmptyTape, InvertedState
 
 
+class DenseJets:
+    """Hand-made input jets (n, C, w) in the form network.forward takes."""
+
+    def __init__(self, stack):
+        self.stack = stack
+        self.shape = stack.shape
+
+    def __len__(self):
+        return len(self.stack)
+
+    def jets(self, lo=0, hi=None, buf=None):
+        return np.ascontiguousarray(self.stack[lo:hi].transpose(1, 0, 2))
+
+
 class TestJetPrimitives:
     def test_tanh_at_zero(self):
         # one tanh unit per feature at z = 0 under identity weights:
@@ -23,7 +37,7 @@ class TestJetPrimitives:
         phi[12:48] = np.eye(12, 3).ravel()
         stack = np.zeros((1, 10, 3))  # value 0, gradient I, Hessian 0
         stack[0, 1:4] = np.eye(3)
-        j = forward(spec, ad.constant(phi), (stack,)).data
+        j = forward(spec, ad.constant(phi), (DenseJets(stack),)).data
         assert np.all(j[0, 0] == 0.0)
         assert_allclose(j[0, 1:4, :3], np.eye(3))
         assert np.all(j[0, 4:] == 0.0)

@@ -18,29 +18,58 @@ from hyperelast.network import (
     BLOCK_POINTS,
     RFFMap,
     forward,
+    row_blocks,
 )
+
+
+def dense(stack):
+    """The (n, C, w) channel stack a FeatureStack stands for."""
+    return stack.jets().transpose(1, 0, 2)
+
+
+def dense_features(rff, X, order):
+    """Reference: the dense stack (n, C, 2m) filled in one pass from the
+    value rows and their quarter turns, with the products the blocks of a
+    FeatureStack are built with."""
+    W = 2.0 * np.pi * rff.freq
+    w = np.einsum("...d,md->...m", X, W, optimize=True)
+    c, s = np.cos(w), np.sin(w)
+    stack = np.empty(X.shape[:-1] + (10 if order == 2 else 4, 2 * rff.m))
+    val = stack[..., 0, :]
+    val[..., 0::2] = c
+    val[..., 1::2] = s
+    turn = np.empty_like(val)
+    np.negative(s, out=turn[..., 0::2])
+    turn[..., 1::2] = c
+    np.multiply(turn[..., None, :], np.repeat(W.T, 2, axis=-1), out=stack[..., 1:4, :])
+    if order == 2:
+        WW = (W[:, ad.PACK_A] * W[:, ad.PACK_B]).T
+        np.multiply(
+            np.negative(val)[..., None, :], np.repeat(WW, 2, axis=-1), out=stack[..., 4:, :]
+        )
+    return stack
 
 
 class TestRFFMap:
     def test_origin_features(self):
         rff = RFFMap(m=5, sigma=2.0, seed=3)
         stack = rff.features(np.zeros((1, 3)))
-        assert stack.shape == (1, 10, 10)
-        val = stack[:, 0]
+        assert stack.shape == (1, 10, 10) and len(stack) == 1
+        val = dense(stack)[:, 0]
         assert_allclose(val[0, 0::2], 1.0)  # cosines
         assert_allclose(val[0, 1::2], 0.0)  # sines
 
     def test_quarter_period(self):
         rff = RFFMap(m=1, sigma=1.0, seed=0)
         object.__setattr__(rff, "freq", np.array([[1.0, 0.0, 0.0]]))
-        val = rff.features(np.array([0.25, 0.0, 0.0]))[0]
+        val = dense(rff.features(np.array([[0.25, 0.0, 0.0]])))[0, 0]
         assert_allclose(val, [np.cos(np.pi / 2), np.sin(np.pi / 2)], atol=1e-12)
 
     def test_sin_feature_gradient(self):
         rff = RFFMap(m=4, sigma=1.5, seed=1)
         rng = np.random.default_rng(2)
         X = rng.uniform(-1, 1, size=(6, 3))
-        grad = np.swapaxes(rff.features(X)[:, 1:4], -1, -2)  # (n, 2m, 3)
+        grad = np.swapaxes(dense(rff.features(X))[:, 1:4], -1, -2)  # (n, 2m, 3)
         W = 2.0 * np.pi * rff.freq
         w = X @ W.T
         analytic = np.einsum("nm,md->nmd", np.cos(w), W)
@@ -51,7 +80,7 @@ class TestRFFMap:
             Xp, Xm = X.copy(), X.copy()
             Xp[:, k] += h
             Xm[:, k] -= h
-            fd = (rff.features(Xp)[:, 0] - rff.features(Xm)[:, 0]) / (2 * h)
+            fd = (dense(rff.features(Xp))[:, 0] - dense(rff.features(Xm))[:, 0]) / (2 * h)
             err = np.abs(grad[..., k] - fd) / np.maximum(np.abs(grad[..., k]), 1e-8)
             assert err.max() <= 1e-6
 
@@ -60,7 +89,7 @@ class TestRFFMap:
         # the channel blocks are written contiguously from interleaved
         # pairs; every entry must equal the plain stride-2 interleave
         rff = RFFMap(m=7, sigma=1.3, seed=4)
-        X = np.random.default_rng(8).uniform(-1, 1, size=(4, 5, 3))
+        X = np.random.default_rng(8).uniform(-1, 1, size=(20, 3))
         W = 2.0 * np.pi * rff.freq
         w = np.einsum("...d,md->...m", X, W, optimize=True)
         cw, sw = np.cos(w)[..., None, :], np.sin(w)[..., None, :]
@@ -73,12 +102,37 @@ class TestRFFMap:
             WW = (W[:, ad.PACK_A] * W[:, ad.PACK_B]).T
             want[..., 4:, 0::2] = -cw * WW
             want[..., 4:, 1::2] = -sw * WW
-        assert np.array_equal(rff.features(X, order), want)
+        assert np.array_equal(dense(rff.features(X, order)), want)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_block_jets_equal_to_dense_stack(self, order):
+        # a block's channel-major jets are bit for bit the rows of the dense
+        # stack, for every block of the perceptron (the last one with a
+        # merged sliver) and for arbitrary row ranges
+        rff = RFFMap(m=16, sigma=1.0, seed=12)
+        n = 2 * BLOCK_POINTS + 5
+        X = np.random.default_rng(13).uniform(-1, 1, size=(n, 3))
+        stack = rff.features(X, order)
+        want = dense_features(rff, X, order)
+        assert stack.shape == want.shape and len(stack) == n
+        blocks = row_blocks(n, BLOCK_POINTS)
+        assert blocks[-1] == (BLOCK_POINTS, n)
+        buf = np.full(want.size, np.nan)
+        for lo, hi in blocks + [(0, n), (3, 17), (n - 1, n)]:
+            for jets in (stack.jets(lo, hi), stack.jets(lo, hi, buf)):
+                assert jets.flags.c_contiguous
+                assert np.array_equal(jets, want[lo:hi].transpose(1, 0, 2))
+        assert np.shares_memory(stack.jets(0, 1, buf), buf)
+
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_rejects_other_orders(self, order):
+        with pytest.raises(ValueError, match="order"):
+            RFFMap(m=2, sigma=1.0, seed=0).features(np.zeros((2, 3)), order)
 
     def test_unit_norm_sum(self):
         rff = RFFMap(m=13, sigma=0.7, seed=5)
         X = np.random.default_rng(6).uniform(-2, 2, size=(50, 3))
-        val = rff.features(X)[:, 0]
+        val = dense(rff.features(X))[:, 0]
         norms = (val**2).sum(axis=-1)
         assert np.abs(norms - 13.0).max() <= 1e-12
 
@@ -217,7 +271,7 @@ class TestForward:
 
         tape = ad.Tape()
         phi = tape.input(x)
-        y = ad.Jet(*(ad.constant(a) for a in slots(stack)))
+        y = ad.Jet(*(ad.constant(a) for a in slots(dense(stack))))
         slices = spec.layer_slices()
         for li, (ws, bs, fi, fo) in enumerate(slices):
             W = ad.reshape(ad.take(phi, np.arange(ws.start, ws.stop)), (fo, fi))
