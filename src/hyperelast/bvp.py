@@ -33,14 +33,13 @@ def simpson_weights_1d(n, h):
 
 @dataclass(frozen=True)
 class BoxDomain:
-    """Axis-aligned box with odd per-axis grid counts (Simpson requirement)."""
+    """The box [0, L1] x [0, L2] x [0, L3] with odd per-axis grid counts
+    (Simpson requirement)."""
 
-    origin: tuple = (0.0, 0.0, 0.0)
     lengths: tuple = (1.0, 1.0, 1.0)
     counts: tuple = (9, 9, 9)
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
         object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
         object.__setattr__(self, "counts", tuple(int(v) for v in self.counts))
         if any(l <= 0.0 for l in self.lengths):
@@ -53,10 +52,7 @@ class BoxDomain:
 
     def axes(self):
         """Per-axis node coordinates; linspace keeps both endpoints exact."""
-        return [
-            np.linspace(o, o + l, n)
-            for o, l, n in zip(self.origin, self.lengths, self.counts)
-        ]
+        return [np.linspace(0.0, l, n) for l, n in zip(self.lengths, self.counts)]
 
     def spacings(self):
         return [l / (n - 1) for l, n in zip(self.lengths, self.counts)]
@@ -204,16 +200,14 @@ def _zero_patches(axes_sides):
     return [TractionPatch(axis=a, side=s, traction=(0.0, 0.0, 0.0)) for a, s in axes_sides]
 
 
-def affine_enforcer(domain, grad, const=(0.0, 0.0, 0.0)):
-    """All six faces constrained to u = const + grad X."""
+def affine_enforcer(domain, grad):
+    """All six faces constrained to u = grad X."""
     faces = tuple(
         DirichletFace(axis=a, side=s) for a in range(3) for s in FACE_SIDES
     )
     return BCEnforcer(
-        origin=domain.origin,
         lengths=domain.lengths,
         faces=faces,
-        lift_const=tuple(const),
         lift_lin=tuple(tuple(row) for row in np.asarray(grad, dtype=np.float64)),
     )
 
@@ -275,11 +269,7 @@ def affine_problem(spec, grid=None):
 
 
 def _beam_domain(grid):
-    return BoxDomain(
-        origin=(0.0, 0.0, 0.0),
-        lengths=(4.0, 1.0, 1.0),
-        counts=grid or (25, 9, 9),
-    )
+    return BoxDomain(lengths=(4.0, 1.0, 1.0), counts=grid or (25, 9, 9))
 
 
 def _cube_domain(grid):
@@ -289,7 +279,6 @@ def _cube_domain(grid):
 def _nh_cantilever_traction(grid):
     domain = _beam_domain(grid)
     enforcer = BCEnforcer(
-        origin=domain.origin,
         lengths=domain.lengths,
         faces=(DirichletFace(axis=0, side="lo"),),
     )
@@ -311,7 +300,6 @@ def _lp_cantilever_displacement(grid):
     lin = np.zeros((3, 3))
     lin[1, 0] = -1.0 / L
     enforcer = BCEnforcer(
-        origin=domain.origin,
         lengths=domain.lengths,
         faces=(
             DirichletFace(axis=0, side="lo"),
@@ -340,7 +328,6 @@ def _nh_simple_shear(grid):
 def _nh_localized_traction(grid):
     domain = _cube_domain(grid)
     enforcer = BCEnforcer(
-        origin=domain.origin,
         lengths=domain.lengths,
         faces=(DirichletFace(axis=0, side="lo"),),
     )

@@ -69,10 +69,7 @@ def _export_grid_points(cfg, domain):
     dims = cfg.int_list("export.grid") or (21, 21, 21)
     if len(dims) != 3 or min(dims) < 2:
         raise ConfigError(f"export.grid must be three counts >= 2, got {dims}")
-    axes = [
-        np.linspace(o, o + l, n)
-        for o, l, n in zip(domain.origin, domain.lengths, dims)
-    ]
+    axes = [np.linspace(0.0, l, n) for l, n in zip(domain.lengths, dims)]
     mesh = np.meshgrid(*axes, indexing="ij")
     X = np.stack([m.ravel() for m in mesh], axis=-1)
     spacing = [l / (n - 1) for l, n in zip(domain.lengths, dims)]
@@ -114,7 +111,7 @@ def cmd_export_fields(args):
             "problem": problem.name}
     exports.write_fields_csv(os.path.join(out, "fields.csv"), X, fields, metadata=meta)
     exports.write_vtk_structured(
-        os.path.join(out, "fields.vtk"), dims, problem.domain.origin, spacing,
+        os.path.join(out, "fields.vtk"), dims, (0.0, 0.0, 0.0), spacing,
         fields, title=problem.name,
     )
     print(f"sampled {X.shape[0]} points on {dims} grid; outputs in {out}")

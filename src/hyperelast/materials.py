@@ -49,15 +49,26 @@ class NeoHookean:
         return self.mu
 
     def psi(self, state):
-        return psi_nh(self, state)
+        """psi = lam/2 (ln J)^2 - mu ln J + mu/2 (I1 - 3)."""
+        lnJ = ad.log(state.J.val)
+        return ad.add(
+            ad.sub(ad.mul(ad.mul(lnJ, lnJ), 0.5 * self.lam), ad.mul(lnJ, self.mu)),
+            ad.mul(ad.sub(state.I1.val, 3.0), 0.5 * self.mu),
+        )
 
     def stress(self, state):
-        return P_nh(self, state)
+        """P = mu F + (lam ln J - mu) F^{-T}."""
+        J = state.J
+        coeff = _scalar_jet(
+            ad.sub(ad.mul(ad.log(J.val), self.lam), self.mu), ad.div(self.lam, J.val), J.grad
+        )
+        return _stress(self.mu, coeff, state)
 
 
 @dataclass(frozen=True)
 class LopezPamies:
-    """Two-invariant compressible model with M power-law terms.
+    """Two-invariant compressible model with one power-law term in I1 per
+    (alpha, mu) pair.
 
     alphas are dimensionless exponents, mus and lam in Pa.
     """
@@ -77,19 +88,44 @@ class LopezPamies:
             raise ValueError("sum of mus must be positive")
 
     @property
-    def M(self):
-        return len(self.alphas)
-
-    @property
     def stress_scale(self):
         # ground-state shear modulus of the model
         return float(sum(self.mus))
 
     def psi(self, state):
-        return psi_lp(self, state)
+        """Power-law sum over I1 plus volumetric ln J and (J-1)^2 terms."""
+        if np.min(np.atleast_1d(state.I1.val.data)) <= 0.0:
+            raise DomainError("I1 must be positive")
+        alphas = np.array(self.alphas)
+        coeffs = 3.0 ** (1.0 - alphas) / (2.0 * alphas) * np.array(self.mus)
+        powers = ad.sub(
+            ad.pow_(state.I1.val, _batched(alphas, state)), _batched(3.0**alphas, state)
+        )
+        total = ad.contract(coeffs, powers, (0,))
+        J = state.J.val
+        total = ad.sub(total, ad.mul(ad.log(J), sum(self.mus)))
+        Jm1 = ad.sub(J, 1.0)
+        return ad.add(total, ad.mul(ad.mul(Jm1, Jm1), 0.5 * self.lam))
 
     def stress(self, state):
-        return P_lp(self, state)
+        """P = sum_r 3^{1-a_r} mu_r I1^{a_r-1} F - sum_r mu_r F^{-T} + lam (J^2 - J) F^{-T}."""
+        alphas = np.array(self.alphas)
+        coeffs = 3.0 ** (1.0 - alphas) * np.array(self.mus)
+        I1, J = state.I1, state.J
+        powers = ad.pow_(I1.val, _batched(alphas - 1.0, state))
+        scale = _scalar_jet(
+            ad.contract(coeffs, powers, (0,)),
+            # d/dI1 of sum_r c_r I1^(a_r - 1) = sum_r c_r (a_r - 1) I1^(a_r - 1) / I1
+            ad.div(ad.contract(coeffs * (alphas - 1.0), powers, (0,)), I1.val),
+            I1.grad,
+        )
+        J2mJ = ad.sub(ad.mul(J.val, J.val), J.val)
+        coeff_iT = _scalar_jet(
+            ad.sub(ad.mul(J2mJ, self.lam), sum(self.mus)),
+            ad.sub(ad.mul(J.val, 2.0 * self.lam), self.lam),
+            J.grad,
+        )
+        return _stress(scale, coeff_iT, state)
 
 
 @dataclass
@@ -152,62 +188,9 @@ def deformation_gradient(grad_u):
     )
 
 
-def psi_nh(mat, state):
-    """psi = lam/2 (ln J)^2 - mu ln J + mu/2 (I1 - 3)."""
-    lnJ = ad.log(state.J.val)
-    return ad.add(
-        ad.sub(ad.mul(ad.mul(lnJ, lnJ), 0.5 * mat.lam), ad.mul(lnJ, mat.mu)),
-        ad.mul(ad.sub(state.I1.val, 3.0), 0.5 * mat.mu),
-    )
-
-
-def P_nh(mat, state):
-    """P = mu F + (lam ln J - mu) F^{-T}."""
-    J = state.J
-    coeff = _scalar_jet(
-        ad.sub(ad.mul(ad.log(J.val), mat.lam), mat.mu), ad.div(mat.lam, J.val), J.grad
-    )
-    return _stress(mat.mu, coeff, state)
-
-
 def _batched(values, state):
     """Per-term constants shaped (M, 1, ...) to broadcast against I1."""
     return np.asarray(values, dtype=np.float64).reshape((-1,) + (1,) * state.I1.val.data.ndim)
-
-
-def psi_lp(mat, state):
-    """Power-law sum over I1 plus volumetric ln J and (J-1)^2 terms."""
-    if np.min(np.atleast_1d(state.I1.val.data)) <= 0.0:
-        raise DomainError("I1 must be positive")
-    alphas = np.array(mat.alphas)
-    coeffs = 3.0 ** (1.0 - alphas) / (2.0 * alphas) * np.array(mat.mus)
-    powers = ad.sub(ad.pow_(state.I1.val, _batched(alphas, state)), _batched(3.0**alphas, state))
-    total = ad.contract(coeffs, powers, (0,))
-    J = state.J.val
-    total = ad.sub(total, ad.mul(ad.log(J), sum(mat.mus)))
-    Jm1 = ad.sub(J, 1.0)
-    return ad.add(total, ad.mul(ad.mul(Jm1, Jm1), 0.5 * mat.lam))
-
-
-def P_lp(mat, state):
-    """P = sum_r 3^{1-a_r} mu_r I1^{a_r-1} F - sum_r mu_r F^{-T} + lam (J^2 - J) F^{-T}."""
-    alphas = np.array(mat.alphas)
-    coeffs = 3.0 ** (1.0 - alphas) * np.array(mat.mus)
-    I1, J = state.I1, state.J
-    powers = ad.pow_(I1.val, _batched(alphas - 1.0, state))
-    scale = _scalar_jet(
-        ad.contract(coeffs, powers, (0,)),
-        # d/dI1 of sum_r c_r I1^(a_r - 1) = sum_r c_r (a_r - 1) I1^(a_r - 1) / I1
-        ad.div(ad.contract(coeffs * (alphas - 1.0), powers, (0,)), I1.val),
-        I1.grad,
-    )
-    J2mJ = ad.sub(ad.mul(J.val, J.val), J.val)
-    coeff_iT = _scalar_jet(
-        ad.sub(ad.mul(J2mJ, mat.lam), sum(mat.mus)),
-        ad.sub(ad.mul(J.val, 2.0 * mat.lam), mat.lam),
-        J.grad,
-    )
-    return _stress(scale, coeff_iT, state)
 
 
 def cauchy(P, F, J):

@@ -461,9 +461,10 @@ class DirichletFace:
 
 @dataclass(frozen=True)
 class BCEnforcer:
-    """Distance-function composition u = A(X) + B(X) * y_u.
+    """Distance-function composition u = A(X) + B(X) * y_u on the box
+    [0, L1] x [0, L2] x [0, L3] of ``lengths``.
 
-    ``lift_const``/``lift_lin`` define the affine lift A(X) = c + G X that
+    ``lift_lin`` is the matrix G of the linear lift A(X) = G X, which
     matches the prescribed displacement on every constrained face.  The
     mask B vanishes (componentwise) exactly on the faces constraining that
     component and is a product of normalized face distances elsewhere.
@@ -476,10 +477,8 @@ class BCEnforcer:
     prescribed displacement by scaling the two lift arrays.
     """
 
-    origin: tuple
     lengths: tuple
     faces: tuple
-    lift_const: tuple = (0.0, 0.0, 0.0)
     lift_lin: tuple = ((0.0,) * 3,) * 3
 
     def bc_jets(self, X, order=2):
@@ -487,7 +486,7 @@ class BCEnforcer:
         set: the tuple ``(lift, lift_grad, mask, mask_grad, mask_hess,
         cross)`` of plain arrays.
 
-        lift (..., 3) is A and lift_grad (..., 3, 3) its gradient G; mask
+        lift (..., 3) is A and lift_grad (3, 3) its gradient G; mask
         (..., 3), mask_grad (..., 3, 3) and the packed mask_hess (..., 3, 6)
         are B per component.  Each factor of B is a normalized face
         distance, linear in one coordinate, so the product rule needs no
@@ -499,16 +498,13 @@ class BCEnforcer:
         X = np.asarray(X, dtype=np.float64)
         batch = X.shape[:-1]
         G = np.asarray(self.lift_lin, dtype=np.float64)
-        lift = np.asarray(self.lift_const, dtype=np.float64) + np.einsum(
-            "ij,...j->...i", G, X, optimize=True
-        )
-        lift_grad = np.broadcast_to(G, batch + (3, 3)).copy()
+        lift = np.einsum("ij,...j->...i", G, X, optimize=True)
         val = np.ones(batch + (3,))
         grad = np.zeros(batch + (3, 3))
         hess = np.zeros(batch + (3, 6)) if order == 2 else None
         for f in self.faces:
             inv_len = 1.0 / self.lengths[f.axis]
-            xi = (X[..., f.axis] - self.origin[f.axis]) * inv_len
+            xi = X[..., f.axis] * inv_len
             dxi = np.zeros(3)
             dxi[f.axis] = inv_len
             if f.side == "hi":
@@ -523,19 +519,20 @@ class BCEnforcer:
                 grad[..., i, :] = grad[..., i, :] * xi[..., None] + val[..., i, None] * dxi
                 val[..., i] = val[..., i] * xi
         if hess is None:
-            return lift, lift_grad, val, grad, None, None
+            return lift, G, val, grad, None, None
         cross = np.zeros(batch + (3, 6, 3))
         for k, (a, b) in enumerate(zip(ad.PACK_A, ad.PACK_B)):
             cross[..., k, b] += grad[..., a]
             cross[..., k, a] += grad[..., b]
-        return lift, lift_grad, val, grad, hess, cross
+        return lift, G, val, grad, hess, cross
 
     def apply(self, y_u, bc):
         """Displacement jet u = A + B y_u from the raw displacement jet and
         the arrays ``bc`` of :meth:`bc_jets`.
 
-        Product rule, with A of zero Hessian.  u has the order of y_u
-        (2 or 1); ``bc`` must carry at least that order.
+        Product rule, with A of zero Hessian; the lift gradient G (3, 3)
+        broadcasts over the points.  u has the order of y_u (2 or 1);
+        ``bc`` must carry at least that order.
         """
         lift, lift_grad, Bv, Bg, Bh, cross = bc
         val = ad.add(lift, ad.mul(y_u.val, Bv))

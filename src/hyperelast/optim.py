@@ -1,6 +1,9 @@
 """Parameter optimization.
 
-LBFGS with a strong Wolfe line search is the only minimizer.  A
+LBFGS with a strong Wolfe line search is the only minimizer, with the
+standard constants of Nocedal & Wright (Numerical Optimization, 2006):
+``HISTORY`` stored curvature pairs, sufficient decrease ``C1``, curvature
+``C2`` and at most ``MAX_PROBES`` objective calls per line search.  A
 load-stepping curriculum wraps it, warm-starting each stage from the
 previous optimum.
 
@@ -35,6 +38,11 @@ from .losses import N_TERMS, TERM_NAMES
 
 log = logging.getLogger(__name__)
 
+HISTORY = 20  # curvature pairs kept by LBFGS
+C1 = 1e-4  # sufficient decrease (Armijo) constant
+C2 = 0.9  # curvature constant
+MAX_PROBES = 30  # objective calls per line search
+
 
 class _PlainObjective:
     """Adapter giving bare (loss, grad) callables the full protocol."""
@@ -60,22 +68,15 @@ def as_objective(obj):
 
 @dataclass(frozen=True)
 class LBFGSConfig:
-    history: int = 20
+    """Iteration budget and gradient-norm stopping tolerance of one
+    :func:`lbfgs_minimize` run."""
+
     max_iters: int = 500
     grad_tol: float = 1e-8
-    c1: float = 1e-4
-    c2: float = 0.9
-    max_probes: int = 30
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.history < 1:
-            raise ValueError(f"history size must be >= 1, got {self.history}")
-        if not (0.0 < self.c1 < self.c2 < 1.0):
-            raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")
-        if self.max_probes < 3:
-            raise ValueError("line search needs at least 3 probes")
 
 
 @dataclass(frozen=True)
@@ -183,16 +184,16 @@ def _cubic_step(lo, f_lo, dg_lo, hi, f_hi, dg_hi):
     return alpha if np.isfinite(alpha) else None
 
 
-def strong_wolfe_search(evaluate, phi, direction, f0, g0, *, c1=1e-4, c2=0.9,
-                        alpha0=1.0, max_probes=30):
-    """Bracket-and-zoom line search enforcing both strong Wolfe conditions.
+def strong_wolfe_search(evaluate, phi, direction, f0, g0, alpha0=1.0):
+    """Bracket-and-zoom line search enforcing both strong Wolfe conditions,
+    with constants ``C1`` and ``C2``, in at most ``MAX_PROBES`` probes.
 
     ``evaluate(phi_trial) -> (f, g)``.  Non-finite probe values are treated
     as overly long steps and pulled back toward the last good point, so an
     objective that is NaN everywhere off the origin still fails cleanly
     once the probe budget is spent.
 
-    Returns (alpha, f_alpha, g_alpha, n_evals).
+    Returns (alpha, f_alpha, g_alpha).
     """
     d = np.asarray(direction, dtype=np.float64)
     dg0 = float(np.dot(g0, d))
@@ -212,7 +213,7 @@ def strong_wolfe_search(evaluate, phi, direction, f0, g0, *, c1=1e-4, c2=0.9,
         return float(f_a), g_a, dg_a
 
     def zoom(lo, f_lo, dg_lo, hi, f_hi, dg_hi):
-        while evals < max_probes:
+        while evals < MAX_PROBES:
             width = hi - lo
             alpha = _cubic_step(lo, f_lo, dg_lo, hi, f_hi, dg_hi)
             span = sorted((lo, hi))
@@ -225,34 +226,34 @@ def strong_wolfe_search(evaluate, phi, direction, f0, g0, *, c1=1e-4, c2=0.9,
             if not np.isfinite(f_a):
                 hi, f_hi, dg_hi = alpha, np.inf, 0.0
                 continue
-            if f_a > f0 + c1 * alpha * dg0 + f_eps or f_a >= f_lo:
+            if f_a > f0 + C1 * alpha * dg0 + f_eps or f_a >= f_lo:
                 hi, f_hi, dg_hi = alpha, f_a, dg_a
             else:
-                if abs(dg_a) <= -c2 * dg0 + g_eps:
-                    return alpha, f_a, g_a, evals
+                if abs(dg_a) <= -C2 * dg0 + g_eps:
+                    return alpha, f_a, g_a
                 if dg_a * (hi - lo) >= 0.0:
                     hi, f_hi, dg_hi = lo, f_lo, dg_lo
                 lo, f_lo, dg_lo = alpha, f_a, dg_a
-        raise MaxProbesExceeded(f"no Wolfe point within {max_probes} probes")
+        raise MaxProbesExceeded(f"no Wolfe point within {MAX_PROBES} probes")
 
     alpha_prev, f_prev, dg_prev = 0.0, f0, dg0
     alpha = float(alpha0)
     first = True
-    while evals < max_probes:
+    while evals < MAX_PROBES:
         f_a, g_a, dg_a = probe(alpha)
         if not np.isfinite(f_a):
             alpha = 0.5 * (alpha_prev + alpha)
             continue
-        if f_a > f0 + c1 * alpha * dg0 + f_eps or (not first and f_a >= f_prev):
+        if f_a > f0 + C1 * alpha * dg0 + f_eps or (not first and f_a >= f_prev):
             return zoom(alpha_prev, f_prev, dg_prev, alpha, f_a, dg_a)
-        if abs(dg_a) <= -c2 * dg0 + g_eps:
-            return alpha, f_a, g_a, evals
+        if abs(dg_a) <= -C2 * dg0 + g_eps:
+            return alpha, f_a, g_a
         if dg_a >= 0.0:
             return zoom(alpha, f_a, dg_a, alpha_prev, f_prev, dg_prev)
         alpha_prev, f_prev, dg_prev = alpha, f_a, dg_a
         alpha *= 2.0
         first = False
-    raise MaxProbesExceeded(f"no Wolfe point within {max_probes} probes")
+    raise MaxProbesExceeded(f"no Wolfe point within {MAX_PROBES} probes")
 
 
 def _two_loop(g, s_list, y_list, rho_list):
@@ -274,7 +275,8 @@ def _two_loop(g, s_list, y_list, rho_list):
 
 def lbfgs_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
                    timing=False):
-    """Limited-memory quasi-Newton minimization with strong Wolfe steps.
+    """Limited-memory quasi-Newton minimization with strong Wolfe steps,
+    keeping the last ``HISTORY`` curvature pairs.
 
     Curvature pairs with s.y <= 1e-10 |s||y| are skipped.  A failed line
     search first retries once along steepest descent with cleared memory;
@@ -319,11 +321,7 @@ def lbfgs_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
             attempts.append((-g, -gnorm * gnorm, 1.0 / gnorm))
         for d, dg, alpha0 in attempts:
             try:
-                alpha, f_new, g_new, _ = strong_wolfe_search(
-                    probe, phi, d, f, g,
-                    c1=config.c1, c2=config.c2, alpha0=alpha0,
-                    max_probes=config.max_probes,
-                )
+                alpha, f_new, g_new = strong_wolfe_search(probe, phi, d, f, g, alpha0)
                 break
             except LineSearchFailure:
                 s_list, y_list, rho_list = [], [], []
@@ -337,7 +335,7 @@ def lbfgs_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
             s_list.append(s)
             y_list.append(y)
             rho_list.append(1.0 / sy)
-            if len(s_list) > config.history:
+            if len(s_list) > HISTORY:
                 s_list.pop(0)
                 y_list.pop(0)
                 rho_list.pop(0)

@@ -88,9 +88,8 @@ def check_spatial_hessians(seed=0, n_points=5, h=1e-4, tol=1e-4):
     rng = np.random.default_rng(seed + 2)
     phi = net.init_params() + 0.05 * rng.standard_normal(net.n_params)
     phi_c = ad.constant(phi)
-    lo = np.asarray(problem.domain.origin)
-    hi = lo + np.asarray(problem.domain.lengths)
-    X = rng.uniform(lo + 0.1, hi - 0.1, size=(n_points, 3))
+    L = np.asarray(problem.domain.lengths)
+    X = rng.uniform(0.1, L - 0.1, size=(n_points, 3))
 
     def jets_at(Xp):
         # (gradient (..., 3), packed Hessian (..., 6)) of the raw node's

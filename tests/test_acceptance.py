@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from hyperelast import bvp, cli, solver, verification
+from hyperelast import bvp, cli, optim, solver, verification
 from hyperelast.exports import read_history
 from hyperelast.losses import CoVState
 from hyperelast.materials import (
@@ -156,8 +156,8 @@ class TestCriterion7Optimizer:
         wolfe_ok = bool(hist.wolfe) and bool(hist_r.wolfe)
         for record in (hist, hist_r):
             for f0, dg0, alpha, f_new, dg_new in record.wolfe:
-                wolfe_ok &= f_new <= f0 + config.c1 * alpha * dg0 + 1e-13 * max(1.0, abs(f0))
-                wolfe_ok &= abs(dg_new) <= config.c2 * abs(dg0) + 1e-13 * max(1.0, abs(dg0))
+                wolfe_ok &= f_new <= f0 + optim.C1 * alpha * dg0 + 1e-13 * max(1.0, abs(f0))
+                wolfe_ok &= abs(dg_new) <= optim.C2 * abs(dg0) + 1e-13 * max(1.0, abs(dg0))
         report(
             7,
             quad_ok and rosen_ok and wolfe_ok,

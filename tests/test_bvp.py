@@ -65,9 +65,8 @@ class TestPointSets:
         rows = np.concatenate([ps.interior_idx, ps.boundary_idx])
         assert np.array_equal(np.sort(rows), np.arange(ps.n_points))
         X = ps.points[ps.boundary_idx]
-        lo = np.asarray(domain.origin)
-        hi = lo + np.asarray(domain.lengths)
-        assert np.all(np.any((X == lo) | (X == hi), axis=1))
+        hi = np.asarray(domain.lengths)
+        assert np.all(np.any((X == 0.0) | (X == hi), axis=1))
 
     def test_interior_clear_of_faces(self):
         domain = BoxDomain(lengths=(2.0, 1.0, 1.0), counts=(5, 5, 5))
@@ -75,9 +74,7 @@ class TestPointSets:
         X = ps.points[ps.interior_idx]
         spacing = domain.spacings()
         for k in range(3):
-            lo = domain.origin[k]
-            hi = lo + domain.lengths[k]
-            gap = np.minimum(X[:, k] - lo, hi - X[:, k])
+            gap = np.minimum(X[:, k], domain.lengths[k] - X[:, k])
             assert np.all(gap >= spacing[k] - 1e-12)
 
     def test_surface_weights_sum_to_area(self):
@@ -99,7 +96,7 @@ class TestPointSets:
         for normal, member in zip(ps.normals, ps.member[:, :, 0].T):
             (axis,) = np.flatnonzero(normal)
             assert abs(normal[axis]) == 1.0
-            value = d.origin[axis] + (d.lengths[axis] if normal[axis] > 0 else 0.0)
+            value = d.lengths[axis] if normal[axis] > 0 else 0.0
             assert np.array_equal(member == 1.0, ps.points[:, axis] == value)
             assert np.all((member == 0.0) | (member == 1.0))
 

@@ -34,6 +34,7 @@ NAMED_IN_MESSAGE = {
     "problem.grid=5,5,5,5": ("problem.grid", "'5,5,5,5'"),
     "shear:abc": ("problem.affine", "'abc'"),
     "stretch:1.1,,1": ("problem.affine", "''"),
+    "shear:0.5": ("set either problem.preset or problem.affine, not both",),
 }
 
 TINY_SOLVE = [
@@ -428,6 +429,7 @@ class TestCLI:
         ["--set", "problem.grid=5,5,5,5"],
         ["--preset", "nh_cantilever_traction", "--set", "problem.grid=5,5"],
         ["--affine", "stretch:1.1,,1"],
+        ["--preset", "nh_simple_shear", "--affine", "shear:0.5"],
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, bad):
         args = [*TINY_SOLVE, *bad]

@@ -154,7 +154,7 @@ class TestMSETraction:
 
     def test_zero_traction_patches_satisfied_by_zero_stress(self):
         domain = BoxDomain(counts=(3, 3, 3))
-        enforcer = BCEnforcer(origin=domain.origin, lengths=domain.lengths,
+        enforcer = BCEnforcer(lengths=domain.lengths,
                               faces=(DirichletFace(axis=0, side="lo"),))
         patches = tuple(TractionPatch(axis=a, side=s, traction=(0, 0, 0))
                         for a, s in [(1, "lo"), (1, "hi"), (2, "lo"), (2, "hi"), (0, "hi")])
@@ -181,7 +181,7 @@ class TestMSETraction:
     def test_matches_hand_expansion_single_point(self):
         rng = np.random.default_rng(2)
         domain = BoxDomain(counts=(3, 3, 3))
-        enforcer = BCEnforcer(origin=domain.origin, lengths=domain.lengths,
+        enforcer = BCEnforcer(lengths=domain.lengths,
                               faces=(DirichletFace(axis=0, side="lo"),))
         tbar = (3.0, -1.0, 2.0)
         problem = ProblemSpec(
@@ -202,7 +202,7 @@ class TestMSETraction:
     def test_faces_sharing_an_edge_count_edge_points_once_per_face(self):
         rng = np.random.default_rng(5)
         domain = BoxDomain(counts=(5, 3, 7))
-        enforcer = BCEnforcer(origin=domain.origin, lengths=domain.lengths,
+        enforcer = BCEnforcer(lengths=domain.lengths,
                               faces=(DirichletFace(axis=0, side="lo"),))
         loaded = [(0, (1.0, 0.0, 0.0), (2.0, -1.0, 0.5)),
                   (1, (0.0, 1.0, 0.0), (-3.0, 0.25, 4.0))]

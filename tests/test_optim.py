@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hyperelast import optim
 from hyperelast.errors import (
     LineSearchFailure,
+    MaxProbesExceeded,
     NonFiniteObjective,
     NotDescentDirection,
 )
@@ -95,7 +97,7 @@ class TestLBFGS:
         # no step taken: one row for the starting iterate, with every probe
         (row,) = hist.rows
         assert (row.iter, row.total, row.step) == (1, 1.0, 0.0)
-        assert row.grad_norm == np.sqrt(2.0) and row.n_evals == 1 + LBFGSConfig().max_probes
+        assert row.grad_norm == np.sqrt(2.0) and row.n_evals == 1 + optim.MAX_PROBES
 
     def test_start_at_minimum_records_one_row(self):
         center = np.array([1.0, -2.0])
@@ -105,12 +107,13 @@ class TestLBFGS:
         assert (row.stage, row.iter, row.total, row.grad_norm) == (2, 6, 0.0, 0.0)
         assert (row.step, row.n_evals) == (0.0, 1)
 
-    def test_steepest_descent_retry_bookkeeping(self):
+    def test_steepest_descent_retry_bookkeeping(self, monkeypatch):
         # the first line search of iteration 2 sees only NaN probes and
         # fails; the retry along -g must be what the history records, and
         # the failed search's probes must still count as evaluations
+        monkeypatch.setattr(optim, "MAX_PROBES", 5)
         fn, _ = spd_quadratic(8, seed=6, cond=20.0)
-        config = LBFGSConfig(max_iters=3, max_probes=5)
+        config = LBFGSConfig(max_iters=3)
 
         class Objective:
             def __init__(self):
@@ -127,7 +130,7 @@ class TestLBFGS:
                 self.calls += 1
                 self.begins.append(fn(phi)[1])
                 if len(self.begins) == 2:
-                    self.nan_left = config.max_probes
+                    self.nan_left = optim.MAX_PROBES
                 return fn(phi)
 
             def stats(self):
@@ -156,23 +159,14 @@ class TestLBFGS:
         _, hist = lbfgs_minimize(fn, np.ones(20), config)
         assert hist.wolfe, "no steps recorded"
         for f0, dg0, alpha, f_new, dg_new in hist.wolfe:
-            assert f_new <= f0 + config.c1 * alpha * dg0 + 1e-14 * max(1.0, abs(f0))
-            assert abs(dg_new) <= config.c2 * abs(dg0) + 1e-14
+            assert f_new <= f0 + optim.C1 * alpha * dg0 + 1e-14 * max(1.0, abs(f0))
+            assert abs(dg_new) <= optim.C2 * abs(dg0) + 1e-14
 
-    def test_history_one_memory_still_converges(self):
+    def test_history_one_memory_still_converges(self, monkeypatch):
+        monkeypatch.setattr(optim, "HISTORY", 1)
         fn, sol = spd_quadratic(10, seed=4)
-        phi, hist = lbfgs_minimize(
-            fn, np.zeros(10), LBFGSConfig(history=1, max_iters=200, grad_tol=1e-9)
-        )
+        phi, hist = lbfgs_minimize(fn, np.zeros(10), LBFGSConfig(max_iters=200, grad_tol=1e-9))
         assert np.abs(phi - sol).max() <= 1e-7
-
-    def test_zero_memory_rejected(self):
-        with pytest.raises(ValueError):
-            LBFGSConfig(history=0)
-
-    def test_bad_wolfe_constants_rejected(self):
-        with pytest.raises(ValueError):
-            LBFGSConfig(c1=0.5, c2=0.1)
 
     def test_determinism(self):
         fn, _ = spd_quadratic(25, seed=5)
@@ -189,7 +183,7 @@ class TestStrongWolfe:
         phi = np.array([1.0, -2.0, 0.5])
         f0, g0 = fn(phi)
         d = -g0
-        alpha, f_a, g_a, _ = strong_wolfe_search(fn, phi, d, f0, g0, alpha0=1.0)
+        alpha, f_a, g_a = strong_wolfe_search(fn, phi, d, f0, g0, alpha0=1.0)
         assert 0.9 <= alpha <= 1.1
         dg0 = g0 @ d
         assert f_a <= f0 + 1e-4 * alpha * dg0
@@ -202,7 +196,7 @@ class TestStrongWolfe:
             phi = rng.standard_normal(15)
             f0, g0 = fn(phi)
             d = -g0
-            alpha, f_a, g_a, _ = strong_wolfe_search(fn, phi, d, f0, g0, alpha0=1.0)
+            alpha, f_a, g_a = strong_wolfe_search(fn, phi, d, f0, g0, alpha0=1.0)
             dg0 = g0 @ d
             assert f_a <= f0 + 1e-4 * alpha * dg0 + 1e-14
             assert abs(g_a @ d) <= 0.9 * abs(dg0) + 1e-14
@@ -214,15 +208,53 @@ class TestStrongWolfe:
         with pytest.raises(NotDescentDirection):
             strong_wolfe_search(fn, phi, +g0, f0, g0)
 
-    def test_probe_budget(self):
+    def test_probe_budget(self, monkeypatch):
+        monkeypatch.setattr(optim, "MAX_PROBES", 6)
+        probes = []
+
         def bad(phi):
+            probes.append(float(phi[0]))
             return np.nan, np.zeros(1)
 
         with pytest.raises(LineSearchFailure):
-            strong_wolfe_search(bad, np.zeros(1), np.array([-1.0]), 1.0,
-                                np.array([1.0]), max_probes=6)
+            strong_wolfe_search(bad, np.zeros(1), np.array([-1.0]), 1.0, np.array([1.0]))
+        assert len(probes) == 6
 
-    def test_infinite_probe_in_zoom_falls_back_to_bisection_silently(self):
+    def test_bracket_doubles_the_step_while_descent_continues(self):
+        # f = x^2 / 2 from x = 10 along -1: alpha 0.5 is short (slope -9.5
+        # against the bound 0.9 * 10), so the bracket phase doubles it, and
+        # alpha 1.0 meets both conditions
+        probes = []
+
+        def fn(phi):
+            probes.append(float(phi[0]))
+            return 0.5 * float(phi[0]) ** 2, phi.copy()
+
+        phi = np.array([10.0])
+        f0, g0 = fn(phi)
+        probes.clear()
+        alpha, f_a, g_a = strong_wolfe_search(fn, phi, np.array([-1.0]), f0, g0, alpha0=0.5)
+        assert probes == [9.5, 9.0]
+        assert (alpha, f_a, float(g_a[0])) == (1.0, 40.5, 9.0)
+
+    def test_zoom_runs_out_of_probes(self):
+        # f = |x - 0.3| from 0 along +1: the unit step overshoots, and no
+        # point of the bracket [0, 1] has a slope as small as the
+        # curvature condition asks, so zoom spends the whole budget
+        probes = []
+
+        def fn(phi):
+            probes.append(float(phi[0]))
+            return abs(float(phi[0]) - 0.3), np.sign(phi - 0.3)
+
+        f0, g0 = fn(np.zeros(1))
+        probes.clear()
+        with pytest.raises(MaxProbesExceeded, match="no Wolfe point within 30 probes"):
+            strong_wolfe_search(fn, np.zeros(1), np.array([1.0]), f0, g0)
+        assert len(probes) == optim.MAX_PROBES == 30
+        assert probes[0] == 1.0 and all(0.0 < a < 1.0 for a in probes[1:])
+
+    def test_infinite_probe_in_zoom_falls_back_to_bisection_silently(self, monkeypatch):
         # f is +inf on (0.15, 0.95): the first step overshoots into a finite
         # but too high value, zoom's bisection probes land in the infinite
         # gap, and the cubic through an infinite endpoint must not be formed
@@ -234,14 +266,13 @@ class TestStrongWolfe:
             f = np.inf if 0.15 < a < 0.95 else (a - 0.1) ** 2 + (10.0 if a >= 0.95 else 0.0)
             return f, np.array([2.0 * (a - 0.1)])
 
+        monkeypatch.setattr(optim, "C2", 0.1)
         f0, g0 = fn(np.zeros(1))
         probes.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            alpha, f_a, _, n = strong_wolfe_search(
-                fn, np.zeros(1), np.array([1.0]), f0, g0, c2=0.1, alpha0=1.0
-            )
-        assert (alpha, f_a, n) == (0.1, 0.0, 5)
+            alpha, f_a, _ = strong_wolfe_search(fn, np.zeros(1), np.array([1.0]), f0, g0)
+        assert (alpha, f_a) == (0.1, 0.0)
         assert probes == [1.0, 0.5, 0.25, 0.125, 0.1]
 
 
@@ -300,3 +331,16 @@ class TestCurriculum:
             lambda fraction: fn, np.ones(6), LBFGSConfig(max_iters=100),
         )
         assert max(r.iter for r in hist.rows if r.stage == 0) <= 2
+
+    def test_stage_failure_names_its_stage(self):
+        fn, _ = spd_quadratic(4, seed=12)
+
+        def factory(fraction):
+            return fn if fraction < 1.0 else (lambda phi: (np.inf, np.zeros_like(phi)))
+
+        message = r"^stage 1 \(fraction 1.0\): objective is inf at the current iterate$"
+        with pytest.raises(NonFiniteObjective, match=message):
+            curriculum_train(
+                CurriculumSchedule(fractions=(0.5, 1.0)), factory, np.ones(4),
+                LBFGSConfig(max_iters=5),
+            )

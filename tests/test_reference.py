@@ -169,7 +169,7 @@ class TestAffineDirichletProblem:
                 TractionPatch(axis=0, side=side, traction=tuple(sol.P0 @ normal))
             )
         enforcer = BCEnforcer(
-            origin=domain.origin, lengths=domain.lengths,
+            lengths=domain.lengths,
             faces=(DirichletFace(axis=1, side="lo"),),
             lift_lin=tuple(tuple(row) for row in (F0 - np.eye(3))),
         )
@@ -192,7 +192,7 @@ class TestUniaxialTractionState:
         assert_allclose(p11, 93.164, rtol=1e-5)
         domain = BoxDomain(counts=(9, 9, 9))
         rollers = tuple(DirichletFace(a, "lo", components=(a,)) for a in range(3))
-        enforcer = BCEnforcer(origin=domain.origin, lengths=domain.lengths, faces=rollers)
+        enforcer = BCEnforcer(lengths=domain.lengths, faces=rollers)
         patches = (
             TractionPatch(axis=0, side="hi", traction=(p11, 0.0, 0.0)),
             TractionPatch(axis=1, side="hi", traction=(0.0, 0.0, 0.0)),

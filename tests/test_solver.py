@@ -136,7 +136,6 @@ class TestCurriculumSolve:
             ),
             enforcer=replace(
                 enforcer,
-                lift_const=tuple(0.5 * c for c in enforcer.lift_const),
                 lift_lin=tuple(tuple(0.5 * g for g in row) for row in enforcer.lift_lin),
             ),
         )
@@ -248,7 +247,7 @@ def test_evaluate_fields_bitwise_equal_to_second_order_pass(name):
     rng = np.random.default_rng(17)
     phi = net.init_params() + 1e-3 * rng.standard_normal(net.n_params)
     dom = problem.domain
-    X = np.asarray(dom.origin) + rng.uniform(0, 1, size=(40, 3)) * np.asarray(dom.lengths)
+    X = rng.uniform(0, 1, size=(40, 3)) * np.asarray(dom.lengths)
     u, P = net.fields(ad.constant(phi), X)
     assert u.hess is not None
     _assert_sampled(evaluate_fields(net, phi, X, material=problem.material), u, P, problem.material)
@@ -276,7 +275,7 @@ def _sampling_case(n, seed=0):
     rng = np.random.default_rng(seed)
     phi = net.init_params() + 1e-3 * rng.standard_normal(net.n_params)
     dom = problem.domain
-    X = np.asarray(dom.origin) + rng.uniform(0, 1, size=(n, 3)) * np.asarray(dom.lengths)
+    X = rng.uniform(0, 1, size=(n, 3)) * np.asarray(dom.lengths)
     return problem, net, phi, X
 
 
