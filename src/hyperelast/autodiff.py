@@ -223,34 +223,22 @@ def reshape(a, shape):
 
 
 def take(a, indices, axis=0):
-    """Select along one axis by a 1-D index array.
-
-    Duplicate-free indices scatter directly in the backward pass;
-    duplicated ones (unpacking a symmetric Hessian) contract with a
-    one-hot matrix.
-    """
+    """Select along one axis by a 1-D index array; the vjp adds each
+    selected entry's adjoint back in, so duplicated indices (unpacking a
+    symmetric Hessian) sum theirs."""
     a = constant(a)
     idx = np.asarray(indices)
     if idx.ndim != 1:
         raise ValueError("take needs a 1-D index array")
-    out = np.take(a.data, idx, axis=axis)
     shape = a.data.shape
     ax = axis % a.data.ndim
-    if idx.size == np.unique(idx).size:
 
-        def back(adj):
-            full = np.zeros(shape)
-            np.moveaxis(full, ax, 0)[idx] = np.moveaxis(adj, ax, 0)
-            return full
+    def back(adj):
+        full = np.zeros(shape)
+        np.add.at(np.moveaxis(full, ax, 0), idx, np.moveaxis(adj, ax, 0))
+        return full
 
-    else:
-        onehot = np.zeros((idx.size, shape[ax]))
-        onehot[np.arange(idx.size), idx] = 1.0
-
-        def back(adj):
-            return np.moveaxis(np.tensordot(adj, onehot, axes=([ax], [0])), -1, ax)
-
-    return record("take", out, (a,), (back,))
+    return record("take", np.take(a.data, idx, axis=axis), (a,), (back,))
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +273,6 @@ def scale(s, m):
         "scale", s, m, np.multiply(m.data, s_b),
         lambda adj, md: np.matmul(md.reshape(-1, 1, k), adj.reshape(-1, k, 1)).reshape(sd.shape),
         lambda adj, _: np.multiply(s_b, adj),
-    )
-
-
-def outer(m, v):
-    """Per-point outer product, v's last axis appended to m's axes
-    ('...ij,...k->...ijk')."""
-    m, v = _coerce(m, v)
-    md, vd = m.data, v.data
-    nb, q = vd.ndim - 1, vd.shape[-1]
-    k = math.prod(md.shape[nb:])
-    out = np.multiply(vd.reshape(vd.shape[:-1] + (1,) * (md.ndim - nb) + (q,)), md[..., None])
-    return _contraction(
-        "outer", m, v, out,
-        lambda adj, vd: np.matmul(
-            vd.reshape(-1, 1, q), np.moveaxis(adj, -1, nb).reshape(-1, q, k)
-        ).reshape(md.shape),
-        lambda adj, md: np.matmul(md.reshape(-1, 1, k), adj.reshape(-1, k, q)).reshape(vd.shape),
     )
 
 
@@ -468,40 +439,6 @@ def det_inv_t3(a):
     J = record("det3", det, (a,), (lambda adj: adj[..., None, None] * cof,))
     return J, record(
         "inv_t3", inv_t, (a,), (lambda adj: -(inv_t @ np.swapaxes(adj, -1, -2) @ inv_t),)
-    )
-
-
-def inv_t3_grad(g, dA):
-    """Spatial gradient of A^{-T} from G = A^{-T} (..., 3, 3) and the
-    gradient dA (..., 3, 3, 3), derivative axis last: -G_cb dA_cdk G_ad,
-    as the two contractions '...cdk,...ad->...cak' and
-    '...cak,...cb->...abk' (two tape nodes, the sign folded into the
-    second)."""
-    g, dA = _coerce(g, dA)
-    gd, shape = g.data, dA.data.shape
-
-    def times(m, x_rows):  # m (..., 3, 3) @ x_rows (..., 3, 9) as (..., 3, 3, 3)
-        return np.matmul(m.reshape(-1, 3, 3), x_rows).reshape(shape)
-
-    def rows(x):  # (..., c, d, k) -> (..., d, ck)
-        return np.swapaxes(x, -3, -2).reshape(-1, 3, 9)
-
-    def cols(x):  # (..., c, a, k) -> (..., ck, a)
-        return np.swapaxes(x, -1, -2).reshape(-1, 9, 3)
-
-    gt = np.swapaxes(gd, -1, -2)
-    dA_rows = rows(dA.data)
-    t = np.swapaxes(times(gd, dA_rows), -3, -2)
-    t_rows = t.reshape(-1, 3, 9)
-    half = _contraction(
-        "inv_t3_grad", dA, g, t,
-        lambda adj, _: np.swapaxes(times(gt, rows(adj)), -3, -2),
-        lambda adj, _: np.swapaxes(np.matmul(dA_rows, cols(adj)), -1, -2).reshape(gd.shape),
-    )
-    return _contraction(
-        "inv_t3_grad", half, g, np.negative(np.swapaxes(times(gt, t_rows), -3, -2)),
-        lambda adj, _: times(gd, rows(np.negative(adj))),
-        lambda adj, _: np.matmul(t_rows, cols(np.negative(adj))).reshape(gd.shape),
     )
 
 

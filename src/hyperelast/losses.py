@@ -5,7 +5,9 @@ displacement branch, traction MSE from the stress head, interior
 residual MSE from the displacement branch, interior residual MSE from
 the stress head).  The two "branches" refer to stress computed from the
 constitutive law applied to the displacement field versus stress read
-directly off the network head.
+directly off the network head.  Each branch is a stress value P (N, 3, 3)
+and its row divergence (N, 3), the one derivative the strong-form
+residual needs.
 """
 
 from __future__ import annotations
@@ -87,9 +89,9 @@ def potential_energy(u, problem, points, state=None):
 
 def mse_constitutive(P_net, P_u):
     """Mean squared Frobenius mismatch between the two stress fields."""
-    if P_net.val.data.shape != P_u.val.data.shape:
+    if P_net.data.shape != P_u.data.shape:
         raise LengthMismatch("stress fields sampled on different point sets")
-    d = ad.sub(P_net.val, P_u.val)
+    d = ad.sub(P_net, P_u)
     n_points = d.data.size // 9
     return ad.mul(ad.inner(d, d), 1.0 / n_points)
 
@@ -106,35 +108,32 @@ def mse_traction(P_u, P_net, points):
         return z, z
     sums = []
     for P in (P_u, P_net):
-        PN = ad.contract(points.normals, P.val, (2,), dest=1)
+        PN = ad.contract(points.normals, P, (2,), dest=1)
         r = ad.mul(ad.sub(PN, points.tbar), points.member)
         sums.append(ad.mul(ad.inner(r, r), 1.0 / points.n_traction))
     return sums[0], sums[1]
 
 
-def divergence_at(P, idx):
-    """Row divergence (div P)_i = sum_j dP_ij/dX_j at selected points."""
-    return ad.contract(np.eye(3), ad.take(P.grad, idx, axis=0), (2, 3))
-
-
-def mse_interior(P_u, P_net, points):
-    """Strong-form residual mean ||div P||^2 for both branches."""
+def mse_interior(div_u, div_net, points):
+    """Strong-form residual mean ||div P||^2 for both branches, from the
+    row divergences (N, 3) at the interior points."""
     idx = points.interior_idx
     sums = []
-    for P in (P_u, P_net):
-        r = divergence_at(P, idx)
+    for div in (div_u, div_net):
+        r = ad.take(div, idx, axis=0)
         sums.append(ad.mul(ad.inner(r, r), 1.0 / idx.size))
     return sums[0], sums[1]
 
 
-def assemble(u, P_net, problem, points):
-    """Evaluate all six loss terms from the field jets at the grid points."""
+def assemble(u, P_net, div_net, problem, points):
+    """Evaluate all six loss terms from the displacement jet and the
+    stress head's value and row divergence at the grid points."""
     state = deformation_gradient(displacement_gradient(u))
-    P_u = problem.material.stress(state)
+    P_u, div_u = problem.material.stress(state)
     energy, _, _ = potential_energy(u, problem, points, state=state)
     mse_P = mse_constitutive(P_net, P_u)
     mse_t_u, mse_t_net = mse_traction(P_u, P_net, points)
-    mse_i_u, mse_i_net = mse_interior(P_u, P_net, points)
+    mse_i_u, mse_i_net = mse_interior(div_u, div_net, points)
     return LossBreakdown(
         energy=energy,
         mse_constitutive=mse_P,

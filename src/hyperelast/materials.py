@@ -5,13 +5,17 @@ Piola-Kirchhoff stress P(F) for two isotropic compressible models, plus
 the Cauchy push-forward and von Mises post-processing.
 
 The kinematic state holds batched first-order jets
-(:class:`~hyperelast.autodiff.Jet`): F (..., 3, 3), J and I1 (...,) and
-F^{-T} (..., 3, 3), each with its gradient in the material coordinates
-from the closed forms dJ = J tr(F^{-1} dF), dI1 = 2 F : dF and
-d(F^{-T}) = -F^{-T} dF^T F^{-T}.  Both stresses have the form
-P = a F + b F^{-T} with scalar fields a, b, so their spatial gradients
-(needed for div P) follow from the product rule.  The energy density is
-returned as values only.  A state without gradients (order 0) serves
+(:class:`~hyperelast.autodiff.Jet`) of F (..., 3, 3), J and I1 (...,),
+each with its gradient in the material coordinates from the closed
+forms dJ = J grad ln J with (grad ln J)_k = F^{-T} : dF/dX_k and
+dI1 = 2 F : dF, plus the values of F^{-T} and the row divergence div F.
+Both stresses have the form P = a F + b F^{-T} with scalar fields a, b.
+The strong form needs only div P, and the Piola identity
+Div(J F^{-T}) = 0 gives div(b F^{-T}) = F^{-T} (grad b - b grad ln J),
+so div P = a div F + F grad a + F^{-T} (grad b - b grad ln J) needs no
+derivative of F^{-T}.  The identity holds because the rows of F are
+gradients (dF is symmetric in its last two axes).  The energy density
+is returned as values only.  A state without gradients (order 0) serves
 plain numeric evaluation.
 
 The stress formulas are hard-coded rather than produced by run-time
@@ -57,7 +61,7 @@ class NeoHookean:
         )
 
     def stress(self, state):
-        """P = mu F + (lam ln J - mu) F^{-T}."""
+        """(P, div P) for P = mu F + (lam ln J - mu) F^{-T} (see :func:`_stress`)."""
         J = state.J
         coeff = _scalar_jet(
             ad.sub(ad.mul(ad.log(J.val), self.lam), self.mu), ad.div(self.lam, J.val), J.grad
@@ -108,7 +112,8 @@ class LopezPamies:
         return ad.add(total, ad.mul(ad.mul(Jm1, Jm1), 0.5 * self.lam))
 
     def stress(self, state):
-        """P = sum_r 3^{1-a_r} mu_r I1^{a_r-1} F - sum_r mu_r F^{-T} + lam (J^2 - J) F^{-T}."""
+        """(P, div P) for P = sum_r 3^{1-a_r} mu_r I1^{a_r-1} F - sum_r mu_r F^{-T}
+        + lam (J^2 - J) F^{-T} (see :func:`_stress`)."""
         alphas = np.array(self.alphas)
         coeffs = 3.0 ** (1.0 - alphas) * np.array(self.mus)
         I1, J = state.I1, state.J
@@ -130,34 +135,41 @@ class LopezPamies:
 
 @dataclass
 class DeformationState:
-    """Deformation gradient and derived quantities as first-order jets.
+    """Deformation gradient and derived quantities.
 
-    F = I + grad u, J = det F, I1 = trace(F^T F) = F : F, F_inv_T = F^{-T}.
+    F = I + grad u, J = det F and I1 = trace(F^T F) = F : F are first-order
+    jets; F_inv_T = F^{-T} is a value only.  With gradients, grad_lnJ
+    (..., 3) is the gradient of ln J and div_F (..., 3) the row divergence
+    of F; both are None at order 0.
     """
 
     F: ad.Jet
     J: ad.Jet
     I1: ad.Jet
-    F_inv_T: ad.Jet
+    F_inv_T: ad.Var
+    grad_lnJ: ad.Var = None
+    div_F: ad.Var = None
 
 
 def _scalar_times(s, M):
-    """Product of a scalar jet (or float) s with a matrix jet M (..., 3, 3)."""
-    if not isinstance(s, ad.Jet):
-        return ad.Jet(ad.mul(M.val, s), None if M.grad is None else ad.mul(M.grad, s))
-    val = ad.scale(s.val, M.val)
-    if M.grad is None:
-        return ad.Jet(val)
-    grad = ad.add(ad.scale(s.val, M.grad), ad.outer(M.val, s.grad))
-    return ad.Jet(val, grad)
+    """s M for a scalar jet (or float) s and M (..., *comp), values only."""
+    return ad.scale(s.val, M) if isinstance(s, ad.Jet) else ad.mul(M, s)
 
 
 def _stress(a, b, state):
-    """P = a F + b F^{-T} with its spatial gradient."""
-    aF = _scalar_times(a, state.F)
-    bG = _scalar_times(b, state.F_inv_T)
-    grad = None if aF.grad is None else ad.add(aF.grad, bG.grad)
-    return ad.Jet(ad.add(aF.val, bG.val), grad)
+    """P = a F + b F^{-T} and its row divergence, None at order 0.
+
+    div P = a div F + F grad a + F^{-T} (grad b - b grad ln J) (Piola
+    identity); the F grad a term drops when a is a constant.
+    """
+    P = ad.add(_scalar_times(a, state.F.val), _scalar_times(b, state.F_inv_T))
+    if state.div_F is None:
+        return P, None
+    div = _scalar_times(a, state.div_F)
+    if isinstance(a, ad.Jet):
+        div = ad.add(div, ad.matvec(state.F.val, a.grad))
+    piola = ad.matvec(state.F_inv_T, ad.sub(b.grad, ad.scale(b.val, state.grad_lnJ)))
+    return P, ad.add(div, piola)
 
 
 def _scalar_jet(val, d_val, d_arg):
@@ -178,13 +190,17 @@ def deformation_gradient(grad_u):
     J, FiT = ad.det_inv_t3(F)
     I1 = ad.inner(F, F, batch_ndim=F.data.ndim - 2)
     if dF is None:
-        return DeformationState(ad.Jet(F), ad.Jet(J), ad.Jet(I1), ad.Jet(FiT))
+        return DeformationState(ad.Jet(F), ad.Jet(J), ad.Jet(I1), FiT)
     nb = F.data.ndim - 2
-    dJ = ad.scale(J, ad.vecmat(FiT, dF, nb))
+    grad_lnJ = ad.vecmat(FiT, dF, nb)
     dI1 = ad.mul(ad.vecmat(F, dF, nb), 2.0)
-    dFiT = ad.inv_t3_grad(FiT, dF)
     return DeformationState(
-        F=ad.Jet(F, dF), J=ad.Jet(J, dJ), I1=ad.Jet(I1, dI1), F_inv_T=ad.Jet(FiT, dFiT)
+        F=ad.Jet(F, dF),
+        J=ad.Jet(J, ad.scale(J, grad_lnJ)),
+        I1=ad.Jet(I1, dI1),
+        F_inv_T=FiT,
+        grad_lnJ=grad_lnJ,
+        div_F=ad.contract(np.eye(3), dF, (-2, -1)),
     )
 
 
@@ -228,10 +244,10 @@ def eval_psi(mat, F):
 
 def eval_stress(mat, F):
     """Numeric P for an ndarray F (..., 3, 3)."""
-    return mat.stress(state_from_array(F)).val.data
+    return mat.stress(state_from_array(F))[0].data
 
 
 def eval_cauchy(mat, F):
     """Numeric Cauchy stress for an ndarray F (..., 3, 3)."""
     state = state_from_array(F)
-    return cauchy(mat.stress(state).val.data, state.F.val.data, state.J.val.data)
+    return cauchy(mat.stress(state)[0].data, state.F.val.data, state.J.val.data)

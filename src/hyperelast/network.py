@@ -30,19 +30,19 @@ bit for bit.
 
 The node's output (N, C, 12) is read by one head node with one output
 per head field: the displacement jet u (N, 3) with gradient (N, 3, 3)
-and packed Hessian (N, 3, 6), and the stress jet P (N, 3, 3) one order
-lower, because only the divergence of the stress is ever needed, with
-the stress scale folded into its slots.  Its vjp fills one (N, C, 12)
+and packed Hessian (N, 3, 6), the stress P (N, 3, 3) and its row
+divergence div P (N, 3), the only derivative of the stress the loss
+reads, the stress scale folded into both.  Its vjp fills one (N, C, 12)
 adjoint.  Training asks for u at order 2, sampling at order 1, where
-every stage passes a None Hessian slot through; the head reads the order
-off the node's channel count.
+every stage passes a None Hessian slot through and the head emits no
+divergence; the head reads the order off the node's channel count.
 
 Training feeds two stacks, order 2 at the interior points and order 1
 elsewhere.  Contract: u's Hessian is computed at interior rows only and
-is zero elsewhere, and the stress-branch gradients at the other rows
-are never read.  Only the strong-form residuals read them, through the
-interior ``take`` in ``losses.divergence_at``, so the skipped channels'
-adjoint is exactly zero and the gradient is unchanged.
+is zero elsewhere, so the displacement branch's div P is meaningless at
+the other rows.  Only the strong-form residuals read the divergences,
+through the interior ``take`` in ``losses.mse_interior``, so the skipped
+channels' adjoint is exactly zero and the gradient is unchanged.
 """
 
 from __future__ import annotations
@@ -398,27 +398,31 @@ def forward(spec, phi, stacks, rows=None):
 
 
 def _head(y, scale):
-    """Head jets off the perceptron node y (N, C, 12) as one tape node:
-    the displacement y_u (N, 3), of order 2 when y carries the Hessian
-    channels (C = 10) and of order 1 when it does not (C = 4), and the
-    stress P (N, 3, 3) one order lower, times ``scale``.
+    """Head fields off the perceptron node y (N, C, 12) as one tape node:
+    the displacement jet y_u (N, 3), of order 2 when y carries the Hessian
+    channels (C = 10) and of order 1 when it does not (C = 4), the stress
+    P (N, 3, 3) and, at C = 10, its row divergence (N, 3) (else None),
+    both times ``scale``.
 
-    Each slot is its output columns at its channels, channels last.  The
-    vjp writes the adjoints of the slots read into one (N, C, 12) buffer
-    and captures shapes only, so the tape does not keep y alive.
+    Each jet slot and P are their output columns at their channels,
+    channels last; dP_ij/dX_j is channel 1 + j of column 3 + 3i + j, so
+    div P sums three strided column sets.  The vjp writes the adjoints of
+    the outputs read into one (N, C, 12) buffer and captures shapes only,
+    so the tape does not keep y alive.
     """
-    full, u, p = y.data.shape, slice(0, 3), slice(3, N_OUTPUTS)
-    # (channels, columns, shape past N, factor) of u.val, u.grad, u.hess, P.val, P.grad
+    full = y.data.shape
+    u = slice(0, 3)
+    # (channels, columns, shape past N, factor) of u.val, u.grad, u.hess and P
     slots = [
         (slice(0, 1), u, (3,), 1.0),
         (slice(1, 4), u, (3, 3), 1.0),
         (slice(4, 10), u, (3, 6), 1.0),
-        (slice(0, 1), p, (3, 3), scale),
-        (slice(1, 4), p, (3, 3, 3), scale),
+        (slice(0, 1), slice(3, N_OUTPUTS), (3, 3), scale),
     ]
     first_order = full[1] == 4
     if first_order:
-        del slots[4], slots[2]
+        del slots[2]
+    div_cols = [(1 + j, slice(3 + j, N_OUTPUTS, 3)) for j in range(3)]
 
     def back(adjs):
         out = np.zeros(full)
@@ -426,16 +430,22 @@ def _head(y, scale):
             if adj is not None:
                 part = np.moveaxis(out[:, ch, cols], 1, -1)
                 part[...] = adj.reshape(part.shape) * s
+        if not first_order and adjs[-1] is not None:
+            d = adjs[-1] * scale
+            for ch, cols in div_cols:
+                out[:, ch, cols] = d
         return out
 
-    data = tuple(
+    data = [
         np.multiply(np.moveaxis(y.data[:, ch, cols], 1, -1), s, order="C").reshape(full[:1] + shape)
         for ch, cols, shape, s in slots
-    )
-    heads = ad.record("mlp_head", data, (y,), (back,))
+    ]
+    if not first_order:
+        data.append(sum(y.data[:, ch, cols] for ch, cols in div_cols) * scale)
+    heads = ad.record("mlp_head", tuple(data), (y,), (back,))
     if first_order:
         heads = heads[:2] + (None,) + heads[2:] + (None,)
-    return ad.Jet(*heads[:3]), ad.Jet(*heads[3:])
+    return ad.Jet(*heads[:3]), heads[3], heads[4]
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +581,9 @@ class FieldNetwork:
         return self.mlp.init_params(rng)
 
     def raw_outputs(self, phi, X, features=None, order=2):
-        """Head jets: displacement y_u (N, 3) and the scaled stress P
-        (N, 3, 3) one order lower, one head node off the perceptron node.
+        """Head fields: the displacement jet y_u (N, 3), the scaled stress P
+        (N, 3, 3) and, with a Hessian, its row divergence div P (N, 3)
+        (else None), one head node off the perceptron node.
 
         ``features`` is a (stacks, rows) pair for :func:`forward`; by
         default the features of X at ``order`` (2 or 1).  y_u is of order 2
@@ -582,20 +593,19 @@ class FieldNetwork:
         return _head(forward(self.mlp, phi, stacks, rows), self.stress_scale)
 
     def fields(self, phi, X, features=None, bc=None, order=2):
-        """Displacement jet of ``order`` and scaled stress jet one order
-        lower at points X (N, 3).
+        """Displacement jet of ``order``, scaled stress P and its row
+        divergence (None at order 1) at points X (N, 3).
 
         ``bc`` is the composition data of :meth:`BCEnforcer.bc_jets` at X;
         by default the network's enforcer lays it out at the order of y_u.
         With features whose stacks are of order 2 on some rows and order 1
         on the rest, u's Hessian is computed on the order-2 rows only and
-        is zero elsewhere, so the stress-branch gradients at the other rows
-        are never read.
+        is zero elsewhere.
         """
-        y_u, P = self.raw_outputs(phi, X, features, order)
+        y_u, P, div_P = self.raw_outputs(phi, X, features, order)
         if bc is None:
             bc = self.enforcer.bc_jets(X, 1 if y_u.hess is None else 2)
-        return self.enforcer.apply(y_u, bc), P
+        return self.enforcer.apply(y_u, bc), P, div_P
 
 
 def displacement_gradient(u):

@@ -95,10 +95,10 @@ class TrainingObjective:
     def _breakdown(self, phi_array):
         tape = ad.Tape()
         phi = tape.input(phi_array)
-        u, P = self.net.fields(
+        u, P, div_P = self.net.fields(
             phi, self.points.points, features=self.features, bc=self.bc
         )
-        return assemble(u, P, self.problem, self.points), phi
+        return assemble(u, P, div_P, self.problem, self.points), phi
 
     def _finish(self, breakdown, phi):
         total = self.weights.total(breakdown)
@@ -181,20 +181,20 @@ def train(problem, net, *, schedule=None, opt_config=None, phi0=None,
 
 def _sample(net, phi, X, material):
     """The fields of :func:`evaluate_fields` at the rows X, in one pass."""
-    u, P = net.fields(phi, X, order=1)
+    u, P, _ = net.fields(phi, X, order=1)
     state = deformation_gradient(displacement_gradient(u))
     F, J = state.F.val.data, state.J.val.data
-    S = cauchy(P.val.data, F, J)
+    S = cauchy(P.data, F, J)
     out = {
         "u": u.val.data,
-        "P": P.val.data,
+        "P": P.data,
         "F": F,
         "J": J,
         "S": S,
         "von_mises": von_mises(S),
     }
     if material is not None:
-        out["P_u"] = material.stress(state).val.data
+        out["P_u"] = material.stress(state)[0].data
     return out
 
 

@@ -95,7 +95,7 @@ def check_spatial_hessians(seed=0, n_points=5, h=1e-4, tol=1e-4):
         # (gradient (..., 3), packed Hessian (..., 6)) of the raw node's
         # 12 outputs and of u
         y = forward(net.mlp, phi_c, (net.rff.features(Xp),)).data
-        u, _ = net.fields(phi_c, Xp)
+        u, _, _ = net.fields(phi_c, Xp)
         raw = (np.moveaxis(y[:, 1:4], 1, -1), np.moveaxis(y[:, 4:], 1, -1))
         return raw, (u.grad.data, u.hess.data)
 

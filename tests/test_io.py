@@ -398,6 +398,28 @@ class TestCLI:
         h2 = open(os.path.join(out2, "history.csv"), "rb").read()
         assert h1 == h2
 
+    def test_wall_timing_changes_only_the_seconds_column(self, tmp_path):
+        # history.timing=wall fills in the seconds column and leaves every
+        # other column, and the trained parameters, as with timing off
+        runs = {}
+        for timing in ("off", "wall"):
+            out = str(tmp_path / timing)
+            argv = ["solve", *TINY_SOLVE, "--set", "optimizer.max_iters=5",
+                    "--set", f"history.timing={timing}", "--out", out]
+            assert cli.main(argv) == 0
+            with open(os.path.join(out, "history.csv")) as fh:
+                rows = [line.rstrip("\n").split(",") for line in fh]
+            with open(os.path.join(out, "checkpoint.json")) as fh:
+                runs[timing] = rows, json.load(fh)["params"]
+        (off_rows, off_params), (wall_rows, wall_params) = runs["off"], runs["wall"]
+        col = HISTORY_COLUMNS.index("seconds")
+        assert len(off_rows) == len(wall_rows) == 1 + 5  # header and one row per iteration
+        assert all(float(row[col]) == 0.0 for row in off_rows[1:])
+        assert all(float(row[col]) > 0.0 for row in wall_rows[1:])
+        for off, wall in zip(off_rows, wall_rows):
+            assert off[:col] + off[col + 1:] == wall[:col] + wall[col + 1:]
+        assert off_params == wall_params
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         code = cli.main(["solve", "--affine", "shear:0.3",
                          "--set", "optimizer.bogus_key=1", "--out", str(tmp_path)])

@@ -50,12 +50,12 @@ def zero_u_jets(X):
     return linear_u_jets(X, np.zeros((3, 3)))
 
 
-def const_P_jets(X, P0):
-    """Spatially constant stress as an order-1 jet."""
+def const_stress(X, P0):
+    """Spatially constant stress and its (zero) row divergence."""
     batch = X.shape[:-1]
-    return ad.Jet(
+    return (
         ad.constant(np.broadcast_to(np.asarray(P0, dtype=np.float64), batch + (3, 3))),
-        ad.constant(np.zeros(batch + (3, 3, 3))),
+        ad.constant(np.zeros(batch + (3,))),
     )
 
 
@@ -108,13 +108,13 @@ class TestPotentialEnergy:
 class TestMSEConstitutive:
     def test_equal_fields(self):
         X = np.zeros((4, 3))
-        P = const_P_jets(X, np.eye(3))
+        P, _ = const_stress(X, np.eye(3))
         assert mse_constitutive(P, P).data == 0.0
 
     def test_single_point_definition(self):
         X = np.zeros((1, 3))
-        P1 = const_P_jets(X, 2.0 * np.outer([1, 0, 0], [1, 0, 0]))
-        P0 = const_P_jets(X, np.zeros((3, 3)))
+        P1, _ = const_stress(X, 2.0 * np.outer([1, 0, 0], [1, 0, 0]))
+        P0, _ = const_stress(X, np.zeros((3, 3)))
         assert mse_constitutive(P1, P0).data == 4.0
 
     def test_matches_brute_force(self):
@@ -123,7 +123,7 @@ class TestMSEConstitutive:
         A = rng.standard_normal((N, 3, 3))
         B = rng.standard_normal((N, 3, 3))
         X = np.zeros((N, 3))
-        got = mse_constitutive(ad.Jet(ad.constant(A)), ad.Jet(ad.constant(B))).data
+        got = mse_constitutive(ad.constant(A), ad.constant(B)).data
         brute = 0.0
         for n in range(N):
             for i in range(3):
@@ -143,7 +143,7 @@ class TestMSETraction:
         # zero stress violates only the loaded face, contributing |t|^2 per
         # point there; all zero-traction faces are satisfied exactly
         problem, ps = cantilever_points()
-        Z = const_P_jets(ps.points, np.zeros((3, 3)))
+        Z, _ = const_stress(ps.points, np.zeros((3, 3)))
         tu, tn = mse_traction(Z, Z, ps)
         # 3 x 3 nodes on the loaded end; 9 + 4 * (5 x 3) (point, face) pairs
         assert np.count_nonzero(np.any(ps.tbar, axis=-1)) == 9
@@ -161,7 +161,7 @@ class TestMSETraction:
         problem = ProblemSpec(name="t", domain=domain, material=NH,
                               enforcer=enforcer, patches=patches)
         ps = problem.point_sets()
-        Z = const_P_jets(ps.points, np.zeros((3, 3)))
+        Z, _ = const_stress(ps.points, np.zeros((3, 3)))
         tu, tn = mse_traction(Z, Z, ps)
         assert tu.data == 0.0 and tn.data == 0.0
 
@@ -171,7 +171,7 @@ class TestMSETraction:
         ps = problem.point_sets()
         P0 = np.zeros((3, 3))
         P0[0, 0] = 300.0
-        P = const_P_jets(ps.points, P0)
+        P, _ = const_stress(ps.points, P0)
         (f,) = np.flatnonzero(ps.normals[:, 0] == 1.0)  # the X1-hi face
         loaded = np.any(ps.tbar[:, f] != 0.0, axis=1)
         assert loaded.sum() == 9
@@ -190,7 +190,7 @@ class TestMSETraction:
         )
         ps = problem.point_sets()
         A = rng.standard_normal((3, 3))
-        P = const_P_jets(ps.points, A)
+        P, _ = const_stress(ps.points, A)
         tu, tn = mse_traction(P, P, ps)
         assert ps.n_traction == 9  # the 3 x 3 nodes of the X1-hi face
         # every face point has the same residual, so the mean is one point's
@@ -212,7 +212,7 @@ class TestMSETraction:
         )
         ps = problem.point_sets()
         A, B = rng.standard_normal((2, 3, 3))
-        tu, tn = mse_traction(const_P_jets(ps.points, A), const_P_jets(ps.points, B), ps)
+        tu, tn = mse_traction(const_stress(ps.points, A)[0], const_stress(ps.points, B)[0], ps)
         for P, got in ((A, tu), (B, tn)):
             brute, pairs = 0.0, 0
             for axis, normal, t in loaded:
@@ -228,21 +228,18 @@ class TestMSETraction:
 class TestMSEInterior:
     def test_constant_stress_zero_residual(self):
         problem, ps = cantilever_points()
-        P = const_P_jets(ps.points, np.array([[3.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]]))
-        iu, inn = mse_interior(P, P, ps)
+        _, div = const_stress(ps.points, np.array([[3.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]]))
+        iu, inn = mse_interior(div, div, ps)
         assert iu.data == 0.0 and inn.data == 0.0
 
     def test_linear_stress_unit_divergence(self):
         # P = X1 e1 x e1 has div P = e1, so the residual is 1 everywhere
         problem, ps = cantilever_points()
-        n = ps.n_points
-        val = np.zeros((n, 3, 3))
-        val[:, 0, 0] = ps.points[:, 0]
-        grad = np.zeros((n, 3, 3, 3))
-        grad[:, 0, 0, 0] = 1.0
-        P = ad.Jet(ad.constant(val), ad.constant(grad))
-        iu, inn = mse_interior(P, P, ps)
+        div = np.zeros((ps.n_points, 3))
+        div[:, 0] = 1.0
+        iu, inn = mse_interior(ad.constant(div), ad.constant(2.0 * div), ps)
         assert_allclose(iu.data, 1.0, rtol=1e-14)
+        assert_allclose(inn.data, 4.0, rtol=1e-14)
 
     def test_affine_displacement_equilibrium(self):
         # homogeneous deformation: constant stress, zero divergence
@@ -252,7 +249,7 @@ class TestMSEInterior:
         G[0, 1] = 0.3
         u = linear_u_jets(ps.points, G)
         P0 = np.zeros((3, 3))
-        breakdown = assemble(u, const_P_jets(ps.points, P0), problem, ps)
+        breakdown = assemble(u, *const_stress(ps.points, P0), problem, ps)
         assert breakdown.mse_interior_u.data <= 1e-10
 
 
@@ -366,8 +363,7 @@ class ScriptedBreakdown:
 class TestTotalLoss:
     def _unit_breakdown(self, problem, ps):
         u = zero_u_jets(ps.points)
-        P = const_P_jets(ps.points, np.zeros((3, 3)))
-        return assemble(u, P, problem, ps)
+        return assemble(u, *const_stress(ps.points, np.zeros((3, 3))), problem, ps)
 
     def test_uniform_weights_unit_terms(self):
         # direct check of the weighted-sum identity on scripted scalars
@@ -398,8 +394,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(7)
         G = 0.01 * rng.standard_normal((3, 3))
         u = linear_u_jets(ps.points, G)
-        P = const_P_jets(ps.points, rng.standard_normal((3, 3)))
-        br = assemble(u, P, problem, ps)
+        br = assemble(u, *const_stress(ps.points, rng.standard_normal((3, 3))), problem, ps)
         weights = LossWeights("full", has_traction=True)
         for _ in range(3):
             weights.update(rng.uniform(0.1, 10.0, size=6))

@@ -73,8 +73,9 @@ def wavy_field(X):
 
 
 class TestSpatialTangents:
-    """The first-order spatial jets carried by the state and by P_u, against
-    central differences in X of the value-only evaluation."""
+    """The first-order spatial jets carried by the state, and the row
+    divergence of P_u, against central differences in X of the value-only
+    evaluation."""
 
     @staticmethod
     def state_at(X, with_gradients=True):
@@ -87,26 +88,39 @@ class TestSpatialTangents:
     def test_gradients_match_fd(self, mat):
         X = np.random.default_rng(17).uniform(-1.0, 1.0, size=(40, 3))
         state = self.state_at(X)
-        P = mat.stress(state)
+        _, div_P = mat.stress(state)
 
         def values(st):
             return {"F": st.F.val.data, "J": st.J.val.data, "I1": st.I1.val.data,
-                    "F_inv_T": st.F_inv_T.val.data, "P_u": mat.stress(st).val.data}
+                    "lnJ": np.log(st.J.val.data), "P_u": mat.stress(st)[0].data}
 
-        jets = {"F": state.F, "J": state.J, "I1": state.I1,
-                "F_inv_T": state.F_inv_T, "P_u": P}
+        # gradient array (..., 3) of each value; ln J's and div F's are the
+        # state's own
+        grads = {"F": state.F.grad, "J": state.J.grad, "I1": state.I1.grad,
+                 "lnJ": state.grad_lnJ}
         h = 1e-5
+        div_F_fd = div_P_fd = 0.0
         for k in range(3):
             Xp, Xm = X.copy(), X.copy()
             Xp[:, k] += h
             Xm[:, k] -= h
             plus = values(self.state_at(Xp, with_gradients=False))
             minus = values(self.state_at(Xm, with_gradients=False))
-            for name, jet in jets.items():
-                fd = (plus[name] - minus[name]) / (2 * h)
-                scale = np.abs(jet.grad.data).max()
-                err = np.abs(jet.grad.data[..., k] - fd).max() / scale
+            fd = {name: (plus[name] - minus[name]) / (2 * h) for name in plus}
+            for name, grad in grads.items():
+                scale = np.abs(grad.data).max()
+                err = np.abs(grad.data[..., k] - fd[name]).max() / scale
                 assert err <= 1e-8, (name, err)
+            div_F_fd = div_F_fd + fd["F"][..., k]
+            div_P_fd = div_P_fd + fd["P_u"][..., k]
+        for name, div, div_fd in (("div_F", state.div_F, div_F_fd), ("div_P_u", div_P, div_P_fd)):
+            err = np.abs(div.data - div_fd).max() / np.abs(div.data).max()
+            assert err <= 1e-8, (name, err)
+
+    def test_order_zero_state_has_no_divergence(self):
+        state = state_from_array(np.eye(3) + 0.1)
+        assert state.grad_lnJ is None and state.div_F is None
+        assert NH.stress(state)[1] is None
 
 
 class TestNeoHookean:
@@ -263,7 +277,7 @@ class TestCauchy:
 
     def test_identity_returns_p(self):
         state = state_from_array(np.eye(3))
-        P = NH.stress(state).val.data
+        P = NH.stress(state)[0].data
         S = cauchy(P, state.F.val.data, state.J.val.data)
         assert np.array_equal(S, P)
 

@@ -424,7 +424,7 @@ class TestHardBC:
         bc = net.enforcer.bc_jets(face)
         for _ in range(1000):
             phi = ad.constant(rng.standard_normal(net.n_params))
-            u, _ = net.fields(phi, face, features=feats, bc=bc)
+            u, _, _ = net.fields(phi, face, features=feats, bc=bc)
             worst = max(worst, np.abs(u.val.data).max())
         assert worst == 0.0
 
@@ -436,7 +436,7 @@ class TestHardBC:
         Y, Z = np.meshgrid(np.linspace(0, 1, 5), np.linspace(0, 1, 5))
         face = np.stack([np.full(25, 4.0), Y.ravel(), Z.ravel()]).reshape(3, -1).T
         phi = ad.constant(np.random.default_rng(13).standard_normal(net.n_params))
-        u, _ = net.fields(phi, face)
+        u, _, _ = net.fields(phi, face)
         assert np.all(u.val.data[:, 1] == -1.0)
         assert np.all(u.val.data[:, 0] == 0.0)
         assert np.all(u.val.data[:, 2] == 0.0)
@@ -448,14 +448,14 @@ class TestHardBC:
         phi = ad.constant(rng.standard_normal(net.n_params))
         X = rng.uniform(0.2, 0.8, size=(7, 3))
         X[:, 0] = rng.uniform(0.5, 3.5, size=7)
-        u, _ = net.fields(phi, X)
+        u, _, _ = net.fields(phi, X)
         h = 1e-6
         for k in range(3):
             Xp, Xm = X.copy(), X.copy()
             Xp[:, k] += h
             Xm[:, k] -= h
-            up, _ = net.fields(phi, Xp)
-            um, _ = net.fields(phi, Xm)
+            up, _, _ = net.fields(phi, Xp)
+            um, _, _ = net.fields(phi, Xm)
             fd = (up.val.data - um.val.data) / (2 * h)
             err = np.abs(u.grad.data[..., k] - fd) / np.maximum(np.abs(fd), 1e-8)
             assert err.max() <= 1e-6
@@ -466,18 +466,18 @@ class TestHardBC:
         phi_arr = rng.standard_normal(net.n_params)
         X = rng.uniform(0.1, 0.9, size=(5, 3))
         y = forward(net.mlp, ad.constant(phi_arr), (net.rff.features(X),)).data
-        _, P = net.fields(ad.constant(phi_arr), X)
-        assert_allclose(P.val.data, 385.0 * y[:, 0, 3:].reshape(5, 3, 3), rtol=1e-15)
+        _, P, div_P = net.fields(ad.constant(phi_arr), X)
+        assert_allclose(P.data, 385.0 * y[:, 0, 3:].reshape(5, 3, 3), rtol=1e-15)
         raw_grad = np.moveaxis(y[:, 1:4, 3:], 1, -1).reshape(5, 3, 3, 3)
-        assert_allclose(P.grad.data, 385.0 * raw_grad, rtol=1e-15)
-        assert P.hess is None
+        assert_allclose(div_P.data, 385.0 * np.trace(raw_grad, axis1=-2, axis2=-1), rtol=1e-15)
+        assert net.fields(ad.constant(phi_arr), X, order=1)[2] is None
 
     def test_apply_accepts_first_order_jets(self):
         problem, net = cantilever_net(seed=4)
         rng = np.random.default_rng(16)
         phi = ad.constant(rng.standard_normal(net.n_params))
         X = rng.uniform(0.1, 0.9, size=(6, 3))
-        y_u, _ = net.raw_outputs(phi, X)
+        y_u, _, _ = net.raw_outputs(phi, X)
         u2 = net.enforcer.apply(y_u, net.enforcer.bc_jets(X))
         y1 = ad.Jet(y_u.val, y_u.grad)
         for bc in (net.enforcer.bc_jets(X), net.enforcer.bc_jets(X, order=1)):
@@ -488,18 +488,18 @@ class TestHardBC:
 
     def test_head_fields_read_straight_off_the_perceptron_node(self):
         # one head node reads the perceptron node, its five outputs u's
-        # value, gradient and Hessian and the scaled P value and gradient;
+        # value, gradient and Hessian and the scaled P and its divergence;
         # past it the tape holds only the BC composition of u
         problem, net = cantilever_net(seed=5)
         X = np.random.default_rng(17).uniform(0.1, 0.9, size=(6, 3))
         tape = ad.Tape()
-        u, P = net.fields(tape.input(np.zeros(net.n_params)), X)
+        u, P, div_P = net.fields(tape.input(np.zeros(net.n_params)), X)
         ops = [node.op for node in tape.nodes]
         (mlp,) = [i for i, op in enumerate(ops) if op.startswith("mlp[")]
         readers = [i for i, node in enumerate(tape.nodes) if mlp in [e[0] for e in node.edges]]
         assert readers == [mlp + 1] and ops[mlp + 1] == "mlp_head"
         assert tape.nodes[mlp + 1].outputs == 5
-        assert [(v.node, v.out) for v in (P.val, P.grad)] == [(mlp + 1, 3), (mlp + 1, 4)]
+        assert [(v.node, v.out) for v in (P, div_P)] == [(mlp + 1, 3), (mlp + 1, 4)]
         assert {op.split("[")[0] for op in ops[mlp + 2:]} == {"add", "mul", "scale", "matvec"}
         assert u.hess.node == len(ops) - 1
 

@@ -32,12 +32,12 @@ def linear_u_jets(X, G):
     )
 
 
-def const_P_jets(X, P0):
-    """Spatially constant stress as an order-1 jet."""
+def const_stress(X, P0):
+    """Spatially constant stress and its (zero) row divergence."""
     batch = X.shape[:-1]
-    return ad.Jet(
+    return (
         ad.constant(np.broadcast_to(np.asarray(P0, dtype=np.float64), batch + (3, 3))),
-        ad.constant(np.zeros(batch + (3, 3, 3))),
+        ad.constant(np.zeros(batch + (3,))),
     )
 
 
@@ -134,7 +134,7 @@ class TestAffineDirichletProblem:
         problem = affine_dirichlet_problem(np.eye(3), NH, grid=(3, 3, 3))
         ps = problem.point_sets()
         u = linear_u_jets(ps.points, np.zeros((3, 3)))
-        br = assemble(u, const_P_jets(ps.points, np.zeros((3, 3))), problem, ps)
+        br = assemble(u, *const_stress(ps.points, np.zeros((3, 3))), problem, ps)
         assert np.all(br.values() == 0.0)
 
     def test_exact_field_passes_loss_module(self):
@@ -143,9 +143,24 @@ class TestAffineDirichletProblem:
         ps = problem.point_sets()
         sol = affine_solution(F0, NH)
         u = linear_u_jets(ps.points, F0 - np.eye(3))
-        br = assemble(u, const_P_jets(ps.points, sol.P0), problem, ps)
+        br = assemble(u, *const_stress(ps.points, sol.P0), problem, ps)
         assert br.mse_interior_u.data <= 1e-10
         assert br.mse_interior_net.data <= 1e-10
+        assert br.mse_constitutive.data <= 1e-12
+
+    def test_exact_power_law_field_zero_interior_residual(self):
+        # the power-law stress's coefficient of F varies with I1, so its
+        # divergence carries the F grad a term, zero for an affine field
+        mat = LopezPamies(alphas=(1.0, -2.0), mus=(100.0, 50.0), lam=100.0)
+        F0 = np.diag([1.1, 0.95, 1.0])
+        F0[0, 1] = 0.2
+        problem = affine_dirichlet_problem(F0, mat, grid=(5, 5, 5))
+        ps = problem.point_sets()
+        sol = affine_solution(F0, mat)
+        u = linear_u_jets(ps.points, F0 - np.eye(3))
+        br = assemble(u, *const_stress(ps.points, sol.P0), problem, ps)
+        assert br.mse_interior_u.data == 0.0
+        assert br.mse_interior_net.data == 0.0
         assert br.mse_constitutive.data <= 1e-12
 
     def test_reference_matches_affine_solution(self):
@@ -177,7 +192,7 @@ class TestAffineDirichletProblem:
                               enforcer=enforcer, patches=tuple(patches))
         ps = problem.point_sets()
         u = linear_u_jets(ps.points, F0 - np.eye(3))
-        br = assemble(u, const_P_jets(ps.points, sol.P0), problem, ps)
+        br = assemble(u, *const_stress(ps.points, sol.P0), problem, ps)
         assert br.mse_traction_u.data <= 1e-20
         assert br.mse_traction_net.data <= 1e-20
 
@@ -202,7 +217,7 @@ class TestUniaxialTractionState:
                               enforcer=enforcer, patches=patches)
         ps = problem.point_sets()
         u = linear_u_jets(ps.points, sol.F0 - np.eye(3))
-        br = assemble(u, const_P_jets(ps.points, sol.P0), problem, ps)
+        br = assemble(u, *const_stress(ps.points, sol.P0), problem, ps)
         assert br.mse_constitutive.data == 0.0
         assert br.mse_interior_u.data == 0.0
         assert br.mse_interior_net.data == 0.0

@@ -239,6 +239,33 @@ def test_objective_keeps_two_feature_rows_per_point():
 
 
 @pytest.mark.parametrize("name", ["nh_cantilever_traction", "lp_cantilever_displacement"])
+def test_strong_form_divergence_matches_fd_of_sampled_stress(name):
+    # div P_u of the training pass (order-2 interior rows, Piola form)
+    # against the sum over j of central differences of the sampled P_u's
+    # column j, at 20 interior points of a perturbed network
+    problem = preset(name, grid=(9, 5, 5))
+    net = build_network(problem, hidden=(8, 8), fourier_features=4, seed=3)
+    rng = np.random.default_rng(5)
+    phi = net.init_params() + 0.01 * rng.standard_normal(net.n_params)
+    objective = TrainingObjective(problem, net)
+    points = objective.points
+    u, _, _ = net.fields(ad.Tape().input(phi), points.points,
+                         features=objective.features, bc=objective.bc)
+    _, div = problem.material.stress(deformation_gradient(displacement_gradient(u)))
+    idx = rng.choice(points.interior_idx, 20, replace=False)
+    X, h = points.points[idx], 1e-5
+    fd = 0.0
+    for j in range(3):
+        Xp, Xm = X.copy(), X.copy()
+        Xp[:, j] += h
+        Xm[:, j] -= h
+        Pp, Pm = (evaluate_fields(net, phi, Y, material=problem.material)["P_u"] for Y in (Xp, Xm))
+        fd = fd + (Pp[:, :, j] - Pm[:, :, j]) / (2 * h)
+    got = div.data[idx]
+    assert np.abs(got - fd).max() <= 1e-6 * np.abs(got).max()
+
+
+@pytest.mark.parametrize("name", ["nh_cantilever_traction", "lp_cantilever_displacement"])
 def test_evaluate_fields_bitwise_equal_to_second_order_pass(name):
     # sampling builds first-order jets only; every value it returns must
     # equal the one read off the training-order (second-order) fields
@@ -248,7 +275,7 @@ def test_evaluate_fields_bitwise_equal_to_second_order_pass(name):
     phi = net.init_params() + 1e-3 * rng.standard_normal(net.n_params)
     dom = problem.domain
     X = rng.uniform(0, 1, size=(40, 3)) * np.asarray(dom.lengths)
-    u, P = net.fields(ad.constant(phi), X)
+    u, P, _ = net.fields(ad.constant(phi), X)
     assert u.hess is not None
     _assert_sampled(evaluate_fields(net, phi, X, material=problem.material), u, P, problem.material)
 
@@ -257,10 +284,10 @@ def _assert_sampled(out, u, P, material):
     """``out`` holds, bit for bit, the fields post-processed from u and P."""
     state = deformation_gradient(displacement_gradient(u))
     F, J = state.F.val.data, state.J.val.data
-    S = cauchy(P.val.data, F, J)
+    S = cauchy(P.data, F, J)
     expected = {
-        "u": u.val.data, "P": P.val.data, "F": F, "J": J, "S": S,
-        "von_mises": von_mises(S), "P_u": material.stress(state).val.data,
+        "u": u.val.data, "P": P.data, "F": F, "J": J, "S": S,
+        "von_mises": von_mises(S), "P_u": material.stress(state)[0].data,
     }
     assert out.keys() == expected.keys()
     for key, value in expected.items():
@@ -291,7 +318,7 @@ CHUNK = solver.SAMPLE_CHUNK_POINTS
 def test_evaluate_fields_chunks_bitwise_equal_to_one_pass(n):
     assert CHUNK % BLOCK_POINTS == 0
     problem, net, phi, X = _sampling_case(n)
-    u, P = net.fields(ad.constant(phi), X, order=1)
+    u, P, _ = net.fields(ad.constant(phi), X, order=1)
     _assert_sampled(evaluate_fields(net, phi, X, material=problem.material), u, P, problem.material)
 
 
