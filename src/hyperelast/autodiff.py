@@ -19,11 +19,15 @@ shape (usually the collocation points); the spatial axes of a jet are
 trailing.  Reductions use numpy's fixed summation order, so repeated
 evaluations are bitwise reproducible.
 
-Memory invariant: a vjp closure captures arrays and shapes, never a
-:class:`Var`.  A Var references its tape, so a closure holding one would
-make the tape cyclic and keep it (and every forward array it pins) alive
-until Python's cyclic collector runs; without such cycles a tape is freed
-by reference counting as soon as its evaluation ends.
+Memory invariant: a vjp closure captures only the arrays its rule reads,
+plus shapes, and never a :class:`Var`.  For a product or an elementwise
+op that is the other operand's array, never the operand's own (only the
+divisor's rule of ``div`` reads both), so a taped array times a constant
+is freed as soon as nothing else holds it.  A Var references its tape, so
+a closure holding one would make the tape cyclic and keep it (and every
+forward array it pins) alive until Python's cyclic collector runs;
+without such cycles a tape is freed by reference counting as soon as its
+evaluation ends.
 """
 
 from __future__ import annotations
@@ -148,57 +152,41 @@ def _unbroadcast(adj, shape):
 # ---------------------------------------------------------------------------
 
 
-def add(a, b):
-    a, b = _coerce(a, b)
-    out = a.data + b.data
+def _elementwise(op, a, b, out, back_a, back_b):
+    """Record a broadcast elementwise op; back_x(adj) is x's adjoint
+    before it is summed back down to x's shape."""
     sa, sb = a.data.shape, b.data.shape
     return record(
-        "add",
-        out,
-        (a, b),
-        (lambda adj: _unbroadcast(adj, sa), lambda adj: _unbroadcast(adj, sb)),
+        op, out, (a, b),
+        (lambda adj: _unbroadcast(back_a(adj), sa), lambda adj: _unbroadcast(back_b(adj), sb)),
     )
+
+
+def _same(adj):
+    return adj
+
+
+def add(a, b):
+    a, b = _coerce(a, b)
+    return _elementwise("add", a, b, a.data + b.data, _same, _same)
 
 
 def sub(a, b):
     a, b = _coerce(a, b)
-    out = a.data - b.data
-    sa, sb = a.data.shape, b.data.shape
-    return record(
-        "sub",
-        out,
-        (a, b),
-        (lambda adj: _unbroadcast(adj, sa), lambda adj: _unbroadcast(-adj, sb)),
-    )
+    return _elementwise("sub", a, b, a.data - b.data, _same, np.negative)
 
 
 def mul(a, b):
     a, b = _coerce(a, b)
-    out = a.data * b.data
-    ad, bd = a.data, b.data
-    return record(
-        "mul",
-        out,
-        (a, b),
-        (
-            lambda adj: _unbroadcast(adj * bd, ad.shape),
-            lambda adj: _unbroadcast(adj * ad, bd.shape),
-        ),
-    )
+    ad_, bd = a.data, b.data
+    return _elementwise("mul", a, b, ad_ * bd, lambda adj: adj * bd, lambda adj: adj * ad_)
 
 
 def div(a, b):
     a, b = _coerce(a, b)
-    out = a.data / b.data
-    ad, bd = a.data, b.data
-    return record(
-        "div",
-        out,
-        (a, b),
-        (
-            lambda adj: _unbroadcast(adj / bd, ad.shape),
-            lambda adj: _unbroadcast(-adj * ad / (bd * bd), bd.shape),
-        ),
+    ad_, bd = a.data, b.data
+    return _elementwise(
+        "div", a, b, ad_ / bd, lambda adj: adj / bd, lambda adj: -adj * ad_ / (bd * bd)
     )
 
 
@@ -245,34 +233,48 @@ def take(a, indices, axis=0):
 # contraction kernels
 # ---------------------------------------------------------------------------
 #
-# Every contraction of the evaluation path is one of the kernels below.
-# Each forward pass and vjp is one np.matmul or np.multiply on views whose
-# shapes follow from the operands; leading batch axes are fused into one.
-# The layouts are those numpy's einsum (2.4, optimize=True) builds for the
-# contraction quoted in each docstring -- the second operand on the left of
-# the matmul, the same axes fused and copied -- so the results equal it bit
-# for bit without parsing a subscript string on every call.
+# Every contraction of the evaluation path is one of the kernels below,
+# and each is one batched matrix product C = A B of views of its operands
+# (leading batch axes fused into one), recorded by _matmul with the
+# product rule's vjps A-bar = C-bar B^T and B-bar = A^T C-bar.
 
 
-def _contraction(op, a, b, out, back_a, back_b):
-    """Record a two-operand kernel; back_x(adj, other operand's array)."""
-    ad_, bd = a.data, b.data
-    return record(
-        op, out, (a, b), (lambda adj: back_a(adj, bd), lambda adj: back_b(adj, ad_))
-    )
+def _product(x, y):
+    """x @ y; with an inner dimension of 1 (an outer product) the
+    broadcast multiply, which forms each entry by the same one product."""
+    return np.multiply(x, y) if x.shape[-1] == 1 else np.matmul(x, y)
+
+
+def _matmul(op, a, b, A, B, shape, out=None, b_back=None):
+    """Record op(a, b) = A @ B reshaped to ``shape``, A and B being
+    matrix views of a's and b's arrays.
+
+    ``out`` = (source, destination) moves the product's leading axes;
+    ``b_back`` maps b's matrix adjoint A^T adj back to b's axis order.
+    """
+    prod = _product(A, B)
+    pshape, res = prod.shape, prod.reshape(shape)
+    res = res if out is None else np.moveaxis(res, *out)
+    sa, sb = a.data.shape, b.data.shape
+    At, Bt = np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2)
+
+    def unmove(adj):
+        return (adj if out is None else np.moveaxis(adj, out[1], out[0])).reshape(pshape)
+
+    def back_b(adj):
+        g = _product(At, unmove(adj))
+        return (g if b_back is None else b_back(g)).reshape(sb)
+
+    return record(op, res, (a, b), (lambda adj: _product(unmove(adj), Bt).reshape(sa), back_b))
 
 
 def scale(s, m):
     """s times m, with s broadcast over the trailing axes of m
     ('...,...ij->...ij')."""
     s, m = _coerce(s, m)
-    sd = s.data
-    s_b = sd.reshape(sd.shape + (1,) * (m.data.ndim - sd.ndim))
-    k = math.prod(m.data.shape[sd.ndim:])
-    return _contraction(
-        "scale", s, m, np.multiply(m.data, s_b),
-        lambda adj, md: np.matmul(md.reshape(-1, 1, k), adj.reshape(-1, k, 1)).reshape(sd.shape),
-        lambda adj, _: np.multiply(s_b, adj),
+    k = math.prod(m.data.shape[s.data.ndim:])
+    return _matmul(
+        "scale", m, s, m.data.reshape(-1, k, 1), s.data.reshape(-1, 1, 1), m.data.shape
     )
 
 
@@ -280,31 +282,21 @@ def inner(a, b, batch_ndim=0):
     """Sum of a * b over every axis past the first ``batch_ndim``
     ('...ij,...ij->...'; 'n,n->' at batch_ndim 0)."""
     a, b = _coerce(a, b)
-    ad_, bd = a.data, b.data
-    batch = ad_.shape[:batch_ndim]
     lead = (-1,) if batch_ndim else ()
-    k = math.prod(ad_.shape[batch_ndim:])
-    out = np.matmul(bd.reshape(lead + (1, k)), ad_.reshape(lead + (k, 1))).reshape(batch)
-    spread = batch + (1,) * (ad_.ndim - batch_ndim)
-    return _contraction(
-        "inner", a, b, out,
-        lambda adj, bd: np.multiply(bd, adj.reshape(spread)),
-        lambda adj, ad_: np.multiply(ad_, adj.reshape(spread)),
+    k = math.prod(a.data.shape[batch_ndim:])
+    return _matmul(
+        "inner", b, a, b.data.reshape(lead + (1, k)), a.data.reshape(lead + (k, 1)),
+        a.data.shape[:batch_ndim],
     )
 
 
 def matvec(m, v):
     """Per-point matrix-vector product m v ('...kd,...d->...k')."""
     m, v = _coerce(m, v)
-    md, vd = m.data, v.data
-    batch, (k, d) = vd.shape[:-1], md.shape[-2:]
-    out = np.matmul(md.reshape(-1, k, d), vd.reshape(-1, d, 1)).reshape(batch + (k,))
-    return _contraction(
-        "matvec", m, v, out,
-        lambda adj, vd: np.multiply(vd.reshape(batch + (1, d)), adj.reshape(batch + (k, 1))),
-        lambda adj, md: np.matmul(
-            np.swapaxes(md, -1, -2).reshape(-1, d, k), adj.reshape(-1, k, 1)
-        ).reshape(vd.shape),
+    k, d = m.data.shape[-2:]
+    return _matmul(
+        "matvec", m, v, m.data.reshape(-1, k, d), v.data.reshape(-1, d, 1),
+        v.data.shape[:-1] + (k,),
     )
 
 
@@ -312,17 +304,11 @@ def vecmat(v, m, batch_ndim):
     """Per-point product of v's axes past ``batch_ndim`` with the leading
     non-batch axes of m ('...ij,...ijk->...k')."""
     v, m = _coerce(v, m)
-    vd, md = v.data, m.data
-    batch, q = vd.shape[:batch_ndim], md.shape[-1]
-    k = math.prod(vd.shape[batch_ndim:])
-    out = np.matmul(
-        np.moveaxis(md, -1, batch_ndim).reshape(-1, q, k), vd.reshape(-1, k, 1)
-    ).reshape(batch + (q,))
-    spread = batch + (1,) * (vd.ndim - batch_ndim) + (q,)
-    return _contraction(
-        "vecmat", v, m, out,
-        lambda adj, md: np.matmul(md.reshape(-1, k, q), adj.reshape(-1, q, 1)).reshape(vd.shape),
-        lambda adj, vd: np.multiply(vd[..., None], adj.reshape(spread)),
+    q = m.data.shape[-1]
+    k = math.prod(v.data.shape[batch_ndim:])
+    return _matmul(
+        "vecmat", v, m, v.data.reshape(-1, 1, k), m.data.reshape(-1, k, q),
+        v.data.shape[:batch_ndim] + (q,),
     )
 
 
@@ -337,37 +323,16 @@ def contract(w, a, axes, dest=0):
     w, a = _coerce(w, a)
     wd, ad_ = w.data, a.data
     axes = tuple(ax % ad_.ndim for ax in axes)
-    if wd.shape[wd.ndim - len(axes):] != tuple(ad_.shape[ax] for ax in axes):
+    perm = axes + tuple(i for i in range(ad_.ndim) if i not in axes)
+    moved = tuple(ad_.shape[i] for i in perm)
+    nf = wd.ndim - len(axes)  # w's free (leading) axes
+    if wd.shape[nf:] != moved[: len(axes)]:
         raise ValueError(f"contract: w {wd.shape} does not match axes {axes} of {ad_.shape}")
-    rest = tuple(i for i in range(ad_.ndim) if i not in axes)
-    perm = axes + rest
-    k = math.prod(wd.shape[wd.ndim - len(axes):])
-    free = wd.shape[: wd.ndim - len(axes)]
-    lands = tuple(range(dest, dest + len(free)))
-    rest_shape = tuple(ad_.shape[i] for i in rest)
-    a_mat = ad_.transpose(perm).reshape(k, -1)
-    out = np.matmul(wd.reshape(-1, k), a_mat).reshape(free + rest_shape)
-    out = np.moveaxis(out, tuple(range(len(free))), lands)
-
-    def adj_rows(adj):
-        return np.moveaxis(adj, lands, tuple(range(len(free)))).reshape(-1, a_mat.shape[1])
-
-    if free:
-        def back_a(adj, wd):
-            return np.matmul(wd.reshape(-1, k).T, adj_rows(adj)).reshape(
-                tuple(ad_.shape[i] for i in perm)
-            ).transpose(np.argsort(perm))
-    else:
-        a_spread = tuple(1 if i in axes else n for i, n in enumerate(ad_.shape))
-        w_spread = tuple(n if i in axes else 1 for i, n in enumerate(ad_.shape))
-
-        def back_a(adj, wd):
-            return np.multiply(wd.reshape(w_spread), adj.reshape(a_spread))
-
-    return _contraction(
-        "contract", w, a, out,
-        lambda adj, _: np.matmul(adj_rows(adj), a_mat.T).reshape(wd.shape),
-        back_a,
+    k, lead = math.prod(wd.shape[nf:]), tuple(range(nf))
+    return _matmul(
+        "contract", w, a, wd.reshape(-1, k), ad_.transpose(perm).reshape(k, -1),
+        wd.shape[:nf] + moved[len(axes):], out=(lead, tuple(i + dest for i in lead)),
+        b_back=lambda g: g.reshape(moved).transpose(np.argsort(perm)),
     )
 
 
@@ -379,14 +344,10 @@ def pow_(a, p):
     a = constant(a)
     p = np.asarray(p, dtype=np.float64)
     if np.any(p != np.round(p)) and np.min(a.data) <= 0.0:
-        raise DomainError(
-            f"non-integer power of non-positive base (min = {np.min(a.data):g})"
-        )
+        raise DomainError(f"non-integer power of non-positive base (min = {np.min(a.data):g})")
     ad_ = a.data
     return record(
-        "pow",
-        np.power(ad_, p),
-        (a,),
+        "pow", np.power(ad_, p), (a,),
         (lambda adj: _unbroadcast(adj * p * np.power(ad_, p - 1.0), ad_.shape),),
     )
 

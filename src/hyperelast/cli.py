@@ -111,8 +111,7 @@ def cmd_export_fields(args):
             "problem": problem.name}
     exports.write_fields_csv(os.path.join(out, "fields.csv"), X, fields, metadata=meta)
     exports.write_vtk_structured(
-        os.path.join(out, "fields.vtk"), dims, (0.0, 0.0, 0.0), spacing,
-        fields, title=problem.name,
+        os.path.join(out, "fields.vtk"), dims, spacing, fields, title=problem.name
     )
     print(f"sampled {X.shape[0]} points on {dims} grid; outputs in {out}")
     return EXIT_OK

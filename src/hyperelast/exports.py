@@ -135,8 +135,9 @@ def read_fields_csv(path):
     }
 
 
-def write_vtk_structured(path, dims, origin, spacing, fields, title="hyperelast"):
-    """Legacy ASCII structured-points file with displacement and von Mises.
+def write_vtk_structured(path, dims, spacing, fields, title="hyperelast"):
+    """Legacy ASCII structured-points file with displacement and von Mises,
+    on a grid whose first node is the origin.
 
     ``fields['u']`` must be sampled on the (n1, n2, n3) grid in C order
     with axis 1 fastest -- the writer reorders to VTK's x-fastest layout.
@@ -153,7 +154,7 @@ def write_vtk_structured(path, dims, origin, spacing, fields, title="hyperelast"
         fh.write("ASCII\n")
         fh.write("DATASET STRUCTURED_POINTS\n")
         fh.write(f"DIMENSIONS {n1} {n2} {n3}\n")
-        fh.write(f"ORIGIN {origin[0]:.12g} {origin[1]:.12g} {origin[2]:.12g}\n")
+        fh.write("ORIGIN 0 0 0\n")
         fh.write(f"SPACING {spacing[0]:.12g} {spacing[1]:.12g} {spacing[2]:.12g}\n")
         fh.write(f"POINT_DATA {n1 * n2 * n3}\n")
         fh.write("VECTORS displacement double\n")

@@ -186,6 +186,25 @@ KERNEL_CASES = [
 ]
 
 
+def _operands(rng, shapes, strided):
+    if not strided:
+        return [rng.standard_normal(s) for s in shapes]
+    return [_strided(rng, s) if len(s) >= 2 else rng.standard_normal(s) for s in shapes]
+
+
+# a taped first operand times a constant second one, then the roles
+# swapped; the divisor of div is left out, as its rule reads it
+MEMORY_CASES = [
+    ("mul", [(4, 3), (4, 3)], ad.mul, (0, 1)),
+    ("div", [(4, 3), (4, 3)], ad.div, (0,)),
+    ("scale", [(4,), (4, 3, 3)], ad.scale, (0, 1)),
+    ("inner", [(4, 3), (4, 3)], lambda a, b: ad.inner(a, b, batch_ndim=1), (0, 1)),
+    ("matvec", [(4, 3, 2), (4, 2)], ad.matvec, (0, 1)),
+    ("vecmat", [(4, 3), (4, 3, 2)], lambda v, m: ad.vecmat(v, m, 1), (0, 1)),
+    ("contract", [(2, 3), (4, 3)], lambda w, a: ad.contract(w, a, (1,), dest=1), (0, 1)),
+]
+
+
 class TestContractionKernels:
     """Each kernel against np.einsum on the same operands (forward pass)
     and against central differences (every vjp)."""
@@ -195,9 +214,7 @@ class TestContractionKernels:
     def test_forward_matches_einsum(self, case, strided):
         _, spec, shapes, kernel = case
         rng = np.random.default_rng(41)
-        make = (lambda s: _strided(rng, s) if len(s) >= 2 else rng.standard_normal(s)) \
-            if strided else rng.standard_normal
-        ops = [make(s) for s in shapes]
+        ops = _operands(rng, shapes, strided)
         got = kernel(*(ad.constant(x) for x in ops)).data
         want = np.einsum(spec, *ops, optimize=True)
         # a few ulps of the sum of |terms|, so the test pins no summation order
@@ -205,11 +222,14 @@ class TestContractionKernels:
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
 
-    @pytest.mark.parametrize("case", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
-    def test_vjps_match_fd(self, case):
+    @pytest.mark.parametrize("case, strided", [
+        pytest.param(c, s, id=c[0] + ("-strided" if s else ""))
+        for s in (False, True) for c in KERNEL_CASES
+    ])
+    def test_vjps_match_fd(self, case, strided):
         _, _, shapes, kernel = case
         rng = np.random.default_rng(42)
-        ops = [rng.standard_normal(s) for s in shapes]
+        ops = _operands(rng, shapes, strided)
         weights = rng.standard_normal(kernel(*ops).shape)
         for i in range(len(ops)):
             def loss(x, i=i):
@@ -225,6 +245,27 @@ class TestContractionKernels:
     def test_contract_rejects_mismatched_axes(self):
         with pytest.raises(ValueError):
             ad.contract(np.eye(3), ad.constant(np.zeros((2, 3, 4))), (1, 2))
+
+
+@pytest.mark.parametrize("case", MEMORY_CASES, ids=[c[0] for c in MEMORY_CASES])
+def test_vjp_frees_the_taped_operand(case):
+    # a vjp holds the other operand's array, never its own: once the
+    # taped operand's Var is gone its array is freed, while the result
+    # and the tape are still alive
+    _, shapes, kernel, taped = case
+    rng = np.random.default_rng(43)
+    ops = [1.0 + rng.uniform(size=s) for s in shapes]
+    for i in taped:
+        tape = ad.Tape()
+        x = tape.input(ops[i])
+        y = ad.add(x, 1.0)
+        held = weakref.ref(y.data)
+        out = kernel(*(y if j == i else ad.constant(z) for j, z in enumerate(ops)))
+        del y
+        gc.collect()
+        assert held() is None, f"operand {i}"
+        grad = ad.reverse_gradient(ad.inner(out, np.ones(out.shape)), x)
+        assert np.all(np.isfinite(grad))
 
 
 def _field_jets(X):

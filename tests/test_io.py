@@ -241,7 +241,7 @@ class TestVTK:
         rng = np.random.default_rng(2)
         fields = {"u": rng.standard_normal((n, 3)), "von_mises": rng.uniform(0, 1, n)}
         path = tmp_path / "f.vtk"
-        write_vtk_structured(path, dims, (0, 0, 0), (0.5, 1 / 3, 0.25), fields)
+        write_vtk_structured(path, dims, (0.5, 1 / 3, 0.25), fields)
         lines = path.read_text().split("\n")
         assert lines[0].startswith("# vtk DataFile")
         assert "DATASET STRUCTURED_POINTS" in lines
@@ -259,9 +259,9 @@ class TestVTK:
         u = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-320, 300, (n, 3))
         u[:7].flat = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16]
         vm = rng.uniform(0, 1, n) * 10.0 ** rng.integers(-12, 12, n)
-        origin, spacing = (0.0, -1.5, 2.0), (0.25, 1 / 3, 0.125)
+        spacing = (0.25, 1 / 3, 0.125)
         path = tmp_path / "f.vtk"
-        write_vtk_structured(path, dims, origin, spacing, {"u": u, "von_mises": vm})
+        write_vtk_structured(path, dims, spacing, {"u": u, "von_mises": vm})
 
         # the same file written one row at a time, x fastest
         n1, n2, n3 = dims
@@ -269,7 +269,7 @@ class TestVTK:
         vm_vtk = vm.reshape(n1, n2, n3).transpose(2, 1, 0).reshape(-1)
         want = (
             "# vtk DataFile Version 3.0\nhyperelast\nASCII\nDATASET STRUCTURED_POINTS\n"
-            "DIMENSIONS 17 16 17\nORIGIN 0 -1.5 2\nSPACING 0.25 0.333333333333 0.125\n"
+            "DIMENSIONS 17 16 17\nORIGIN 0 0 0\nSPACING 0.25 0.333333333333 0.125\n"
             f"POINT_DATA {n}\nVECTORS displacement double\n"
             + "".join("%.12g %.12g %.12g\n" % tuple(row) for row in u_vtk.tolist())
             + "SCALARS von_mises double 1\nLOOKUP_TABLE default\n"
@@ -293,7 +293,7 @@ def test_writers_exact_text_for_edge_values(tmp_path):
         + ",".join([b, c, d, e, a] * 3 + [b]) + "\n"
     )
     vtk = {"u": table[:, :3], "von_mises": table[:, 3]}
-    write_vtk_structured(tmp_path / "f.vtk", (2, 1, 1), (0, 0, 0), (0.5, 1, 1), vtk)
+    write_vtk_structured(tmp_path / "f.vtk", (2, 1, 1), (0.5, 1, 1), vtk)
     assert (tmp_path / "f.vtk").read_text() == (
         "# vtk DataFile Version 3.0\nhyperelast\nASCII\nDATASET STRUCTURED_POINTS\n"
         "DIMENSIONS 2 1 1\nORIGIN 0 0 0\nSPACING 0.5 1 1\nPOINT_DATA 2\n"
