@@ -15,6 +15,7 @@ from .errors import EvenCount, UnknownPreset
 from .losses import MASK_TERMS
 from .materials import LopezPamies, NeoHookean
 from .network import BCEnforcer, DirichletFace
+from .reference import affine_solution, uniaxial_oracle
 
 FACE_SIDES = ("lo", "hi")
 
@@ -218,19 +219,10 @@ def affine_dirichlet_problem(F0, material, grid=None, name="affine_dirichlet"):
     The exact solution is the affine field itself (constant stress is
     divergence free), attached as the problem's reference.
     """
-    F0 = np.asarray(F0, dtype=np.float64)
-    if np.linalg.det(F0) <= 0.0:
-        raise ValueError(f"det F0 = {np.linalg.det(F0):.3e} <= 0")
+    exact = affine_solution(F0, material)  # raises for det F0 <= 0
     domain = _cube_domain(grid)
-    G = F0 - np.eye(3)
-    ref = lambda X, _g=G: np.einsum("ij,...j->...i", _g, X)  # noqa: E731
-    return ProblemSpec(
-        name=name,
-        domain=domain,
-        material=material,
-        enforcer=affine_enforcer(domain, G),
-        reference=ref,
-    )
+    enforcer = affine_enforcer(domain, exact.F0 - np.eye(3))
+    return ProblemSpec(name, domain, material, enforcer, reference=exact.displacement)
 
 
 def affine_problem(spec, grid=None):
@@ -350,11 +342,29 @@ def _nh_localized_traction(grid):
     )
 
 
+def _nh_uniaxial_traction(grid):
+    """Unit cube on rollers (u_a = 0 on the lo face of axis a), pulled on
+    X1 = 1 by the nominal stress P11 of a uniaxial stretch of 1.1 and free
+    on X2 = 1 and X3 = 1; the homogeneous uniaxial state is exact."""
+    material = NeoHookean(lam=577.0, mu=385.0)
+    exact = uniaxial_oracle(1.1, material)
+    domain = BoxDomain(counts=grid or (9, 9, 9))
+    enforcer = BCEnforcer(
+        lengths=domain.lengths,
+        faces=tuple(DirichletFace(axis=a, side="lo", components=(a,)) for a in range(3)),
+    )
+    patches = (TractionPatch(axis=0, side="hi", traction=(exact.P0[0, 0], 0.0, 0.0)),
+               *_zero_patches([(1, "hi"), (2, "hi")]))
+    return ProblemSpec("nh_uniaxial_traction", domain, material, enforcer, patches,
+                       reference=exact.displacement)
+
+
 _PRESETS = {
     "nh_cantilever_traction": _nh_cantilever_traction,
     "lp_cantilever_displacement": _lp_cantilever_displacement,
     "nh_simple_shear": _nh_simple_shear,
     "nh_localized_traction": _nh_localized_traction,
+    "nh_uniaxial_traction": _nh_uniaxial_traction,
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))

@@ -4,19 +4,19 @@ Implements the strain energy density psi(F) and the analytic first
 Piola-Kirchhoff stress P(F) for two isotropic compressible models, plus
 the Cauchy push-forward and von Mises post-processing.
 
-The kinematic state holds batched first-order jets
-(:class:`~hyperelast.autodiff.Jet`) of F (..., 3, 3), J and I1 (...,),
-each with its gradient in the material coordinates from the closed
-forms dJ = J grad ln J with (grad ln J)_k = F^{-T} : dF/dX_k and
-dI1 = 2 F : dF, plus the values of F^{-T} and the row divergence div F.
-Both stresses have the form P = a F + b F^{-T} with scalar fields a, b.
-The strong form needs only div P, and the Piola identity
-Div(J F^{-T}) = 0 gives div(b F^{-T}) = F^{-T} (grad b - b grad ln J),
-so div P = a div F + F grad a + F^{-T} (grad b - b grad ln J) needs no
-derivative of F^{-T}.  The identity holds because the rows of F are
-gradients (dF is symmetric in its last two axes).  The energy density
-is returned as values only.  A state without gradients (order 0) serves
-plain numeric evaluation.
+The kinematic state holds F (..., 3, 3) as a first-order batched jet
+(:class:`~hyperelast.autodiff.Jet`), and J = det F, I1 = F : F and
+F^{-T} as values; with gradients it adds grad ln J, (grad ln J)_k =
+F^{-T} : dF/dX_k, and the row divergence div F.  Both stresses have the
+form P = a(I1) F + b(J) F^{-T}.  The strong form needs only div P, and
+the Piola identity Div(J F^{-T}) = 0 gives div(b F^{-T}) =
+beta F^{-T} grad ln J with beta = J b'(J) - b, a closed form per
+material, so div P = a div F + F grad a + beta F^{-T} grad ln J needs
+no derivative of F^{-T} and no gradient of J.  The identity holds
+because the rows of F are gradients (dF is symmetric in its last two
+axes).  grad a = a'(I1) 2 F : dF is built only where a varies.  The
+energy density is returned as values only.  A state without gradients
+(order 0) serves plain numeric evaluation.
 
 The stress formulas are hard-coded rather than produced by run-time
 differentiation of psi; the consistency P = d psi / dF is pinned by
@@ -61,12 +61,10 @@ class NeoHookean:
         )
 
     def stress(self, state):
-        """(P, div P) for P = mu F + (lam ln J - mu) F^{-T} (see :func:`_stress`)."""
-        J = state.J
-        coeff = _scalar_jet(
-            ad.sub(ad.mul(ad.log(J.val), self.lam), self.mu), ad.div(self.lam, J.val), J.grad
-        )
-        return _stress(self.mu, coeff, state)
+        """(P, div P) for P = mu F + b F^{-T} with b = lam ln J - mu, so
+        beta = J b' - b = lam - b (see :func:`_stress`)."""
+        b = ad.sub(ad.mul(ad.log(state.J.val), self.lam), self.mu)
+        return _stress(self.mu, None, b, ad.sub(self.lam, b), state)
 
 
 @dataclass(frozen=True)
@@ -112,35 +110,36 @@ class LopezPamies:
         return ad.add(total, ad.mul(ad.mul(Jm1, Jm1), 0.5 * self.lam))
 
     def stress(self, state):
-        """(P, div P) for P = sum_r 3^{1-a_r} mu_r I1^{a_r-1} F - sum_r mu_r F^{-T}
-        + lam (J^2 - J) F^{-T} (see :func:`_stress`)."""
+        """(P, div P) for P = a F + b F^{-T} with a = sum_r 3^{1-alpha_r}
+        mu_r I1^{alpha_r-1} and b = lam (J^2 - J) - sum_r mu_r, so
+        beta = J b' - b = lam J^2 + sum_r mu_r (see :func:`_stress`)."""
         alphas = np.array(self.alphas)
         coeffs = 3.0 ** (1.0 - alphas) * np.array(self.mus)
-        I1, J = state.I1, state.J
-        powers = ad.pow_(I1.val, _batched(alphas - 1.0, state))
-        scale = _scalar_jet(
-            ad.contract(coeffs, powers, (0,)),
-            # d/dI1 of sum_r c_r I1^(a_r - 1) = sum_r c_r (a_r - 1) I1^(a_r - 1) / I1
-            ad.div(ad.contract(coeffs * (alphas - 1.0), powers, (0,)), I1.val),
-            I1.grad,
-        )
-        J2mJ = ad.sub(ad.mul(J.val, J.val), J.val)
-        coeff_iT = _scalar_jet(
-            ad.sub(ad.mul(J2mJ, self.lam), sum(self.mus)),
-            ad.sub(ad.mul(J.val, 2.0 * self.lam), self.lam),
-            J.grad,
-        )
-        return _stress(scale, coeff_iT, state)
+        I1, J = state.I1.val, state.J.val
+        powers = ad.pow_(I1, _batched(alphas - 1.0, state))
+        a = ad.contract(coeffs, powers, (0,))
+        grad_a = None
+        if state.div_F is not None:
+            # grad a = a'(I1) grad I1 with grad I1 = 2 F : dF; the exact
+            # factor 2 rides on the coefficients of
+            # a'(I1) = sum_r c_r (alpha_r - 1) I1^(alpha_r - 1) / I1
+            da = ad.div(ad.contract(2.0 * coeffs * (alphas - 1.0), powers, (0,)), I1)
+            grad_a = ad.scale(da, ad.vecmat(state.F.val, state.F.grad, I1.data.ndim))
+        J2 = ad.mul(J, J)
+        b = ad.sub(ad.mul(ad.sub(J2, J), self.lam), sum(self.mus))
+        return _stress(a, grad_a, b, ad.add(ad.mul(J2, self.lam), sum(self.mus)), state)
 
 
 @dataclass
 class DeformationState:
     """Deformation gradient and derived quantities.
 
-    F = I + grad u, J = det F and I1 = trace(F^T F) = F : F are first-order
-    jets; F_inv_T = F^{-T} is a value only.  With gradients, grad_lnJ
-    (..., 3) is the gradient of ln J and div_F (..., 3) the row divergence
-    of F; both are None at order 0.
+    F = I + grad u is a first-order jet.  J = det F and I1 = F : F are
+    jets holding a value only, read through ``.val`` like F's: no reader
+    needs their gradients, since the stresses use grad ln J and build
+    grad I1 only where a(I1) varies.  F_inv_T = F^{-T} is a value.  With
+    gradients, grad_lnJ (..., 3) is the gradient of ln J and div_F (..., 3)
+    the row divergence of F; both are None at order 0.
     """
 
     F: ad.Jet
@@ -151,32 +150,20 @@ class DeformationState:
     div_F: ad.Var = None
 
 
-def _scalar_times(s, M):
-    """s M for a scalar jet (or float) s and M (..., *comp), values only."""
-    return ad.scale(s.val, M) if isinstance(s, ad.Jet) else ad.mul(M, s)
-
-
-def _stress(a, b, state):
+def _stress(a, grad_a, b, beta, state):
     """P = a F + b F^{-T} and its row divergence, None at order 0.
 
-    div P = a div F + F grad a + F^{-T} (grad b - b grad ln J) (Piola
-    identity); the F grad a term drops when a is a constant.
+    div P = a div F + F grad a + beta F^{-T} grad ln J (Piola identity,
+    beta = J b'(J) - b); the F grad a term drops when grad_a is None (a
+    constant a).
     """
-    P = ad.add(_scalar_times(a, state.F.val), _scalar_times(b, state.F_inv_T))
+    P = ad.add(ad.scale(a, state.F.val), ad.scale(b, state.F_inv_T))
     if state.div_F is None:
         return P, None
-    div = _scalar_times(a, state.div_F)
-    if isinstance(a, ad.Jet):
-        div = ad.add(div, ad.matvec(state.F.val, a.grad))
-    piola = ad.matvec(state.F_inv_T, ad.sub(b.grad, ad.scale(b.val, state.grad_lnJ)))
-    return P, ad.add(div, piola)
-
-
-def _scalar_jet(val, d_val, d_arg):
-    """Jet of f(arg) from the values f and f' and the gradient of arg."""
-    if d_arg is None:
-        return ad.Jet(val)
-    return ad.Jet(val, ad.scale(d_val, d_arg))
+    div = ad.scale(a, state.div_F)
+    if grad_a is not None:
+        div = ad.add(div, ad.matvec(state.F.val, grad_a))
+    return P, ad.add(div, ad.matvec(state.F_inv_T, ad.scale(beta, state.grad_lnJ)))
 
 
 def deformation_gradient(grad_u):
@@ -189,19 +176,11 @@ def deformation_gradient(grad_u):
     dF = grad_u.grad
     J, FiT = ad.det_inv_t3(F)
     I1 = ad.inner(F, F, batch_ndim=F.data.ndim - 2)
-    if dF is None:
-        return DeformationState(ad.Jet(F), ad.Jet(J), ad.Jet(I1), FiT)
-    nb = F.data.ndim - 2
-    grad_lnJ = ad.vecmat(FiT, dF, nb)
-    dI1 = ad.mul(ad.vecmat(F, dF, nb), 2.0)
-    return DeformationState(
-        F=ad.Jet(F, dF),
-        J=ad.Jet(J, ad.scale(J, grad_lnJ)),
-        I1=ad.Jet(I1, dI1),
-        F_inv_T=FiT,
-        grad_lnJ=grad_lnJ,
-        div_F=ad.contract(np.eye(3), dF, (-2, -1)),
-    )
+    state = DeformationState(ad.Jet(F, dF), ad.Jet(J), ad.Jet(I1), FiT)
+    if dF is not None:
+        state.grad_lnJ = ad.vecmat(FiT, dF, F.data.ndim - 2)
+        state.div_F = ad.contract(np.eye(3), dF, (-2, -1))
+    return state
 
 
 def _batched(values, state):

@@ -17,11 +17,19 @@ from .materials import eval_cauchy, eval_stress
 
 @dataclass(frozen=True)
 class AffineSolution:
-    """Homogeneous deformation: u(X) = (F0 - I) X with constant stresses."""
+    """Homogeneous deformation u(X) = (F0 - I) X of ``material``; its
+    stresses P0 and S0 are constant and evaluated when read."""
 
     F0: np.ndarray
-    P0: np.ndarray
-    S0: np.ndarray
+    material: object
+
+    @property
+    def P0(self):
+        return eval_stress(self.material, self.F0)
+
+    @property
+    def S0(self):
+        return eval_cauchy(self.material, self.F0)
 
     def displacement(self, X):
         X = np.asarray(X, dtype=np.float64)
@@ -50,11 +58,7 @@ def affine_solution(F0, material):
     F0 = np.asarray(F0, dtype=np.float64)
     if np.linalg.det(F0) <= 0.0:
         raise ValueError(f"det F0 = {np.linalg.det(F0):.3e} <= 0")
-    return AffineSolution(
-        F0=F0,
-        P0=eval_stress(material, F0),
-        S0=eval_cauchy(material, F0),
-    )
+    return AffineSolution(F0, material)
 
 
 def uniaxial_oracle(stretch, material, bracket=(0.2, 2.0), tol=1e-10):

@@ -244,6 +244,31 @@ class TestCriterion2ShearStress:
         )
 
 
+class TestUniaxialTractionOracle:
+    """The traction terms against an exact solution: a roller-supported
+    cube under the uniaxial-stress traction of a 1.1 stretch."""
+
+    def test_traction_preset_recovers_uniaxial_state(self):
+        from hyperelast.config import RunConfig
+
+        result = solver.solve_config(RunConfig({
+            "problem.preset": "nh_uniaxial_traction",
+            "network.hidden": "16,16",
+            "network.fourier_features": "8",
+            "network.fourier_sigma": "0.25",
+            "optimizer.max_iters": "1000",
+            "optimizer.grad_tol": "1e-10",
+            "network.seed": "0",
+        }))
+        status = result.history.status
+        report(
+            "uniaxial traction",
+            result.l2 <= 1e-3 and status in ("converged", "max_iters"),
+            f"l2 error {result.l2:.2e} (limit 1e-3) vs the uniaxial oracle, "
+            f"{status} after {len(result.history)} iterations",
+        )
+
+
 class TestCriterion8MaskComparison:
     def test_compare_masks(self, tmp_path, capsys):
         from hyperelast.config import RunConfig

@@ -14,6 +14,7 @@ from hyperelast.bvp import (
     simpson_weights_1d,
 )
 from hyperelast.errors import EvenCount, UnknownPreset
+from hyperelast.materials import eval_stress
 from hyperelast.network import DirichletFace
 
 
@@ -161,6 +162,7 @@ class TestPresets:
             "lp_cantilever_displacement",
             "nh_simple_shear",
             "nh_localized_traction",
+            "nh_uniaxial_traction",
         }
 
     def test_cantilever_geometry_and_load(self):
@@ -202,6 +204,24 @@ class TestPresets:
         X = np.array([[0.0, 1.0, 0.3]])
         assert_allclose(p.reference(X), [[0.5, 0.0, 0.0]])
         assert len(p.enforcer.faces) == 6
+
+    def test_uniaxial_traction_data_match_its_reference(self):
+        p = preset("nh_uniaxial_traction")
+        assert p.domain.counts == (9, 9, 9) and p.domain.lengths == (1.0, 1.0, 1.0)
+        ps = p.point_sets()
+        F0 = np.eye(3) + np.diag(p.reference(np.ones((1, 3)))[0])
+        P0 = eval_stress(p.material, F0)
+        # each loaded face's traction is the exact stress times its normal
+        for f, normal in enumerate(ps.normals):
+            on_face = ps.member[:, f, 0] == 1.0
+            assert_allclose(ps.tbar[on_face, f], np.broadcast_to(P0 @ normal, (81, 3)),
+                            atol=1e-9)
+        # the reference meets every roller: u_a = 0 on X_a = 0
+        u = p.reference(ps.points)
+        for face in p.enforcer.faces:
+            (a,) = face.components
+            assert face.axis == a and face.side == "lo"
+            assert np.all(u[ps.points[:, a] == 0.0, a] == 0.0)
 
     def test_determinism(self):
         a = preset("nh_localized_traction", grid=(5, 5, 5))

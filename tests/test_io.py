@@ -555,12 +555,16 @@ class TestCLI:
         monkeypatch.setattr(solver, "solve_config", fake_solve)
         assert cli.main(["run-oracles", "--set", "optimizer.max_iters=7"]) == 4
         assert "[FAIL]" in capsys.readouterr().out
-        assert len(seen) == 2
+        assert len(seen) == 3
         for cfg in seen:
             assert cfg.int_list("network.hidden") == (16, 16)
             assert cfg.int("network.fourier_features") == 8
             assert cfg.float("optimizer.grad_tol") == 1e-10
-            assert cfg.int("optimizer.max_iters") == 7  # --set wins over the base
+            assert cfg.int("optimizer.max_iters") == 7  # --set wins over base and case
+        problems = [(cfg.get("problem.affine"), cfg.get("problem.preset")) for cfg in seen]
+        assert problems == [("shear:0.3", ""), ("stretch:1.1,1.0,1.0", ""),
+                            ("", "nh_uniaxial_traction")]
+        assert [cfg.float("network.fourier_sigma") for cfg in seen] == [1.0, 1.0, 0.25]
 
     def test_export_fields(self, tmp_path):
         out = str(tmp_path / "run")

@@ -160,7 +160,7 @@ def _rows_equal(a, b):
 # evaluation records a few dozen nodes per stage rather than one per
 # scalar entry of a 3x3 matrix; the budgets are the exact counts at grid
 # 5^3 with the default network, so any change to them is deliberate
-TAPE_NODE_BUDGET = {"nh_cantilever_traction": 70, "lp_cantilever_displacement": 80, "affine": 59}
+TAPE_NODE_BUDGET = {"nh_cantilever_traction": 65, "lp_cantilever_displacement": 76, "affine": 54}
 
 
 @pytest.mark.parametrize("name", list(TAPE_NODE_BUDGET))
