@@ -59,9 +59,7 @@ N_OUTPUTS = 12  # 3 displacement + 9 stress components
 HEAD_SCALE = 0.01  # factor on the output layer's initial weight bound
 # points per block of the perceptron node: a block's (10, 128, 64) jets
 # take 0.66 MB, so a layer's temporaries fit in L2 and are reused from
-# block to block.  One default-cantilever evaluation (25x9x9 points,
-# (64, 64, 64) network, one core) took 157 / 149 / 170 / 188 ms with
-# blocks of 64 / 128 / 256 / 512 points.
+# block to block; of 64 to 512 points, 128 ran the default cantilever fastest
 BLOCK_POINTS = 128
 
 
@@ -376,9 +374,7 @@ def forward(spec, phi, stacks, rows=None):
         C = stack.shape[1]
         blocks = row_blocks(len(stack), BLOCK_POINTS)
         # one buffer for the input jets of every block of the stack: a
-        # fresh array per block is often page-faulted in afresh (a seed-0
-        # lp_curriculum_export solve, one BLAS thread: 112k minor faults,
-        # 87k with the buffer)
+        # fresh array per block is often page-faulted in afresh
         buf = np.empty(C * max(hi - lo for lo, hi in blocks) * stack.shape[2])
         for lo, hi in blocks:
             sel = slice(lo, hi) if set_rows is None else set_rows[lo:hi]

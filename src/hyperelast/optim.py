@@ -4,8 +4,10 @@ LBFGS with a strong Wolfe line search is the only minimizer, with the
 standard constants of Nocedal & Wright (Numerical Optimization, 2006):
 ``HISTORY`` stored curvature pairs, sufficient decrease ``C1``, curvature
 ``C2`` and at most ``MAX_PROBES`` objective calls per line search.  A
-load-stepping curriculum wraps it, warm-starting each stage from the
-previous optimum.
+search along the quasi-Newton direction starts at the unit step; one
+along steepest descent (the memory is empty) starts at the quadratic-model
+step of :func:`_steepest_step`.  A load-stepping curriculum wraps it,
+warm-starting each stage from the previous optimum.
 
 The objective protocol: a callable ``phi -> (loss, gradient)`` for line
 search probes, optionally with ``begin_iteration(phi)`` (called once per
@@ -188,10 +190,14 @@ def strong_wolfe_search(evaluate, phi, direction, f0, g0, alpha0=1.0):
     """Bracket-and-zoom line search enforcing both strong Wolfe conditions,
     with constants ``C1`` and ``C2``, in at most ``MAX_PROBES`` probes.
 
-    ``evaluate(phi_trial) -> (f, g)``.  Non-finite probe values are treated
-    as overly long steps and pulled back toward the last good point, so an
-    objective that is NaN everywhere off the origin still fails cleanly
-    once the probe budget is spent.
+    ``evaluate(phi_trial) -> (f, g)``.  The zoom probes the minimizer of
+    the cubic through the bracket's end values and slopes, clamped to the
+    bracket's inner 80 % (Moré & Thuente, ACM TOMS 1994), so each probe
+    shrinks the bracket by at least 10 %; it bisects when that cubic has
+    no minimizer or an end value is not finite.  Non-finite probe values
+    are treated as overly long steps and pulled back toward the last good
+    point, so an objective that is NaN everywhere off the origin still
+    fails cleanly once the probe budget is spent.
 
     Returns (alpha, f_alpha, g_alpha).
     """
@@ -218,8 +224,10 @@ def strong_wolfe_search(evaluate, phi, direction, f0, g0, alpha0=1.0):
             alpha = _cubic_step(lo, f_lo, dg_lo, hi, f_hi, dg_hi)
             span = sorted((lo, hi))
             margin = 0.1 * abs(width)
-            if alpha is None or not (span[0] + margin <= alpha <= span[1] - margin):
+            if alpha is None:
                 alpha = 0.5 * (lo + hi)
+            else:
+                alpha = min(max(alpha, span[0] + margin), span[1] - margin)
             if abs(width) < 1e-14 * max(1.0, abs(lo)):
                 raise MaxProbesExceeded("bracket collapsed without satisfying Wolfe")
             f_a, g_a, dg_a = probe(alpha)
@@ -254,6 +262,17 @@ def strong_wolfe_search(evaluate, phi, direction, f0, g0, alpha0=1.0):
         alpha *= 2.0
         first = False
     raise MaxProbesExceeded(f"no Wolfe point within {MAX_PROBES} probes")
+
+
+def _steepest_step(f, gnorm):
+    """First trial step of a search along -g: the minimizer 2|f|/|g|^2 of
+    the quadratic with value f, slope -|g|^2 and minimum 0 (Nocedal &
+    Wright eq. 3.60 with a previous value of 0), capped at the unit-length
+    step 1/|g|, which is also taken when f = 0."""
+    unit = 1.0 / gnorm
+    if f == 0.0:
+        return unit
+    return min(unit, 2.0 * abs(f) / (gnorm * gnorm))
 
 
 def _two_loop(g, s_list, y_list, rho_list):
@@ -315,10 +334,11 @@ def lbfgs_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
             s_list, y_list, rho_list = [], [], []
             d = -g
             dg = -gnorm * gnorm
-        attempts = [(d, dg, 1.0 / gnorm if it == 1 else 1.0)]
+        steepest = _steepest_step(f, gnorm)
+        attempts = [(d, dg, 1.0 if s_list else steepest)]
         if s_list:
             # stale curvature is the usual culprit; retry along steepest descent
-            attempts.append((-g, -gnorm * gnorm, 1.0 / gnorm))
+            attempts.append((-g, -gnorm * gnorm, steepest))
         for d, dg, alpha0 in attempts:
             try:
                 alpha, f_new, g_new = strong_wolfe_search(probe, phi, d, f, g, alpha0)

@@ -34,13 +34,8 @@ from .reference import l2_error
 
 log = logging.getLogger(__name__)
 
-# rows per chunk of evaluate_fields, a whole number of perceptron blocks.
-# Exporting the power-law cantilever's (32, 32) network on 81x21x21 points
-# (one core, one BLAS thread, fresh process, median of 5) peaked at
-# 51.5 / 52.3 / 54.0 / 56.9 MB with chunks of 4 / 8 / 16 / 32 blocks, and
-# evaluate_fields took 234 / 199 / 161 / 177 ms; the default cantilever's
-# (64, 64, 64) network on 21^3 points: 45.4 / 47.6 / 54.2 / 59.4 MB and
-# 152 / 132 / 124 / 133 ms.
+# rows per chunk of evaluate_fields, a whole number of perceptron blocks:
+# 16 blocks gave the fastest measured export; peak memory grows with the chunk
 SAMPLE_CHUNK_POINTS = 16 * BLOCK_POINTS
 
 

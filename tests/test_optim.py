@@ -255,16 +255,17 @@ class TestStrongWolfe:
         assert probes[0] == 1.0 and all(0.0 < a < 1.0 for a in probes[1:])
 
     def test_infinite_probe_in_zoom_falls_back_to_bisection_silently(self, monkeypatch):
-        # f is +inf on (0.15, 0.95): the first step overshoots into a finite
-        # but too high value, zoom's bisection probes land in the infinite
-        # gap, and the cubic through an infinite endpoint must not be formed
+        # f is +inf on (0.04, 0.95): the first step overshoots into a finite
+        # but too high value, the cubic on [0, 1] falls below 0.1 and is
+        # clamped into the infinite gap, and the cubic through an infinite
+        # endpoint must not be formed: zoom bisects until both ends are finite
         probes = []
 
         def fn(phi):
             a = float(phi[0])
             probes.append(a)
-            f = np.inf if 0.15 < a < 0.95 else (a - 0.1) ** 2 + (10.0 if a >= 0.95 else 0.0)
-            return f, np.array([2.0 * (a - 0.1)])
+            f = np.inf if 0.04 < a < 0.95 else (a - 0.03) ** 2 + (10.0 if a >= 0.95 else 0.0)
+            return f, np.array([2.0 * (a - 0.03)])
 
         monkeypatch.setattr(optim, "C2", 0.1)
         f0, g0 = fn(np.zeros(1))
@@ -272,8 +273,98 @@ class TestStrongWolfe:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             alpha, f_a, _ = strong_wolfe_search(fn, np.zeros(1), np.array([1.0]), f0, g0)
-        assert (alpha, f_a) == (0.1, 0.0)
-        assert probes == [1.0, 0.5, 0.25, 0.125, 0.1]
+        assert (alpha, f_a) == (0.03, 0.0)
+        # 0.1 is the clamp, 0.05 and 0.0375 bisect a bracket with an
+        # infinite end, 0.03 is the cubic once both ends are finite
+        assert probes == pytest.approx([1.0, 0.1, 0.05, 0.025, 0.0375, 0.03], rel=1e-15)
+
+    def test_zoom_clamps_a_cubic_step_near_the_bracket_end(self):
+        # f = (x - 0.05)^2, plus 10 from x = 0.95, from 0 along +1: the
+        # cubic on [0, 1] falls below 0 + 0.1 * 1, so zoom probes exactly
+        # 0.1 rather than the midpoint, then the cubic on [0, 0.1] is exact
+        probes = []
+
+        def fn(phi):
+            a = float(phi[0])
+            probes.append(a)
+            return (a - 0.05) ** 2 + (10.0 if a >= 0.95 else 0.0), np.array([2.0 * (a - 0.05)])
+
+        f0, g0 = fn(np.zeros(1))
+        f1, g1 = fn(np.ones(1))
+        assert optim._cubic_step(0.0, f0, float(g0[0]), 1.0, f1, float(g1[0])) < 0.1
+        probes.clear()
+        alpha, _, _ = strong_wolfe_search(fn, np.zeros(1), np.array([1.0]), f0, g0)
+        assert probes[:2] == [1.0, 0.1]
+        assert alpha == pytest.approx(0.05, rel=1e-12)
+
+
+class TestSteepestStep:
+    def test_model_step_capped_at_unit_length(self):
+        # 2|f| / |g|^2 below the unit-length step 1/|g|; a negative f
+        # (an energy-only total) uses |f|; f = 0 takes 1/|g|
+        assert optim._steepest_step(2.0, 10.0) == 0.04
+        assert optim._steepest_step(-2.0, 10.0) == 0.04
+        assert optim._steepest_step(100.0, 10.0) == 0.1
+        assert optim._steepest_step(0.0, 4.0) == 0.25
+
+    def test_zero_value_objective_minimizes(self):
+        # f(x) = x^2 - 2x is 0 at x = 2, where g = 2: no division by zero,
+        # and the first trial step is 1/|g| = 0.5, onto the minimizer x = 1
+        probes = []
+
+        def fn(phi):
+            probes.append(float(phi[0]))
+            return float(phi[0] ** 2 - 2.0 * phi[0]), 2.0 * phi - 2.0
+
+        phi, hist = lbfgs_minimize(fn, np.array([2.0]), LBFGSConfig(max_iters=5, grad_tol=1e-12))
+        assert probes == [2.0, 1.0, 1.0]
+        assert hist.status == "converged" and phi[0] == 1.0
+
+    def test_isotropic_quadratic_in_one_probe(self):
+        # 0.5 c |x|^2: the model step 2f/|g|^2 = 1/c is the exact minimizer,
+        # where 1/|g| would overshoot it 447-fold
+        c = 1e6
+
+        def fn(phi):
+            return 0.5 * c * float(phi @ phi), c * phi
+
+        phi, hist = lbfgs_minimize(fn, np.array([1e-3, 2e-3]), LBFGSConfig(max_iters=5))
+        assert hist.status == "converged"
+        assert hist.rows[0].n_evals == 2
+        assert np.abs(phi).max() <= 1e-18
+
+    def test_fallback_after_non_descent_direction(self, monkeypatch):
+        # the second iteration's two-loop direction points uphill: the
+        # memory is cleared and the search along -g starts at the model
+        # step, not at the unit step phi - g
+        fn, _ = spd_quadratic(8, seed=13, cond=20.0)
+        two_loop = optim._two_loop
+        calls, begins, probes = [], [], []
+
+        def uphill_once(g, *args):
+            calls.append(1)
+            return g.copy() if len(calls) == 2 else two_loop(g, *args)
+
+        class Objective:
+            def __call__(self, phi):
+                probes.append(phi.copy())
+                return fn(phi)
+
+            def begin_iteration(self, phi):
+                begins.append((phi.copy(), *fn(phi)))
+                return fn(phi)
+
+            def stats(self):
+                return None
+
+        monkeypatch.setattr(optim, "_two_loop", uphill_once)
+        _, hist = lbfgs_minimize(Objective(), np.ones(8), LBFGSConfig(max_iters=2))
+        assert len(hist) == 2
+        phi2, f2, g2 = begins[1]
+        step = optim._steepest_step(f2, float(np.linalg.norm(g2)))
+        first = probes[hist.rows[0].n_evals - 1]
+        assert np.array_equal(first, phi2 + step * -g2)
+        assert np.abs(first - (phi2 - g2)).max() > 1e-3
 
 
 class TestCurriculum:

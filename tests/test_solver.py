@@ -148,6 +148,25 @@ class TestCurriculumSolve:
         assert f_half != TrainingObjective(problem, net)(phi)[0]
 
 
+def test_default_beam_first_search_stays_out_of_inversion(monkeypatch):
+    # the first search along -g starts at the quadratic-model step; the
+    # unit-length step 1/|g| overshoots into inverted states on this beam
+    inverted = []
+    call = TrainingObjective.__call__
+
+    def counted(self, phi):
+        f, g = call(self, phi)
+        inverted.append(f == np.inf)
+        return f, g
+
+    monkeypatch.setattr(TrainingObjective, "__call__", counted)
+    problem = preset("nh_cantilever_traction")
+    _, history = train(problem, build_network(problem), opt_config=LBFGSConfig(max_iters=1))
+    (row,) = history.rows
+    assert row.n_evals <= 3
+    assert not any(inverted)
+
+
 def _rows_equal(a, b):
     return all(
         np.array_equal(getattr(a, name), getattr(b, name))
