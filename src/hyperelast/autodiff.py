@@ -212,8 +212,9 @@ def reshape(a, shape):
 
 def take(a, indices, axis=0):
     """Select along one axis by a 1-D index array; the vjp adds each
-    selected entry's adjoint back in, so duplicated indices (unpacking a
-    symmetric Hessian) sum theirs."""
+    selected entry's adjoint back in, so duplicated indices sum theirs.
+    No evaluation records it: it is the gather that the tests' reference
+    networks are built from."""
     a = constant(a)
     idx = np.asarray(indices)
     if idx.ndim != 1:

@@ -51,12 +51,15 @@ class BoxDomain:
             if n < 3 or n % 2 == 0:
                 raise EvenCount(f"grid counts must be odd and >= 3, got {self.counts}")
 
-    def axes(self):
-        """Per-axis node coordinates; linspace keeps both endpoints exact."""
-        return [np.linspace(0.0, l, n) for l, n in zip(self.lengths, self.counts)]
 
-    def spacings(self):
-        return [l / (n - 1) for l, n in zip(self.lengths, self.counts)]
+def grid_points(lengths, counts):
+    """Nodes of the tensor grid of ``counts`` nodes per axis on the box
+    [0, L1] x [0, L2] x [0, L3] of ``lengths``: (X (n, 3) in C order, the
+    per-axis spacings).  linspace keeps both endpoints exact.
+    """
+    axes = [np.linspace(0.0, l, n) for l, n in zip(lengths, counts)]
+    X = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return X, [l / (n - 1) for l, n in zip(lengths, counts)]
 
 
 @dataclass(frozen=True)
@@ -90,17 +93,18 @@ class TractionPatch:
 class PointSets:
     """All collocation data derived from one tensor grid.
 
-    The traction boundary is laid out once per grid, over F loaded faces
-    in (axis, side) order, so the loss only contracts these arrays.
+    Rows are the strict-interior nodes, then the surface nodes, each in
+    grid (C) order, and every per-row array follows its point.  The
+    traction boundary is laid out once per grid, over F loaded faces in
+    (axis, side) order, so the loss only contracts these arrays.
     """
 
     points: np.ndarray  # (N, 3)
     vol_weights: np.ndarray  # (N,), sum = box volume
-    interior_idx: np.ndarray  # strict-interior flat indices
-    boundary_idx: np.ndarray  # flat indices on the box surface (the complement)
+    n_interior: int  # rows [:n_interior] are strictly inside, the rest on the surface
     normals: np.ndarray  # (F, 3) outward unit normal of each loaded face
     tbar: np.ndarray  # (N, F, 3) patch traction on each face, zero off it
-    member: np.ndarray  # (N, F, 1) 1 where the point lies on the face
+    member: np.ndarray  # (N, F) 1 where the point lies on the face
     load: np.ndarray  # (N, 3) nodal load: sum over faces of traction x surface weight
 
     @property
@@ -117,25 +121,22 @@ def build_point_sets(domain, patches=()):
     """Tensor grid, Simpson volume/surface weights and point families.
 
     Traction and interior points reuse the volume grid nodes, so one
-    network forward pass per node serves every loss term.  Where patches
-    on one face overlap, the first one listed covers the point.
+    network forward pass per node serves every loss term.  The rows are
+    ordered interior first, so each family is a contiguous range of rows
+    or a weight vector over all of them.  Where patches on one face
+    overlap, the first one listed covers the point.
     """
-    axes = domain.axes()
-    w1d = [
-        simpson_weights_1d(n, h) for n, h in zip(domain.counts, domain.spacings())
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    grid, spacings = grid_points(domain.lengths, domain.counts)
+    w1d = [simpson_weights_1d(n, h) for n, h in zip(domain.counts, spacings)]
     vol_w = (
         w1d[0][:, None, None] * w1d[1][None, :, None] * w1d[2][None, None, :]
     ).ravel()
 
-    n0, n1, n2 = domain.counts
-    flat = np.arange(n0 * n1 * n2).reshape(n0, n1, n2)
-    interior_idx = flat[1:-1, 1:-1, 1:-1].ravel()
-    on_boundary = np.ones(flat.shape, dtype=bool)
-    on_boundary[1:-1, 1:-1, 1:-1] = False
-    boundary_idx = flat[on_boundary]
+    interior = np.zeros(domain.counts, dtype=bool)
+    interior[1:-1, 1:-1, 1:-1] = True
+    order = np.concatenate([np.flatnonzero(interior), np.flatnonzero(~interior)])
+    row = np.argsort(order).reshape(domain.counts)  # grid index -> row
+    points = grid[order]
 
     faces = [
         (axis, side) for axis in range(3) for side in FACE_SIDES
@@ -144,12 +145,12 @@ def build_point_sets(domain, patches=()):
     n = points.shape[0]
     normals = np.zeros((len(faces), 3))
     tbar = np.zeros((n, len(faces), 3))
-    member = np.zeros((n, len(faces), 1))
+    member = np.zeros((n, len(faces)))
     load = np.zeros((n, 3))
     for f, (axis, side) in enumerate(faces):
         sl = [slice(None)] * 3
         sl[axis] = 0 if side == "lo" else domain.counts[axis] - 1
-        idx = flat[tuple(sl)].ravel()
+        idx = row[tuple(sl)].ravel()
         t = np.zeros((idx.size, 3))
         assigned = np.zeros(idx.size, dtype=bool)
         for p in patches:
@@ -165,9 +166,8 @@ def build_point_sets(domain, patches=()):
         load[idx] += t * sw[:, None]
     return PointSets(
         points=points,
-        vol_weights=vol_w,
-        interior_idx=interior_idx,
-        boundary_idx=boundary_idx,
+        vol_weights=vol_w[order],
+        n_interior=int(interior.sum()),
         normals=normals,
         tbar=tbar,
         member=member,

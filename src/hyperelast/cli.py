@@ -13,9 +13,7 @@ import logging
 import os
 import sys
 
-import numpy as np
-
-from . import exports, solver, verification
+from . import bvp, exports, solver, verification
 from .config import RunConfig, parse_override, read_file
 from .errors import (
     ConfigError,
@@ -78,11 +76,7 @@ def _export_grid_points(cfg, domain):
     dims = cfg.int_list("export.grid") or (21, 21, 21)
     if len(dims) != 3 or min(dims) < 2:
         raise ConfigError(f"export.grid must be three counts >= 2, got {dims}")
-    axes = [np.linspace(0.0, l, n) for l, n in zip(domain.lengths, dims)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=-1)
-    spacing = [l / (n - 1) for l, n in zip(domain.lengths, dims)]
-    return dims, X, spacing
+    return (dims, *bvp.grid_points(domain.lengths, dims))
 
 
 def cmd_solve(args):

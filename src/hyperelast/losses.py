@@ -7,7 +7,8 @@ the stress head).  The two "branches" refer to stress computed from the
 constitutive law applied to the displacement field versus stress read
 directly off the network head.  Each branch is a stress value P (N, 3, 3)
 and its row divergence (N, 3), the one derivative the strong-form
-residual needs.
+residual needs.  Every term sums over all N rows of the point sets, each
+family of points selected by a weight vector that is zero off it.
 """
 
 from __future__ import annotations
@@ -100,28 +101,30 @@ def mse_traction(P_u, P_net, points):
     """Traction residual mean ||P N - t||^2 for both stress branches.
 
     Every traction-face point contributes once per face it belongs to,
-    with that face's outward normal and patch traction.  The residual is
-    formed for every point and face at once and masked to face membership.
+    with that face's outward normal and patch traction.  The residual
+    r = P N - t is formed for every point and face at once and summed
+    with the weights member / n_traction, which are zero off the faces.
     """
     if not points.n_traction:
         z = ad.constant(0.0)
         return z, z
+    w = points.member / points.n_traction
     sums = []
     for P in (P_u, P_net):
-        PN = ad.contract(points.normals, P, (2,), dest=1)
-        r = ad.mul(ad.sub(PN, points.tbar), points.member)
-        sums.append(ad.mul(ad.inner(r, r), 1.0 / points.n_traction))
+        r = ad.sub(ad.contract(points.normals, P, (2,), dest=1), points.tbar)
+        sums.append(ad.inner(r, ad.scale(w, r)))
     return sums[0], sums[1]
 
 
 def mse_interior(div_u, div_net, points):
     """Strong-form residual mean ||div P||^2 for both branches, from the
-    row divergences (N, 3) at the interior points."""
-    idx = points.interior_idx
-    sums = []
-    for div in (div_u, div_net):
-        r = ad.take(div, idx, axis=0)
-        sums.append(ad.mul(ad.inner(r, r), 1.0 / idx.size))
+    row divergences (N, 3): weight 1/n on the n interior rows and zero on
+    the surface rows, whose divergences are finite placeholders (see
+    :mod:`hyperelast.network`), so they leave value and gradient exactly."""
+    n = points.n_interior
+    w = np.zeros(points.n_points)
+    w[:n] = 1.0 / n
+    sums = [ad.inner(div, ad.scale(w, div)) for div in (div_u, div_net)]
     return sums[0], sums[1]
 
 

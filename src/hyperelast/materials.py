@@ -54,7 +54,7 @@ class NeoHookean:
 
     def psi(self, state):
         """psi = lam/2 (ln J)^2 - mu ln J + mu/2 (I1 - 3)."""
-        lnJ = ad.log(state.J.val)
+        lnJ = state.lnJ
         return ad.add(
             ad.sub(ad.mul(ad.mul(lnJ, lnJ), 0.5 * self.lam), ad.mul(lnJ, self.mu)),
             ad.mul(ad.sub(state.I1.val, 3.0), 0.5 * self.mu),
@@ -63,7 +63,7 @@ class NeoHookean:
     def stress(self, state):
         """(P, div P) for P = mu F + b F^{-T} with b = lam ln J - mu, so
         beta = J b' - b = lam - b (see :func:`_stress`)."""
-        b = ad.sub(ad.mul(ad.log(state.J.val), self.lam), self.mu)
+        b = ad.sub(ad.mul(state.lnJ, self.lam), self.mu)
         return _stress(self.mu, None, b, ad.sub(self.lam, b), state)
 
 
@@ -105,7 +105,7 @@ class LopezPamies:
         )
         total = ad.contract(coeffs, powers, (0,))
         J = state.J.val
-        total = ad.sub(total, ad.mul(ad.log(J), sum(self.mus)))
+        total = ad.sub(total, ad.mul(state.lnJ, sum(self.mus)))
         Jm1 = ad.sub(J, 1.0)
         return ad.add(total, ad.mul(ad.mul(Jm1, Jm1), 0.5 * self.lam))
 
@@ -137,15 +137,17 @@ class DeformationState:
     F = I + grad u is a first-order jet.  J = det F and I1 = F : F are
     jets holding a value only, read through ``.val`` like F's: no reader
     needs their gradients, since the stresses use grad ln J and build
-    grad I1 only where a(I1) varies.  F_inv_T = F^{-T} is a value.  With
-    gradients, grad_lnJ (..., 3) is the gradient of ln J and div_F (..., 3)
-    the row divergence of F; both are None at order 0.
+    grad I1 only where a(I1) varies.  F_inv_T = F^{-T} and lnJ = ln J,
+    recorded once for every reader, are values.  With gradients,
+    grad_lnJ (..., 3) is the gradient of ln J and div_F (..., 3) the row
+    divergence of F; both are None at order 0.
     """
 
     F: ad.Jet
     J: ad.Jet
     I1: ad.Jet
     F_inv_T: ad.Var
+    lnJ: ad.Var
     grad_lnJ: ad.Var = None
     div_F: ad.Var = None
 
@@ -176,7 +178,7 @@ def deformation_gradient(grad_u):
     dF = grad_u.grad
     J, FiT = ad.det_inv_t3(F)
     I1 = ad.inner(F, F, batch_ndim=F.data.ndim - 2)
-    state = DeformationState(ad.Jet(F, dF), ad.Jet(J), ad.Jet(I1), FiT)
+    state = DeformationState(ad.Jet(F, dF), ad.Jet(J), ad.Jet(I1), FiT, ad.log(J))
     if dF is not None:
         state.grad_lnJ = ad.vecmat(FiT, dF, F.data.ndim - 2)
         state.div_F = ad.contract(np.eye(3), dF, (-2, -1))

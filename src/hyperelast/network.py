@@ -37,12 +37,13 @@ adjoint.  Training asks for u at order 2, sampling at order 1, where
 every stage passes a None Hessian slot through and the head emits no
 divergence; the head reads the order off the node's channel count.
 
-Training feeds two stacks, order 2 at the interior points and order 1
-elsewhere.  Contract: u's Hessian is computed at interior rows only and
-is zero elsewhere, so the displacement branch's div P is meaningless at
-the other rows.  Only the strong-form residuals read the divergences,
-through the interior ``take`` in ``losses.mse_interior``, so the skipped
-channels' adjoint is exactly zero and the gradient is unchanged.
+Training feeds two stacks, order 2 on the interior rows [:n_interior]
+and order 1 on the surface rows after them.  Contract: the Hessian
+channels are nonzero on rows [:n_interior] only, so the displacement
+branch's div P is a finite placeholder on the other rows.  Only the
+strong-form residuals read the divergences, with zero weight off the
+interior rows in ``losses.mse_interior``, so the skipped channels'
+adjoint is exactly zero and the gradient is unchanged.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ HEAD_SCALE = 0.01  # factor on the output layer's initial weight bound
 # take 0.66 MB, so a layer's temporaries fit in L2 and are reused from
 # block to block; of 64 to 512 points, 128 ran the default cantilever fastest
 BLOCK_POINTS = 128
+# (j, k, p) = 1 where packed entry p holds the Hessian entry (j, k)
+_UNPACK_ONE_HOT = np.eye(6)[ad.UNPACK].reshape(3, 3, 6)
 
 
 def row_blocks(n, size):
@@ -281,8 +284,7 @@ def _tanh_jet_back(Z, t, factors, dT):
 
 def _block_forward(layers, S, out, rows, keep):
     """One block of channel-major input jets S (C, b, i) through every
-    layer into rows ``rows`` (a slice or an index array) of ``out``
-    (N, >= C, 12).
+    layer into the slice ``rows`` of ``out`` (N, >= C, 12).
 
     With ``keep``, returns per hidden layer its pre-activation jet Z and
     t = tanh(Z[0]) (b, o), all the vjp needs besides the block's input;
@@ -336,31 +338,29 @@ def _block_backward(layers, inputs, hidden, dY, grads):
             dY = (A2 @ W).reshape(S.shape)
 
 
-def forward(spec, phi, stacks, rows=None):
+def forward(spec, phi, stacks):
     """Propagate feature stacks through the perceptron as one tape node.
 
     ``phi`` is the flat parameter Var; ``stacks`` a tuple of
-    :class:`FeatureStack` (n_k, C_k, w) from :meth:`RFFMap.features` and
-    ``rows`` the output row indices of each; by default one stack covers
-    every row in order.  Returns the node, a Var (N, C, 12) with C the
-    largest C_k, whose Hessian channels are zero on the rows of an order-1
-    stack.  Each stack runs its own blocks of ``BLOCK_POINTS`` points at
-    its order, forward and in the vjp, and the blocks' parameter adjoints
-    are summed in block order.  A block's channel-major input jets are
-    built from its stack in the forward pass, into one buffer per stack,
-    and again when the vjp reaches layer 0.  Only a taped ``phi`` keeps what its vjp needs: per
-    block and hidden layer, the pre-activation jet and the tanh values; a
-    constant ``phi`` (the export) keeps nothing.  When every stack spans a
-    block, a row equals bit for bit that of an all-rows order-2 pass, and
-    a loss reading Hessians of order-2 rows only has the same gradient.
+    :class:`FeatureStack` (n_k, C_k, w) from :meth:`RFFMap.features`,
+    which cover the output rows end to end, in order.  Returns the node,
+    a Var (N, C, 12) with C the largest C_k, whose Hessian channels are
+    zero on the rows of an order-1 stack.  Each stack runs its own blocks
+    of ``BLOCK_POINTS`` points at its order, forward and in the vjp, each
+    block reading and writing a slice of rows, and the blocks' parameter
+    adjoints are summed in block order.  A block's channel-major input
+    jets are built from its stack in the forward pass, into one buffer
+    per stack, and again when the vjp reaches layer 0.  Only a taped
+    ``phi`` keeps what its vjp needs: per block and hidden layer, the
+    pre-activation jet and the tanh values; a constant ``phi`` (the
+    export) keeps nothing.  When every stack spans a block, a row equals
+    bit for bit that of an all-rows order-2 pass, and a loss reading
+    Hessians of order-2 rows only has the same gradient.
     """
     if phi.data.shape != (spec.n_params,):
         raise ShapeMismatch(
             f"parameter vector has length {phi.data.size}, layout needs {spec.n_params}"
         )
-    rows = (None,) if rows is None else rows
-    if len(rows) != len(stacks):
-        raise ShapeMismatch(f"{len(stacks)} feature stacks for {len(rows)} row sets")
     if any(stack.shape[-1] != spec.widths[0] for stack in stacks):
         widths = [stack.shape[-1] for stack in stacks]
         raise ShapeMismatch(f"feature widths {widths} != input width {spec.widths[0]}")
@@ -370,17 +370,19 @@ def forward(spec, phi, stacks, rows=None):
     layers = [(phi.data[ws].reshape(fo, fi), phi.data[bs]) for ws, bs, fi, fo in slices]
     keep = phi.node is not None
     saved = []  # (output rows, channels, input builder, hidden (Z, t)) per block
-    for set_rows, stack in zip(rows, stacks):
+    start = 0
+    for stack in stacks:
         C = stack.shape[1]
         blocks = row_blocks(len(stack), BLOCK_POINTS)
         # one buffer for the input jets of every block of the stack: a
         # fresh array per block is often page-faulted in afresh
         buf = np.empty(C * max(hi - lo for lo, hi in blocks) * stack.shape[2])
         for lo, hi in blocks:
-            sel = slice(lo, hi) if set_rows is None else set_rows[lo:hi]
+            sel = slice(start + lo, start + hi)
             hidden = _block_forward(layers, stack.jets(lo, hi, buf), out, sel, keep)
             if keep:
                 saved.append((sel, C, functools.partial(stack.jets, lo, hi), hidden))
+        start += len(stack)
 
     def back(adj):
         grad = np.zeros(spec.n_params)
@@ -581,12 +583,13 @@ class FieldNetwork:
         (N, 3, 3) and, with a Hessian, its row divergence div P (N, 3)
         (else None), one head node off the perceptron node.
 
-        ``features`` is a (stacks, rows) pair for :func:`forward`; by
-        default the features of X at ``order`` (2 or 1).  y_u is of order 2
-        when some stack carries a Hessian, else of order 1.
+        ``features`` is the tuple of feature stacks for :func:`forward`,
+        covering the rows of X in order; by default the features of X at
+        ``order`` (2 or 1).  y_u is of order 2 when some stack carries a
+        Hessian, else of order 1.
         """
-        stacks, rows = ((self.rff.features(X, order),), None) if features is None else features
-        return _head(forward(self.mlp, phi, stacks, rows), self.stress_scale)
+        stacks = (self.rff.features(X, order),) if features is None else features
+        return _head(forward(self.mlp, phi, stacks), self.stress_scale)
 
     def fields(self, phi, X, features=None, bc=None, order=2):
         """Displacement jet of ``order``, scaled stress P and its row
@@ -594,9 +597,8 @@ class FieldNetwork:
 
         ``bc`` is the composition data of :meth:`BCEnforcer.bc_jets` at X;
         by default the network's enforcer lays it out at the order of y_u.
-        With features whose stacks are of order 2 on some rows and order 1
-        on the rest, u's Hessian is computed on the order-2 rows only and
-        is zero elsewhere.
+        With an order-2 stack followed by an order-1 one, u's Hessian is
+        computed on the order-2 rows only and is zero on the rest.
         """
         y_u, P, div_P = self.raw_outputs(phi, X, features, order)
         if bc is None:
@@ -608,10 +610,11 @@ def displacement_gradient(u):
     """First-order jet of grad u (..., 3, 3) from the displacement jet.
 
     Entry (i, j) carries value du_i/dX_j and gradient d2u_i/dX_j dX, read
-    off the packed Hessian of u_i (third spatial derivatives are out of
-    scope).  Without a Hessian slot the jet is values only.
+    off the packed Hessian of u_i by one contraction with a one-hot array
+    (third spatial derivatives are out of scope).  Without a Hessian slot
+    the jet is values only.
     """
     if u.hess is None:
         return ad.Jet(u.grad)
-    hess = ad.take(u.hess, ad.UNPACK, axis=-1)
-    return ad.Jet(u.grad, ad.reshape(hess, hess.data.shape[:-1] + (3, 3)))
+    hess = ad.contract(_UNPACK_ONE_HOT, u.hess, (-1,), dest=u.hess.data.ndim - 1)
+    return ad.Jet(u.grad, hess)

@@ -72,12 +72,9 @@ class TrainingObjective:
         self.net = net
         points = problem.point_sets()
         self.points = replace(points, tbar=fraction * points.tbar, load=fraction * points.load)
-        # u's Hessian is read at interior points only (strong-form residuals)
-        X, inner, rest = points.points, points.interior_idx, points.boundary_idx
-        self.features = (
-            (net.rff.features(X[inner], 2), net.rff.features(X[rest], 1)),
-            (inner, rest),
-        )
+        # u's Hessian is read on the interior rows only (strong-form residuals)
+        X, n = points.points, points.n_interior
+        self.features = (net.rff.features(X[:n], 2), net.rff.features(X[n:], 1))
         # given bc, the network's own enforcer is never read, so one
         # network serves every stage
         lift, lift_grad, *mask = problem.enforcer.bc_jets(X)

@@ -10,6 +10,7 @@ from hyperelast.bvp import (
     TractionPatch,
     affine_problem,
     build_point_sets,
+    grid_points,
     preset,
     simpson_weights_1d,
 )
@@ -58,25 +59,71 @@ class TestPointSets:
 
     def test_interior_count(self):
         ps = build_point_sets(BoxDomain(counts=(5, 5, 5)))
-        assert ps.interior_idx.size == 27
+        assert ps.n_interior == 27
 
     def test_interior_and_boundary_partition_points(self):
         domain = BoxDomain(lengths=(2.0, 1.0, 3.0), counts=(5, 3, 7))
         ps = build_point_sets(domain)
-        rows = np.concatenate([ps.interior_idx, ps.boundary_idx])
-        assert np.array_equal(np.sort(rows), np.arange(ps.n_points))
-        X = ps.points[ps.boundary_idx]
+        grid, _ = grid_points(domain.lengths, domain.counts)
+        rows = np.lexsort(ps.points.T[::-1])  # the rows in grid order
+        assert np.array_equal(ps.points[rows], grid)
+        X = ps.points[ps.n_interior:]
         hi = np.asarray(domain.lengths)
         assert np.all(np.any((X == 0.0) | (X == hi), axis=1))
 
     def test_interior_clear_of_faces(self):
         domain = BoxDomain(lengths=(2.0, 1.0, 1.0), counts=(5, 5, 5))
         ps = build_point_sets(domain)
-        X = ps.points[ps.interior_idx]
-        spacing = domain.spacings()
+        X = ps.points[:ps.n_interior]
+        _, spacing = grid_points(domain.lengths, domain.counts)
         for k in range(3):
             gap = np.minimum(X[:, k], domain.lengths[k] - X[:, k])
             assert np.all(gap >= spacing[k] - 1e-12)
+
+    def test_rows_are_the_grid_interior_first(self):
+        # rows [:n_interior] are the strict-interior nodes and the rest the
+        # surface nodes, each in grid order, and every per-row array is the
+        # grid-order one under that permutation
+        problem = preset("nh_localized_traction", grid=(7, 5, 9))
+        domain, ps = problem.domain, problem.point_sets()
+        grid, spacings = grid_points(domain.lengths, domain.counts)
+        interior = np.zeros(domain.counts, dtype=bool)
+        interior[1:-1, 1:-1, 1:-1] = True
+        interior = interior.ravel()
+        order = np.concatenate([np.flatnonzero(interior), np.flatnonzero(~interior)])
+        assert np.array_equal(np.sort(order), np.arange(grid.shape[0]))
+        assert ps.n_interior == interior.sum() == 5 * 3 * 7
+        assert np.array_equal(ps.points, grid[order])
+        hi = np.asarray(domain.lengths)
+        on_surface = np.any((ps.points == 0.0) | (ps.points == hi), axis=1)
+        assert not np.any(on_surface[:ps.n_interior]) and np.all(on_surface[ps.n_interior:])
+
+        # the grid-order layout, built face by face on grid indices
+        w1d = [simpson_weights_1d(n, h) for n, h in zip(domain.counts, spacings)]
+        vol_w = np.einsum("i,j,k->ijk", *w1d).ravel()
+        flat = np.arange(grid.shape[0]).reshape(domain.counts)
+        n, n_faces = grid.shape[0], ps.normals.shape[0]
+        tbar, member, load = np.zeros((n, n_faces, 3)), np.zeros((n, n_faces)), np.zeros((n, 3))
+        for f, normal in enumerate(ps.normals):
+            (axis,) = np.flatnonzero(normal)
+            side = "hi" if normal[axis] > 0 else "lo"
+            sl = [slice(None)] * 3
+            sl[axis] = -1 if side == "hi" else 0
+            idx = flat[tuple(sl)].ravel()
+            t, assigned = np.zeros((idx.size, 3)), np.zeros(idx.size, dtype=bool)
+            for p in problem.patches:
+                if (p.axis, p.side) == (axis, side):
+                    covered = p.covers(grid[idx]) & ~assigned
+                    t[covered] = p.traction
+                    assigned |= covered
+            a, b = (k for k in range(3) if k != axis)
+            tbar[idx, f] = t
+            member[idx, f] = 1.0
+            load[idx] += t * np.outer(w1d[a], w1d[b]).ravel()[:, None]
+        assert np.array_equal(ps.vol_weights, vol_w[order])
+        assert np.array_equal(ps.tbar, tbar[order])
+        assert np.array_equal(ps.member, member[order])
+        assert np.array_equal(ps.load, load[order])
 
     def test_surface_weights_sum_to_area(self):
         # a unit traction on one face loads the grid with the face's area
@@ -94,7 +141,7 @@ class TestPointSets:
         ps = problem.point_sets()
         d = problem.domain
         assert ps.normals.shape == (5, 3)
-        for normal, member in zip(ps.normals, ps.member[:, :, 0].T):
+        for normal, member in zip(ps.normals, ps.member.T):
             (axis,) = np.flatnonzero(normal)
             assert abs(normal[axis]) == 1.0
             value = d.lengths[axis] if normal[axis] > 0 else 0.0
@@ -189,7 +236,7 @@ class TestPresets:
         p = preset("nh_localized_traction", grid=(11, 11, 11))
         ps = p.point_sets()
         (f,) = np.flatnonzero(ps.normals[:, 0] == 1.0)  # the X1-hi face
-        on_face = ps.member[:, f, 0] == 1.0
+        on_face = ps.member[:, f] == 1.0
         X, tbar = ps.points[on_face], ps.tbar[on_face, f]
         tol = 0.1 + 1e-9
         inside = (np.abs(X[:, 1] - 0.5) <= tol) & (np.abs(X[:, 2] - 0.5) <= tol)
@@ -213,7 +260,7 @@ class TestPresets:
         P0 = eval_stress(p.material, F0)
         # each loaded face's traction is the exact stress times its normal
         for f, normal in enumerate(ps.normals):
-            on_face = ps.member[:, f, 0] == 1.0
+            on_face = ps.member[:, f] == 1.0
             assert_allclose(ps.tbar[on_face, f], np.broadcast_to(P0 @ normal, (81, 3)),
                             atol=1e-9)
         # the reference meets every roller: u_a = 0 on X_a = 0

@@ -301,32 +301,30 @@ class TestForward:
         assert_allclose(g_fused, g_ref, rtol=1e-12, atol=1e-13 * np.abs(g_ref).max())
 
     def test_split_rows_match_all_rows_order_two(self):
-        # interior rows at order 2, boundary rows at order 1, each set
+        # interior rows at order 2, then boundary rows at order 1, each set
         # several blocks long with a ragged remainder (539 and 514 rows)
         ps = build_point_sets(BoxDomain(lengths=(2.0, 1.0, 1.0), counts=(13, 9, 9)))
-        inner, rest = ps.interior_idx, ps.boundary_idx
-        assert min(inner.size, rest.size) > 2 * BLOCK_POINTS
+        n_in = ps.n_interior
+        assert min(n_in, ps.n_points - n_in) > 2 * BLOCK_POINTS
         rff = RFFMap(m=16, sigma=1.0, seed=43)
         spec = MLPSpec(widths=(32, 32, 32, 12))
         rng = np.random.default_rng(44)
         x = 0.5 * rng.standard_normal(spec.n_params)
-        n = ps.n_points
-        coeffs = rng.standard_normal((n, 10, 12))
-        coeffs[rest, 4:] = 0.0  # Hessians are read on the order-2 rows only
+        coeffs = rng.standard_normal((ps.n_points, 10, 12))
+        coeffs[n_in:, 4:] = 0.0  # Hessians are read on the order-2 rows only
 
         X = ps.points
         outs, grads, tapes = [], [], []
-        for stacks, rows in (((rff.features(X),), None),
-                             ((rff.features(X[inner]), rff.features(X[rest], 1)), (inner, rest))):
+        for stacks in ((rff.features(X),), (rff.features(X[:n_in]), rff.features(X[n_in:], 1))):
             tape = ad.Tape()
             phi = tape.input(x)
-            outs.append(forward(spec, phi, stacks, rows))
+            outs.append(forward(spec, phi, stacks))
             grads.append(ad.reverse_gradient(_node_loss(outs[-1], coeffs), phi))
             tapes.append([node.op for node in tape.nodes])
         full, split = (out.data for out in outs)
         assert np.array_equal(split[:, :4], full[:, :4])
-        assert np.array_equal(split[inner], full[inner])
-        assert np.all(split[rest, 4:] == 0.0)
+        assert np.array_equal(split[:n_in], full[:n_in])
+        assert np.all(split[n_in:, 4:] == 0.0)
         assert tapes[0] == tapes[1]
         assert np.abs(grads[1] - grads[0]).max() <= 1e-12 * np.abs(grads[0]).max()
 
@@ -339,18 +337,16 @@ class TestPerceptronMemory:
 
     @pytest.fixture(scope="class")
     def case(self):
-        # an order-2 stack of three blocks and 17 rows and an order-1 stack
-        # of two blocks and 5 rows, scattered over interleaved output rows
+        # an order-2 stack of three blocks and 17 rows, then an order-1
+        # stack of two blocks and 5 rows
         rff = RFFMap(m=16, sigma=1.0, seed=51)
         spec = MLPSpec(widths=(32, self.HIDDEN, self.HIDDEN, 12))
         rng = np.random.default_rng(52)
         n2, n1 = 3 * BLOCK_POINTS + 17, 2 * BLOCK_POINTS + 5
-        perm = rng.permutation(n2 + n1)
         X = rng.uniform(-1, 1, size=(n2 + n1, 3))
-        rows = (np.sort(perm[:n2]), np.sort(perm[n2:]))
-        stacks = (rff.features(X[rows[0]]), rff.features(X[rows[1]], 1))
+        stacks = (rff.features(X[:n2]), rff.features(X[n2:], 1))
         x = 0.5 * rng.standard_normal(spec.n_params)
-        return spec, x, stacks, rows
+        return spec, x, stacks
 
     @staticmethod
     def _held(run):
@@ -365,9 +361,9 @@ class TestPerceptronMemory:
         return result, held
 
     def test_taped_forward_keeps_z_and_t_per_hidden_layer(self, case):
-        spec, x, stacks, rows = case
+        spec, x, stacks = case
         phi = ad.Tape().input(x)
-        out, held = self._held(lambda: forward(spec, phi, stacks, rows))
+        out, held = self._held(lambda: forward(spec, phi, stacks))
         n_hidden = len(spec.widths) - 2
         saved = sum(
             (stack.shape[1] + 1) * len(stack) * self.HIDDEN * 8 * n_hidden for stack in stacks
@@ -376,20 +372,20 @@ class TestPerceptronMemory:
         assert out.data.nbytes + saved <= held <= out.data.nbytes + 1.02 * saved
 
     def test_vjp_sweeps_twice_bit_for_bit(self, case):
-        spec, x, stacks, rows = case
+        spec, x, stacks = case
         tape = ad.Tape()
-        out = forward(spec, tape.input(x), stacks, rows)
+        out = forward(spec, tape.input(x), stacks)
         (_, _, vjp), = tape.nodes[out.node].edges
         adj = np.random.default_rng(53).standard_normal(out.data.shape)
         first = vjp(adj)
         assert np.array_equal(vjp(adj), first)
         # the sweep matches the one of a fresh forward pass
         tape = ad.Tape()
-        again = forward(spec, tape.input(x), stacks, rows)
+        again = forward(spec, tape.input(x), stacks)
         assert np.array_equal(tape.nodes[again.node].edges[0][2](adj), first)
 
     def test_constant_forward_keeps_nothing_and_copies_no_t(self, case, monkeypatch):
-        spec, x, stacks, rows = case
+        spec, x, stacks = case
         fills = []
 
         def spy(Z, t, T):
@@ -398,7 +394,7 @@ class TestPerceptronMemory:
 
         tanh_jet = network._tanh_jet
         monkeypatch.setattr(network, "_tanh_jet", spy)
-        out, held = self._held(lambda: forward(spec, ad.constant(x), stacks, rows))
+        out, held = self._held(lambda: forward(spec, ad.constant(x), stacks))
         assert out.node is None
         assert out.data.nbytes <= held <= out.data.nbytes + 16384
         # every block's tanh values were written straight into its jet
@@ -420,7 +416,7 @@ class TestHardBC:
         Y, Z = np.meshgrid(np.linspace(0, 1, 5), np.linspace(0, 1, 5))
         face = np.stack([np.zeros(25), Y.ravel(), Z.ravel()], axis=-1)
         worst = 0.0
-        feats = ((net.rff.features(face),), None)
+        feats = (net.rff.features(face),)
         bc = net.enforcer.bc_jets(face)
         for _ in range(1000):
             phi = ad.constant(rng.standard_normal(net.n_params))

@@ -32,20 +32,38 @@ tracer, run, record_references, workloads = _load_perfbench(
     "tracer", "run", "record_references", "workloads"
 )
 
-# a solve of three iterations and two exports, small enough for a test
-SMOKE = workloads.Workload(
-    name="smoke",
-    solve_args=(
-        "--affine", "shear:0.3",
-        "--set", "problem.grid=5,5,5",
-        "--set", "network.hidden=4",
-        "--set", "network.fourier_features=2",
-        "--set", "optimizer.max_iters=3",
+# solves of three iterations and two exports, small enough for a test: an
+# all-Dirichlet patch, and a cantilever with traction faces
+SMOKES = (
+    workloads.Workload(
+        name="smoke",
+        solve_args=(
+            "--affine", "shear:0.3",
+            "--set", "problem.grid=5,5,5",
+            "--set", "network.hidden=4",
+            "--set", "network.fourier_features=2",
+            "--set", "optimizer.max_iters=3",
+        ),
+        export_grid=(5, 5, 5),
+        solves=1,
+        exports_per_solve=2,
+        warmup_args=("--set", "optimizer.max_iters=1"),
     ),
-    export_grid=(5, 5, 5),
-    solves=1,
-    exports_per_solve=2,
-    warmup_args=("--set", "optimizer.max_iters=1"),
+    workloads.Workload(
+        name="smoke_traction",
+        solve_args=(
+            "--preset", "nh_cantilever_traction",
+            "--set", "problem.grid=5,3,3",
+            "--set", "network.hidden=4",
+            "--set", "network.fourier_features=2",
+            "--set", "network.fourier_sigma=0.25",
+            "--set", "optimizer.max_iters=3",
+        ),
+        export_grid=(5, 3, 3),
+        solves=1,
+        exports_per_solve=2,
+        warmup_args=("--set", "optimizer.max_iters=1"),
+    ),
 )
 
 
@@ -62,7 +80,8 @@ def test_trace_target_is_a_plain_function(target):
     assert inspect.isfunction(inspect.getattr_static(owner, attr, None))
 
 
-def test_traced_smoke_run_prints_finite_metrics(monkeypatch):
+@pytest.mark.parametrize("smoke", SMOKES, ids=lambda w: w.name)
+def test_traced_smoke_run_prints_finite_metrics(smoke, monkeypatch):
     # a NaN metric prints as NaN, which is no JSON, and a hook that fails
     # on what its function was given (network.forward's feature stacks,
     # deformation_gradient's state) loses its metric
@@ -75,8 +94,8 @@ def test_traced_smoke_run_prints_finite_metrics(monkeypatch):
         return layer_metrics(solve_spans, export_spans, *args)
 
     monkeypatch.setattr(run.analysis, "layer_metrics", spy)
-    references = {"smoke": record_references.record(str(ROOT), SMOKE)}
-    result, summary = run.run(SMOKE, seed=0, seconds=1, trace=True, root=str(ROOT),
+    references = {smoke.name: record_references.record(str(ROOT), smoke)}
+    result, summary = run.run(smoke, seed=0, seconds=1, trace=True, root=str(ROOT),
                               references=references)
     assert result["correct"], summary["failures"]
     json.loads(json.dumps(result, allow_nan=False))
