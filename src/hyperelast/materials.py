@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import DomainError
 
-J_WARN = 0.05  # near-inversion threshold, logged per accepted iterate but not fatal
+J_WARN = 0.05  # near-inversion threshold: warned once per stage, then counted; not fatal
 
 
 @dataclass(frozen=True)

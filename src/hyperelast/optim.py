@@ -6,8 +6,11 @@ standard constants of Nocedal & Wright (Numerical Optimization, 2006):
 ``C2`` and at most ``MAX_PROBES`` objective calls per line search.  A
 search along the quasi-Newton direction starts at the unit step; one
 along steepest descent (the memory is empty) starts at the quadratic-model
-step of :func:`_steepest_step`.  A load-stepping curriculum wraps it,
-warm-starting each stage from the previous optimum.
+step of :func:`_steepest_step`.  The search is one loop over a bracket
+whose upper end starts at +inf: extrapolation and zoom share one set of
+update rules, and a step with a non-finite value stays the bracket's
+upper end.  A load-stepping curriculum wraps it, warm-starting each
+stage from the previous optimum.
 
 The objective protocol: a callable ``phi -> (loss, gradient)`` for line
 search probes, optionally with ``begin_iteration(phi)`` (called once per
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -187,17 +191,18 @@ def _cubic_step(lo, f_lo, dg_lo, hi, f_hi, dg_hi):
 
 
 def strong_wolfe_search(evaluate, phi, direction, f0, g0, alpha0=1.0):
-    """Bracket-and-zoom line search enforcing both strong Wolfe conditions,
-    with constants ``C1`` and ``C2``, in at most ``MAX_PROBES`` probes.
+    """Line search enforcing both strong Wolfe conditions, with constants
+    ``C1`` and ``C2``, in at most ``MAX_PROBES`` probes.
 
-    ``evaluate(phi_trial) -> (f, g)``.  The zoom probes the minimizer of
-    the cubic through the bracket's end values and slopes, clamped to the
-    bracket's inner 80 % (Moré & Thuente, ACM TOMS 1994), so each probe
-    shrinks the bracket by at least 10 %; it bisects when that cubic has
-    no minimizer or an end value is not finite.  Non-finite probe values
-    are treated as overly long steps and pulled back toward the last good
-    point, so an objective that is NaN everywhere off the origin still
-    fails cleanly once the probe budget is spent.
+    ``evaluate(phi_trial) -> (f, g)``.  One loop narrows a bracket
+    [lo, hi] whose upper end starts at +inf (Moré & Thuente, ACM TOMS
+    1994).  While it is open the trial step is ``alpha0``, then 2 lo;
+    after, the cubic minimizer through the end values and slopes clamped
+    to the bracket's inner 80 %, or the midpoint without one or with a
+    non-finite end.  Each probe updates the bracket by Nocedal & Wright's
+    Algorithms 3.5-3.6.  A non-finite probe is an overly long step and
+    becomes the upper end for good, so an objective that is NaN
+    everywhere off the origin fails cleanly once the budget is spent.
 
     Returns (alpha, f_alpha, g_alpha).
     """
@@ -205,62 +210,40 @@ def strong_wolfe_search(evaluate, phi, direction, f0, g0, alpha0=1.0):
     dg0 = float(np.dot(g0, d))
     if dg0 >= 0.0:
         raise NotDescentDirection(f"directional derivative {dg0:.3e} >= 0")
-    evals = 0
     # slack at floating-point resolution keeps steps acceptable once the
     # true decrease falls below what f can represent
     f_eps = 1e-15 * (1.0 + abs(f0))
     g_eps = 1e-14 * (1.0 + abs(dg0))
-
-    def probe(alpha):
-        nonlocal evals
-        evals += 1
-        f_a, g_a = evaluate(phi + alpha * d)
-        dg_a = float(np.dot(g_a, d)) if np.isfinite(f_a) else np.nan
-        return float(f_a), g_a, dg_a
-
-    def zoom(lo, f_lo, dg_lo, hi, f_hi, dg_hi):
-        while evals < MAX_PROBES:
+    lo, f_lo, dg_lo = 0.0, f0, dg0
+    hi, f_hi, dg_hi = np.inf, np.inf, 0.0
+    for k in range(MAX_PROBES):
+        if hi == np.inf:
+            alpha = 2.0 * lo if k else float(alpha0)
+        else:
             width = hi - lo
+            if abs(width) < 1e-14 * max(1.0, abs(lo)):
+                raise MaxProbesExceeded("bracket collapsed without satisfying Wolfe")
             alpha = _cubic_step(lo, f_lo, dg_lo, hi, f_hi, dg_hi)
-            span = sorted((lo, hi))
-            margin = 0.1 * abs(width)
             if alpha is None:
                 alpha = 0.5 * (lo + hi)
             else:
-                alpha = min(max(alpha, span[0] + margin), span[1] - margin)
-            if abs(width) < 1e-14 * max(1.0, abs(lo)):
-                raise MaxProbesExceeded("bracket collapsed without satisfying Wolfe")
-            f_a, g_a, dg_a = probe(alpha)
-            if not np.isfinite(f_a):
-                hi, f_hi, dg_hi = alpha, np.inf, 0.0
-                continue
-            if f_a > f0 + C1 * alpha * dg0 + f_eps or f_a >= f_lo:
-                hi, f_hi, dg_hi = alpha, f_a, dg_a
-            else:
-                if abs(dg_a) <= -C2 * dg0 + g_eps:
-                    return alpha, f_a, g_a
-                if dg_a * (hi - lo) >= 0.0:
-                    hi, f_hi, dg_hi = lo, f_lo, dg_lo
-                lo, f_lo, dg_lo = alpha, f_a, dg_a
-        raise MaxProbesExceeded(f"no Wolfe point within {MAX_PROBES} probes")
-
-    alpha_prev, f_prev, dg_prev = 0.0, f0, dg0
-    alpha = float(alpha0)
-    first = True
-    while evals < MAX_PROBES:
-        f_a, g_a, dg_a = probe(alpha)
+                margin = 0.1 * abs(width)
+                alpha = min(max(alpha, min(lo, hi) + margin), max(lo, hi) - margin)
+        f_a, g_a = evaluate(phi + alpha * d)
+        f_a = float(f_a)
         if not np.isfinite(f_a):
-            alpha = 0.5 * (alpha_prev + alpha)
+            hi, f_hi = alpha, np.inf
             continue
-        if f_a > f0 + C1 * alpha * dg0 + f_eps or (not first and f_a >= f_prev):
-            return zoom(alpha_prev, f_prev, dg_prev, alpha, f_a, dg_a)
+        dg_a = float(np.dot(g_a, d))
+        if f_a > f0 + C1 * alpha * dg0 + f_eps or (k > 0 and f_a >= f_lo):
+            hi, f_hi, dg_hi = alpha, f_a, dg_a
+            continue
         if abs(dg_a) <= -C2 * dg0 + g_eps:
             return alpha, f_a, g_a
-        if dg_a >= 0.0:
-            return zoom(alpha, f_a, dg_a, alpha_prev, f_prev, dg_prev)
-        alpha_prev, f_prev, dg_prev = alpha, f_a, dg_a
-        alpha *= 2.0
-        first = False
+        # with hi = +inf the sign of dg_a decides; dg_a = 0 returned above
+        if dg_a * (hi - lo) >= 0.0:
+            hi, f_hi, dg_hi = lo, f_lo, dg_lo
+        lo, f_lo, dg_lo = alpha, f_a, dg_a
     raise MaxProbesExceeded(f"no Wolfe point within {MAX_PROBES} probes")
 
 
@@ -275,18 +258,20 @@ def _steepest_step(f, gnorm):
     return min(unit, 2.0 * abs(f) / (gnorm * gnorm))
 
 
-def _two_loop(g, s_list, y_list, rho_list):
+def _two_loop(g, pairs):
+    """The LBFGS direction -H g from the curvature pairs (s, y, 1/s.y),
+    oldest first (Nocedal & Wright, Algorithm 7.4)."""
     d = -g
-    if not s_list:
+    if not pairs:
         return d
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+    for s, y, rho in reversed(pairs):
         a = rho * np.dot(s, d)
         alphas.append(a)
         d -= a * y
-    gamma = np.dot(s_list[-1], y_list[-1]) / np.dot(y_list[-1], y_list[-1])
-    d *= gamma
-    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+    s, y, _ = pairs[-1]
+    d *= np.dot(s, y) / np.dot(y, y)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * np.dot(y, d)
         d += (a - b) * s
     return d
@@ -302,13 +287,14 @@ def lbfgs_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
     a second failure terminates with the last accepted iterate retained.
     A stage that ends before its first accepted step (converged, or no
     step found) records one row for its starting iterate, with step 0.
-    Each row is logged at INFO level as it is recorded.
+    Each row is logged at INFO level as it is recorded, and so is each
+    failed search, with its direction, its objective calls and its cause.
     """
     config = config or LBFGSConfig()
     obj = as_objective(objective)
     phi = np.array(phi0, dtype=np.float64, copy=True)
     history = TrainingHistory()
-    s_list, y_list, rho_list = [], [], []
+    pairs = deque(maxlen=HISTORY)  # (s, y, 1 / s.y), oldest first
 
     def probe(x):
         nonlocal n_evals
@@ -328,23 +314,28 @@ def lbfgs_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
         if gnorm <= config.grad_tol:
             history.status = "converged"
             break
-        d = _two_loop(g, s_list, y_list, rho_list)
+        d = _two_loop(g, pairs)
         dg = float(np.dot(d, g))
         if dg >= 0.0 or not np.isfinite(dg):
-            s_list, y_list, rho_list = [], [], []
+            pairs.clear()
             d = -g
             dg = -gnorm * gnorm
         steepest = _steepest_step(f, gnorm)
-        attempts = [(d, dg, 1.0 if s_list else steepest)]
-        if s_list:
+        attempts = [("LBFGS" if pairs else "-g", d, dg, 1.0 if pairs else steepest)]
+        if pairs:
             # stale curvature is the usual culprit; retry along steepest descent
-            attempts.append((-g, -gnorm * gnorm, steepest))
-        for d, dg, alpha0 in attempts:
+            attempts.append(("-g", -g, -gnorm * gnorm, steepest))
+        for k, (name, d, dg, alpha0) in enumerate(attempts, 1):
             try:
                 alpha, f_new, g_new = strong_wolfe_search(probe, phi, d, f, g, alpha0)
                 break
-            except LineSearchFailure:
-                s_list, y_list, rho_list = [], [], []
+            except LineSearchFailure as err:
+                pairs.clear()
+                log.info(
+                    "stage %d iter %d: line search along %s failed after %d evals (%s); %s",
+                    stage, iter_offset + it, name, n_evals, err,
+                    "retrying along -g" if k < len(attempts) else "the stage stops",
+                )
         else:
             history.status = "line_search_failure"
             break
@@ -352,13 +343,7 @@ def lbfgs_minimize(objective, phi0, config=None, *, stage=0, iter_offset=0,
         y = g_new - g
         sy = float(np.dot(s, y))
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > HISTORY:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+            pairs.append((s, y, 1.0 / sy))
         phi = phi + s
         seconds = (time.perf_counter() - tic) if timing else 0.0
         history.append(

@@ -61,10 +61,10 @@ class TrainingObjective:
     Every other call first drops what is held, so the old tape is freed
     before a new one is built.
 
-    ``begin_iteration`` logs a warning when the accepted iterate comes
-    near inversion (min det F below ``J_WARN``), naming its iteration,
-    counted from the start of the objective's curriculum stage; line-search
-    probes, rejected ones included, log nothing.
+    ``begin_iteration`` warns at the first accepted iterate near
+    inversion (min det F below ``J_WARN``), naming its iteration in the
+    objective's curriculum stage, and counts the later ones, with their
+    lowest min det F; line-search probes count nothing.
     """
 
     def __init__(self, problem, net, fraction=1.0):
@@ -82,6 +82,7 @@ class TrainingObjective:
         self.weights = LossWeights(problem.mask, has_traction=self.points.n_traction > 0)
         self.last_terms = np.zeros(N_TERMS)
         self.iteration = 0  # begin_iteration calls so far, i.e. in this stage
+        self.near_inverted, self.near_min_det_F = 0, np.inf  # min det F < J_WARN
         self._held = None  # (point, breakdown, input Var) of the last finite probe
 
     def _breakdown(self, phi_array):
@@ -122,11 +123,14 @@ class TrainingObjective:
                 raise NonFiniteObjective(f"inverted state at iteration start: {err}") from err
         det_F = breakdown.det_F
         if det_F.min() < J_WARN:
-            log.warning(
-                "near-inverted state at iteration %d of this stage: "
-                "min det F = %.3e at point index %d",
-                self.iteration, det_F.min(), int(np.argmin(det_F)),
-            )
+            self.near_inverted += 1
+            self.near_min_det_F = min(self.near_min_det_F, det_F.min())
+            if self.near_inverted == 1:
+                log.warning(
+                    "near-inverted state at iteration %d of this stage: "
+                    "min det F = %.3e at point index %d",
+                    self.iteration, det_F.min(), int(np.argmin(det_F)),
+                )
         self.weights.update(breakdown.values())
         return self._finish(breakdown, phi)
 
@@ -161,14 +165,24 @@ def build_network(problem, *, hidden=(64, 64, 64), fourier_features=64,
 
 def train(problem, net, *, schedule=None, opt_config=None, phi0=None,
           timing=False):
-    """Run the full training loop and return (phi, history)."""
+    """Run the full training loop and return (phi, history); once it
+    returns or raises, count each stage's near-inverted iteration starts."""
     schedule = schedule or CurriculumSchedule()
     opt_config = opt_config or LBFGSConfig()
     phi = net.init_params() if phi0 is None else np.asarray(phi0, dtype=np.float64)
-    return curriculum_train(
-        schedule, lambda fraction: TrainingObjective(problem, net, fraction), phi, opt_config,
-        timing=timing,
-    )
+    stages = []
+
+    def objective(fraction):
+        stages.append(TrainingObjective(problem, net, fraction))
+        return stages[-1]
+
+    try:
+        return curriculum_train(schedule, objective, phi, opt_config, timing=timing)
+    finally:
+        for k, obj in enumerate(stages):
+            if obj.near_inverted > 1:
+                log.warning("stage %d: %d iteration starts near-inverted, lowest min det F = %.3e",
+                            k, obj.near_inverted, obj.near_min_det_F)
 
 
 def _sample(net, phi, X, material):

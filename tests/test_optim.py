@@ -1,5 +1,6 @@
 """Optimizer tests: LBFGS, strong Wolfe search, curriculum."""
 
+import logging
 import warnings
 
 import numpy as np
@@ -54,6 +55,37 @@ def spd_quadratic(n, seed, cond=10.0):
         return 0.5 * float(phi @ A @ phi) - float(b @ phi), g
 
     return fn, np.linalg.solve(A, b)
+
+
+def _nan_first_search_at_iteration_2(monkeypatch):
+    """Three LBFGS iterations on an 8-d quadratic whose first line search
+    of iteration 2 sees only NaN probes, with a budget of 5 probes."""
+    monkeypatch.setattr(optim, "MAX_PROBES", 5)
+    fn, _ = spd_quadratic(8, seed=6, cond=20.0)
+
+    class Objective:
+        def __init__(self):
+            self.calls, self.nan_left, self.begins = 0, 0, []
+
+        def __call__(self, phi):
+            self.calls += 1
+            if self.nan_left:
+                self.nan_left -= 1
+                return np.nan, np.zeros_like(phi)
+            return fn(phi)
+
+        def begin_iteration(self, phi):
+            self.calls += 1
+            self.begins.append(fn(phi)[1])
+            if len(self.begins) == 2:
+                self.nan_left = optim.MAX_PROBES
+            return fn(phi)
+
+        def stats(self):
+            return None
+
+    obj = Objective()
+    return obj, lbfgs_minimize(obj, np.ones(8), LBFGSConfig(max_iters=3))[1]
 
 
 class TestLBFGS:
@@ -111,37 +143,23 @@ class TestLBFGS:
         # the first line search of iteration 2 sees only NaN probes and
         # fails; the retry along -g must be what the history records, and
         # the failed search's probes must still count as evaluations
-        monkeypatch.setattr(optim, "MAX_PROBES", 5)
-        fn, _ = spd_quadratic(8, seed=6, cond=20.0)
-        config = LBFGSConfig(max_iters=3)
-
-        class Objective:
-            def __init__(self):
-                self.calls, self.nan_left, self.begins = 0, 0, []
-
-            def __call__(self, phi):
-                self.calls += 1
-                if self.nan_left:
-                    self.nan_left -= 1
-                    return np.nan, np.zeros_like(phi)
-                return fn(phi)
-
-            def begin_iteration(self, phi):
-                self.calls += 1
-                self.begins.append(fn(phi)[1])
-                if len(self.begins) == 2:
-                    self.nan_left = optim.MAX_PROBES
-                return fn(phi)
-
-            def stats(self):
-                return None
-
-        obj = Objective()
-        _, hist = lbfgs_minimize(obj, np.ones(8), config)
+        obj, hist = _nan_first_search_at_iteration_2(monkeypatch)
         assert len(hist) == 3 and obj.nan_left == 0
         g2 = obj.begins[1]
         assert_allclose(hist.wolfe[1][1], -float(g2 @ g2), rtol=1e-12)
         assert sum(row.n_evals for row in hist.rows) == obj.calls
+
+    def test_failed_search_logged_with_its_cause(self, monkeypatch, caplog):
+        # one INFO line per failed search, beside the three row lines
+        with caplog.at_level(logging.INFO, logger="hyperelast.optim"):
+            _, hist = _nan_first_search_at_iteration_2(monkeypatch)
+        lines = [r.getMessage() for r in caplog.records if r.name == "hyperelast.optim"]
+        assert len(lines) == len(hist) + 1
+        assert lines[1] == (
+            "stage 0 iter 2: line search along LBFGS failed after 6 evals "
+            "(no Wolfe point within 5 probes); retrying along -g"
+        )
+        assert lines[2].startswith(f"stage 0 iter 2: total {hist.rows[1].total:.6e}")
 
     def test_nonfinite_at_start(self):
         with pytest.raises(NonFiniteObjective):
@@ -296,6 +314,25 @@ class TestStrongWolfe:
         alpha, _, _ = strong_wolfe_search(fn, np.zeros(1), np.array([1.0]), f0, g0)
         assert probes[:2] == [1.0, 0.1]
         assert alpha == pytest.approx(0.05, rel=1e-12)
+
+    def test_non_finite_step_stays_the_bracket_end(self, monkeypatch):
+        # f = (x - 0.6)^2 below 0.8 and +inf from 0.8, from 0 along +1: the
+        # unit step is infinite and 0.5 is still short, so the search
+        # bisects towards 1.0 instead of doubling back onto it, and the
+        # cubic on [0.5, 0.75] is exact
+        probes = []
+
+        def fn(phi):
+            a = float(phi[0])
+            probes.append(a)
+            return (np.inf if a >= 0.8 else (a - 0.6) ** 2), np.array([2.0 * (a - 0.6)])
+
+        monkeypatch.setattr(optim, "C2", 0.1)
+        f0, g0 = fn(np.zeros(1))
+        probes.clear()
+        alpha, _, _ = strong_wolfe_search(fn, np.zeros(1), np.array([1.0]), f0, g0)
+        assert probes == pytest.approx([1.0, 0.5, 0.75, 0.6], rel=1e-15)
+        assert alpha == pytest.approx(0.6, rel=1e-12)
 
 
 class TestSteepestStep:

@@ -404,21 +404,37 @@ def _near_inversion_messages(caplog):
     return [r.getMessage() for r in caplog.records if "near-inverted" in r.getMessage()]
 
 
-def test_near_inversion_logged_per_accepted_iterate(caplog, monkeypatch):
+def test_near_inversion_warned_once_per_stage(caplog, monkeypatch):
     with caplog.at_level(logging.WARNING):
         solve_config(RunConfig(LP_WARMUP))
     assert _near_inversion_messages(caplog) == []
 
-    # with a threshold every state falls under, each accepted iterate of
-    # a one-stage run logs once, naming its iteration
+    # with a threshold every state falls under, the stage warns at its
+    # first iteration start and counts all three in one line at its end
     caplog.clear()
     monkeypatch.setattr(solver, "J_WARN", 2.0)
     one_stage = dict(LP_WARMUP, **{"curriculum.fractions": "1.0", "curriculum.stage_iters": "3"})
     with caplog.at_level(logging.WARNING):
         rows = solve_config(RunConfig(one_stage)).history.rows
-    messages = _near_inversion_messages(caplog)
-    assert len(messages) == len(rows) == 3
-    assert all(f"iteration {r.iter} of this stage:" in m for r, m in zip(rows, messages))
+    first, count = _near_inversion_messages(caplog)
+    assert len(rows) == 3 and "at iteration 1 of this stage:" in first
+    prefix = "stage 0: 3 iteration starts near-inverted, lowest min det F = "
+    assert count.startswith(prefix)
+    first_det_F = float(first.split("min det F = ")[1].split()[0])
+    assert float(count[len(prefix):]) <= first_det_F
+
+    # a run that raises still gets its count line
+    caplog.clear()
+    inner = solver.curriculum_train
+
+    def curriculum_train(*args, **kwargs):
+        inner(*args, **kwargs)
+        raise NonFiniteObjective("stopped after the stage")
+
+    monkeypatch.setattr(solver, "curriculum_train", curriculum_train)
+    with caplog.at_level(logging.WARNING), pytest.raises(NonFiniteObjective):
+        solve_config(RunConfig(one_stage))
+    assert _near_inversion_messages(caplog)[1] == count
 
 
 def test_progress_line_per_history_row(caplog):
