@@ -8,6 +8,7 @@ interior) and the built-in benchmark presets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -342,11 +343,11 @@ def _nh_localized_traction(grid):
     )
 
 
-def _nh_uniaxial_traction(grid):
-    """Unit cube on rollers (u_a = 0 on the lo face of axis a), pulled on
-    X1 = 1 by the nominal stress P11 of a uniaxial stretch of 1.1 and free
-    on X2 = 1 and X3 = 1; the homogeneous uniaxial state is exact."""
-    material = NeoHookean(lam=577.0, mu=385.0)
+def _uniaxial_traction(name, material, grid):
+    """Unit cube of ``material`` on rollers (u_a = 0 on the lo face of
+    axis a), pulled on X1 = 1 by the nominal stress P11 of a uniaxial
+    stretch of 1.1 and free on X2 = 1 and X3 = 1; the homogeneous
+    uniaxial state is exact."""
     exact = uniaxial_oracle(1.1, material)
     domain = BoxDomain(counts=grid or (9, 9, 9))
     enforcer = BCEnforcer(
@@ -355,7 +356,7 @@ def _nh_uniaxial_traction(grid):
     )
     patches = (TractionPatch(axis=0, side="hi", traction=(exact.P0[0, 0], 0.0, 0.0)),
                *_zero_patches([(1, "hi"), (2, "hi")]))
-    return ProblemSpec("nh_uniaxial_traction", domain, material, enforcer, patches,
+    return ProblemSpec(name, domain, material, enforcer, patches,
                        reference=exact.displacement)
 
 
@@ -364,7 +365,11 @@ _PRESETS = {
     "lp_cantilever_displacement": _lp_cantilever_displacement,
     "nh_simple_shear": _nh_simple_shear,
     "nh_localized_traction": _nh_localized_traction,
-    "nh_uniaxial_traction": _nh_uniaxial_traction,
+    "nh_uniaxial_traction": partial(
+        _uniaxial_traction, "nh_uniaxial_traction", NeoHookean(lam=577.0, mu=385.0)),
+    "lp_uniaxial_traction": partial(
+        _uniaxial_traction, "lp_uniaxial_traction",
+        LopezPamies(alphas=(1.0, -2.0), mus=(100.0, 50.0), lam=100.0)),
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))

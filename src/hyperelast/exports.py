@@ -9,6 +9,7 @@ viewers and makes no round-trip promise.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -32,6 +33,8 @@ FIELD_COLUMNS = (
 )
 
 CHECKPOINT_FORMAT = "hyperelast-checkpoint-v1"
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _fmt(x):
@@ -174,6 +177,34 @@ def save_checkpoint(path, cfg, phi):
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
+
+
+def write_run_summary(path, cfg, history, l2, heap_kept):
+    """One JSON summary of a solve: how it ended, its final loss terms and
+    what the numbers depend on (config, seed, BLAS threads, CPUs).
+
+    The seconds are the summed per-iteration wall times of the history,
+    0 unless ``history.timing = wall``, so two runs of one config on one
+    machine write the same bytes.
+    """
+    final = history.rows[-1]
+    payload = {
+        "status": history.status,
+        "iterations": len(history),
+        "objective_calls": sum(r.n_evals for r in history.rows),
+        "l2_error": l2,
+        "total": final.total,
+        "terms": dict(zip(TERM_NAMES, final.terms.tolist())),
+        "config_hash": cfg.hash(),
+        "seed": cfg.int("network.seed"),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+        "heap_kept": heap_kept,
+        "wall_seconds": sum(r.seconds for r in history.rows),
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
 
 
 # Keys of older checkpoint configs, each with the one value the program still

@@ -246,27 +246,35 @@ class TestCriterion2ShearStress:
 
 class TestUniaxialTractionOracle:
     """The traction terms against an exact solution: a roller-supported
-    cube under the uniaxial-stress traction of a 1.1 stretch."""
+    cube under the uniaxial-stress traction of a 1.1 stretch, for both
+    materials."""
 
-    def test_traction_preset_recovers_uniaxial_state(self):
+    @staticmethod
+    def recovers(name, iters):
         from hyperelast.config import RunConfig
 
         result = solver.solve_config(RunConfig({
-            "problem.preset": "nh_uniaxial_traction",
+            "problem.preset": name,
             "network.hidden": "16,16",
             "network.fourier_features": "8",
             "network.fourier_sigma": "0.25",
-            "optimizer.max_iters": "1000",
+            "optimizer.max_iters": str(iters),
             "optimizer.grad_tol": "1e-10",
             "network.seed": "0",
         }))
         status = result.history.status
         report(
-            "uniaxial traction",
+            name,
             result.l2 <= 1e-3 and status in ("converged", "max_iters"),
             f"l2 error {result.l2:.2e} (limit 1e-3) vs the uniaxial oracle, "
             f"{status} after {len(result.history)} iterations",
         )
+
+    def test_traction_preset_recovers_uniaxial_state(self):
+        self.recovers("nh_uniaxial_traction", 1000)
+
+    def test_lp_traction_preset_recovers_uniaxial_state(self):
+        self.recovers("lp_uniaxial_traction", 500)
 
 
 class TestCriterion8MaskComparison:

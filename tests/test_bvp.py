@@ -210,6 +210,7 @@ class TestPresets:
             "nh_simple_shear",
             "nh_localized_traction",
             "nh_uniaxial_traction",
+            "lp_uniaxial_traction",
         }
 
     def test_cantilever_geometry_and_load(self):
@@ -253,22 +254,29 @@ class TestPresets:
         assert len(p.enforcer.faces) == 6
 
     def test_uniaxial_traction_data_match_its_reference(self):
-        p = preset("nh_uniaxial_traction")
-        assert p.domain.counts == (9, 9, 9) and p.domain.lengths == (1.0, 1.0, 1.0)
-        ps = p.point_sets()
-        F0 = np.eye(3) + np.diag(p.reference(np.ones((1, 3)))[0])
-        P0 = eval_stress(p.material, F0)
-        # each loaded face's traction is the exact stress times its normal
-        for f, normal in enumerate(ps.normals):
-            on_face = ps.member[:, f] == 1.0
-            assert_allclose(ps.tbar[on_face, f], np.broadcast_to(P0 @ normal, (81, 3)),
-                            atol=1e-9)
-        # the reference meets every roller: u_a = 0 on X_a = 0
-        u = p.reference(ps.points)
-        for face in p.enforcer.faces:
-            (a,) = face.components
-            assert face.axis == a and face.side == "lo"
-            assert np.all(u[ps.points[:, a] == 0.0, a] == 0.0)
+        for name in ("nh_uniaxial_traction", "lp_uniaxial_traction"):
+            p = preset(name)
+            assert p.name == name
+            assert p.domain.counts == (9, 9, 9) and p.domain.lengths == (1.0, 1.0, 1.0)
+            ps = p.point_sets()
+            F0 = np.eye(3) + np.diag(p.reference(np.ones((1, 3)))[0])
+            assert_allclose(F0[0, 0], 1.1, rtol=1e-15)
+            P0 = eval_stress(p.material, F0)
+            # each loaded face's traction is the exact stress times its normal
+            for f, normal in enumerate(ps.normals):
+                on_face = ps.member[:, f] == 1.0
+                assert_allclose(ps.tbar[on_face, f], np.broadcast_to(P0 @ normal, (81, 3)),
+                                atol=1e-9)
+            # the reference meets every roller: u_a = 0 on X_a = 0
+            u = p.reference(ps.points)
+            for face in p.enforcer.faces:
+                (a,) = face.components
+                assert face.axis == a and face.side == "lo"
+                assert np.all(u[ps.points[:, a] == 0.0, a] == 0.0)
+
+    def test_lp_uniaxial_material_is_the_lp_presets(self):
+        assert preset("lp_uniaxial_traction").material == preset(
+            "lp_cantilever_displacement").material
 
     def test_determinism(self):
         a = preset("nh_localized_traction", grid=(5, 5, 5))

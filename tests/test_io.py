@@ -555,7 +555,7 @@ class TestCLI:
         monkeypatch.setattr(solver, "solve_config", fake_solve)
         assert cli.main(["run-oracles", "--set", "optimizer.max_iters=7"]) == 4
         assert "[FAIL]" in capsys.readouterr().out
-        assert len(seen) == 3
+        assert len(seen) == 4
         for cfg in seen:
             assert cfg.int_list("network.hidden") == (16, 16)
             assert cfg.int("network.fourier_features") == 8
@@ -563,8 +563,128 @@ class TestCLI:
             assert cfg.int("optimizer.max_iters") == 7  # --set wins over base and case
         problems = [(cfg.get("problem.affine"), cfg.get("problem.preset")) for cfg in seen]
         assert problems == [("shear:0.3", ""), ("stretch:1.1,1.0,1.0", ""),
-                            ("", "nh_uniaxial_traction")]
-        assert [cfg.float("network.fourier_sigma") for cfg in seen] == [1.0, 1.0, 0.25]
+                            ("", "nh_uniaxial_traction"), ("", "lp_uniaxial_traction")]
+        assert [cfg.float("network.fourier_sigma") for cfg in seen] == [1.0, 1.0, 0.25, 0.25]
+
+    @pytest.mark.parametrize("seeds, code", [("0-2", 4), ("0", 0), ("2-2", 4)])
+    def test_run_oracles_over_seeds(self, monkeypatch, capsys, seeds, code):
+        # the worst l2 names its seed; one seed past --tol fails the case
+        l2 = {0: 2e-4, 1: 1e-4, 2: 3e-3}
+        seen = []
+
+        def fake_solve(cfg):
+            seen.append(cfg.int("network.seed"))
+            return SimpleNamespace(l2=l2[seen[-1]], history=TrainingHistory(status="max_iters"))
+
+        monkeypatch.setattr(solver, "solve_config", fake_solve)
+        monkeypatch.setattr(cli, "ORACLE_CASES", (("tiny", {"problem.affine": "shear:0.1"}, {}),))
+        assert cli.main(["run-oracles", "--seeds", seeds]) == code
+        first, _, last = seeds.partition("-")
+        expected = list(range(int(first), int(last or first) + 1))
+        assert seen == expected
+        (line,) = capsys.readouterr().out.splitlines()
+        worst = max(expected, key=l2.get)
+        median = float(np.median([l2[k] for k in expected]))
+        assert line.startswith("[FAIL] tiny" if code else "[ok ] tiny")
+        assert f"worst l2 {l2[worst]:.3e} (seed {worst}), median {median:.3e}" in line
+
+    @pytest.mark.parametrize("seeds", ["2-1", "-1", "a-b", "1-"])
+    def test_run_oracles_rejects_bad_seed_range(self, capsys, seeds):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["run-oracles", "--seeds", seeds])
+        assert exit_.value.code == 2
+        assert "expected seeds A-B" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["no library", "no mallopt", "refused"])
+    def test_keep_freed_heap_off_glibc(self, monkeypatch, case):
+        # without a mallopt that takes both values nothing is set and
+        # nothing raises
+        libraries = {"no mallopt": SimpleNamespace(),
+                     "refused": SimpleNamespace(mallopt=lambda param, value: 0)}
+
+        def cdll(name):
+            if case == "no library":
+                raise OSError("no C library")
+            return libraries[case]
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli._keep_freed_heap() is False
+
+    def test_freed_heap_kept_for_training_subcommands(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append(1) or True)
+        out = str(tmp_path / "run")
+        assert cli.main(["solve", *TINY_SOLVE, "--out", out]) == 0
+        assert len(calls) == 1
+        with open(os.path.join(out, "run.json")) as fh:
+            assert json.load(fh)["heap_kept"] is True
+        code = cli.main(["export-fields", "--checkpoint", os.path.join(out, "checkpoint.json"),
+                         "--set", "export.grid=3,3,3", "--out", str(tmp_path / "fields")])
+        assert code == 0 and len(calls) == 1
+
+    def test_kept_heap_leaves_history_bytes(self, tmp_path):
+        # a solve through solver.solve_config in a process that never calls
+        # mallopt, and the same solve through the command line, which does
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        values = {"problem.affine": "shear:0.3", "problem.grid": "9,9,9",
+                  "network.hidden": "16", "network.fourier_features": "8",
+                  "optimizer.max_iters": "6"}
+        plain = str(tmp_path / "plain.csv")
+        script = ("import sys\n"
+                  "from hyperelast import exports, solver\n"
+                  "from hyperelast.config import RunConfig\n"
+                  "cfg = RunConfig(dict(a.split('=', 1) for a in sys.argv[2:]))\n"
+                  "exports.write_history(solver.solve_config(cfg).history, sys.argv[1])\n")
+        pairs = [f"{k}={v}" for k, v in values.items()]
+        subprocess.run([sys.executable, "-c", script, plain, *pairs],
+                       env=env, check=True, capture_output=True)
+        out = str(tmp_path / "cli")
+        overrides = [a for pair in pairs for a in ("--set", pair)]
+        subprocess.run([sys.executable, "-m", "hyperelast.cli", "solve", *overrides,
+                        "--out", out], env=env, check=True, capture_output=True)
+        with open(plain, "rb") as a, open(os.path.join(out, "history.csv"), "rb") as b:
+            assert a.read() == b.read()
+
+    def test_run_summary(self, tmp_path, monkeypatch):
+        # run.json says how the solve ended and what its numbers depend on;
+        # two runs of one config write the same bytes
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        texts = []
+        for name in ("a", "b"):
+            out = str(tmp_path / name)
+            assert cli.main(["solve", *TINY_SOLVE, "--out", out]) == 0
+            with open(os.path.join(out, "run.json"), "rb") as fh:
+                texts.append(fh.read())
+        assert texts[0] == texts[1]
+        summary = json.loads(texts[0])
+        hist = read_history(os.path.join(out, "history.csv"))
+        cfg = RunConfig(read_file(os.path.join(out, "config.txt")))
+        assert summary["status"] == "max_iters"
+        assert summary["iterations"] == len(hist) == 4
+        assert summary["objective_calls"] == sum(r.n_evals for r in hist.rows)
+        assert summary["l2_error"] > 0.0
+        assert summary["total"] == hist.rows[-1].total
+        assert list(summary["terms"]) == list(HISTORY_COLUMNS[2:8])
+        assert list(summary["terms"].values()) == hist.rows[-1].terms.tolist()
+        assert (summary["config_hash"], summary["seed"]) == (cfg.hash(), 0)
+        assert summary["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert summary["blas_threads"]["MKL_NUM_THREADS"] is None
+        assert summary["cpu_count"] == os.cpu_count()
+        assert summary["wall_seconds"] == 0.0
+
+    def test_run_summary_without_reference_and_with_wall_time(self, tmp_path):
+        out = str(tmp_path / "beam")
+        code = cli.main(["solve", "--preset", "nh_cantilever_traction",
+                         "--set", "problem.grid=5,3,3", "--set", "network.hidden=4",
+                         "--set", "network.fourier_features=2", "--set", "optimizer.max_iters=2",
+                         "--set", "history.timing=wall", "--out", out])
+        assert code == 0
+        with open(os.path.join(out, "run.json")) as fh:
+            summary = json.load(fh)
+        assert summary["l2_error"] is None
+        assert summary["wall_seconds"] > 0.0
 
     def test_export_fields(self, tmp_path):
         out = str(tmp_path / "run")
