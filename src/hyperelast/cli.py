@@ -143,12 +143,22 @@ def cmd_export_fields(args):
             f"the configured network needs {net.n_params}"
         )
     dims, X, spacing = _export_grid_points(cfg, problem.domain)
-    fields = solver.evaluate_fields(net, phi, X)
     meta = {"config_hash": cfg.hash(), "seed": cfg.get("network.seed"),
             "problem": problem.name}
-    exports.write_fields_csv(os.path.join(out, "fields.csv"), X, fields, metadata=meta)
+    # the VTK file lists the points in another order, so it is written after
+    # the CSV from u and von Mises kept for all points; the rest of a chunk
+    # is freed once its rows are written
+    kept = {"u": np.empty((len(X), 3)), "von_mises": np.empty(len(X))}
+
+    def chunks():
+        for lo, hi, fields in solver.sample_fields(net, phi, X):
+            for key, value in kept.items():
+                value[lo:hi] = fields[key]
+            yield X[lo:hi], fields
+
+    exports.write_fields_csv(os.path.join(out, "fields.csv"), chunks(), metadata=meta)
     exports.write_vtk_structured(
-        os.path.join(out, "fields.vtk"), dims, spacing, fields, title=problem.name
+        os.path.join(out, "fields.vtk"), dims, spacing, kept, title=problem.name
     )
     print(f"sampled {X.shape[0]} points on {dims} grid; outputs in {out}")
     return EXIT_OK

@@ -2,8 +2,11 @@
 
 CSV is the canonical format and uses ``repr`` float serialization, so a
 file read back by this module reproduces the in-memory values bit for
-bit.  The VTK writer emits legacy ASCII structured points for contour
-viewers and makes no round-trip promise.
+bit.  The field table is written from a stream of row chunks, so an
+export can write each chunk as it is sampled and hold one at a time.
+The VTK writer emits legacy ASCII structured points for contour viewers
+and makes no round-trip promise; it lists the points x fastest, so it
+needs its two fields for all points at once.
 """
 
 from __future__ import annotations
@@ -100,23 +103,35 @@ def read_history(path):
     return history
 
 
-def write_fields_csv(path, X, fields, metadata=None):
+def write_fields_csv(path, chunks, metadata=None):
     """Sampled-field table: coordinates, displacement, stress head, von Mises.
+
+    ``chunks`` yields ``(X, fields)`` pairs, the points of consecutive
+    rows and their fields; each pair's rows are written as it arrives, so
+    a chunk can be dropped before the next one is sampled.  A table whose
+    arrays all exist is the one pair ``[(X, fields)]``.  If ``chunks``
+    raises, the partial file is removed.
 
     ``metadata`` key/value pairs go into '#' comment lines (units, config
     hash, seed); readers skip them.
     """
-    n = np.asarray(X).size // 3
-    cols = [
-        np.asarray(a, dtype=np.float64).reshape(n, -1)
-        for a in (X, fields["u"], fields["P"], fields["von_mises"])
-    ]
     with open(path, "w") as fh:
-        fh.write("# units: X in m, u in m, P and von_mises in Pa\n")
-        for key, val in (metadata or {}).items():
-            fh.write(f"# {key}: {val}\n")
-        fh.write(",".join(FIELD_COLUMNS) + "\n")
-        _write_rows(fh, cols, _repr_csv)
+        try:
+            fh.write("# units: X in m, u in m, P and von_mises in Pa\n")
+            for key, val in (metadata or {}).items():
+                fh.write(f"# {key}: {val}\n")
+            fh.write(",".join(FIELD_COLUMNS) + "\n")
+            for X, fields in chunks:
+                n = np.asarray(X).size // 3
+                cols = [
+                    np.asarray(a, dtype=np.float64).reshape(n, -1)
+                    for a in (X, fields["u"], fields["P"], fields["von_mises"])
+                ]
+                _write_rows(fh, cols, _repr_csv)
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def read_fields_csv(path):

@@ -22,11 +22,11 @@ block the jets are (C, b, w), built from the stack per block: an affine
 layer is one matrix product with the bias on channel 0, and the tanh
 rules scale whole contiguous channels by per-unit factors.  For its vjp
 a taped node keeps, per block and hidden layer, only the pre-activation
-jet Z and the unit values t = tanh(Z[0]): C + 1 channels, where Z and
-the tanh jet T would take 2C.  The vjp rebuilds each T from them once
-per sweep, by the forward's own elementwise rules, and a block's input
-jets once more when it reaches layer 0, so the gradient is unchanged
-bit for bit.
+jet Z, with the unit values t = tanh(z) in place of z, which no tanh
+rule reads: C channels, where Z and the tanh jet T would take 2C.  The
+vjp rebuilds each T from it once per sweep, by the forward's own
+elementwise rules, and a block's input jets once more when it reaches
+layer 0, so the gradient is unchanged bit for bit.
 
 The node's output (N, C, 12) is read by one head node with one output
 per head field: the displacement jet u (N, 3) with gradient (N, 3, 3)
@@ -248,10 +248,11 @@ def _tanh_jet(Z, t, T):
     return t1, t2, gg
 
 
-def _tanh_jet_back(Z, t, factors, dT):
+def _tanh_jet_back(Z, factors, dT):
     """Adjoint of the tanh jet's input Z from that of its output, given
-    t = tanh(Z[0]) and the ``factors`` of :func:`_tanh_jet`, whose packed
-    square it overwrites.
+    the ``factors`` of :func:`_tanh_jet`, whose packed square it
+    overwrites.  Z's value channel holds t = tanh(z), not z, which no
+    rule reads.
 
     Closed forms in t1, t2 and t3 = t2' = t1 (6 t^2 - 2); the adjoint of
     the packed products G[A] G[B] is written into the gradient channels,
@@ -259,7 +260,7 @@ def _tanh_jet_back(Z, t, factors, dT):
     off-diagonal one once in each of its two rows.
     """
     t1, t2, prod = factors
-    G, dG = Z[1:4], dT[1:4]
+    t, G, dG = Z[0], Z[1:4], dT[1:4]
     A = np.empty_like(Z)
     dz = (dG * G).sum(axis=0) * t2
     if Z.shape[0] > 4:
@@ -286,10 +287,11 @@ def _block_forward(layers, S, out, rows, keep):
     """One block of channel-major input jets S (C, b, i) through every
     layer into the slice ``rows`` of ``out`` (N, >= C, 12).
 
-    With ``keep``, returns per hidden layer its pre-activation jet Z and
-    t = tanh(Z[0]) (b, o), all the vjp needs besides the block's input;
-    the tanh jet T itself feeds the next layer's product and is dropped.
-    Without, keeps nothing.
+    With ``keep``, returns per hidden layer its pre-activation jet Z, all
+    the vjp needs besides the block's input, with t = tanh(z) in place of
+    its value channel z, which no tanh rule reads; the tanh jet T itself
+    feeds the next layer's product and is dropped.  Without, keeps
+    nothing.
     """
     hidden = []
     for W, bias in layers[:-1]:
@@ -299,7 +301,8 @@ def _block_forward(layers, S, out, rows, keep):
         t = np.tanh(Z[0], out=S[0])
         _tanh_jet(Z, t, S)
         if keep:
-            hidden.append((Z, t.copy()))
+            Z[0] = t
+            hidden.append(Z)
     W, bias = layers[-1]
     Y = np.matmul(S, W.T)
     Y[0] += bias
@@ -310,7 +313,7 @@ def _block_forward(layers, S, out, rows, keep):
 def _block_backward(layers, inputs, hidden, dY, grads):
     """Add one block's parameter adjoints into ``grads`` ((dW, db) views),
     given ``inputs``, which builds the block's input jets (C, b, i) when
-    called, the ``hidden`` (Z, t) pairs of :func:`_block_forward` and the
+    called, the ``hidden`` jets Z of :func:`_block_forward` and the
     adjoint dY (b, C, 12) of its output.
 
     Each hidden layer's tanh jet is rebuilt once, as the input of the next
@@ -322,12 +325,12 @@ def _block_backward(layers, inputs, hidden, dY, grads):
     factors = None
     for li in range(len(layers) - 1, -1, -1):
         W = layers[li][0]
-        A = dY if li == len(hidden) else _tanh_jet_back(*hidden[li], factors, dY)
+        A = dY if li == len(hidden) else _tanh_jet_back(hidden[li], factors, dY)
         if li > 0:
-            Z, t = hidden[li - 1]
+            Z = hidden[li - 1]
             S = np.empty_like(Z)
-            S[0] = t
-            factors = _tanh_jet(Z, t, S)
+            S[0] = Z[0]
+            factors = _tanh_jet(Z, S[0], S)
         else:
             S = inputs()
         A2 = A.reshape(-1, W.shape[0])
@@ -352,10 +355,11 @@ def forward(spec, phi, stacks):
     jets are built from its stack in the forward pass, into one buffer
     per stack, and again when the vjp reaches layer 0.  Only a taped
     ``phi`` keeps what its vjp needs: per block and hidden layer, the
-    pre-activation jet and the tanh values; a constant ``phi`` (the
-    export) keeps nothing.  When every stack spans a block, a row equals
-    bit for bit that of an all-rows order-2 pass, and a loss reading
-    Hessians of order-2 rows only has the same gradient.
+    pre-activation jet with the tanh values in its value channel; a
+    constant ``phi`` (the export) keeps nothing.  When every stack spans
+    a block, a row equals bit for bit that of an all-rows order-2 pass,
+    and a loss reading Hessians of order-2 rows only has the same
+    gradient.
     """
     if phi.data.shape != (spec.n_params,):
         raise ShapeMismatch(
@@ -369,7 +373,7 @@ def forward(spec, phi, stacks):
     slices = spec.layer_slices()
     layers = [(phi.data[ws].reshape(fo, fi), phi.data[bs]) for ws, bs, fi, fo in slices]
     keep = phi.node is not None
-    saved = []  # (output rows, channels, input builder, hidden (Z, t)) per block
+    saved = []  # (output rows, channels, input builder, hidden Z) per block
     start = 0
     for stack in stacks:
         C = stack.shape[1]

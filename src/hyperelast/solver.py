@@ -11,7 +11,11 @@ search accepts its last probe), it re-weights the held loss terms and
 sweeps the same tape again instead of rebuilding it, with results
 bitwise equal to a fresh evaluation.  At any other point it evaluates
 from scratch.  At most one evaluation tape is alive at a time, and none
-once ``begin_iteration`` has returned.
+once ``begin_iteration`` has returned.  No tape outlives its stage:
+``train`` keeps nothing of a finished curriculum stage but its
+near-inversion counts, so the stage's objective, and the tape it holds,
+are freed before the next stage builds a tape, and none is left once
+``train`` has returned.
 """
 
 from __future__ import annotations
@@ -39,6 +43,15 @@ log = logging.getLogger(__name__)
 SAMPLE_CHUNK_POINTS = 16 * BLOCK_POINTS
 
 
+@dataclass
+class NearInversion:
+    """Iteration starts of one stage with min det F below ``J_WARN``, and
+    the lowest min det F among them."""
+
+    count: int = 0
+    min_det_F: float = np.inf
+
+
 class TrainingObjective:
     """phi -> (loss, gradient) with adaptive weighting on iteration starts.
 
@@ -63,8 +76,8 @@ class TrainingObjective:
 
     ``begin_iteration`` warns at the first accepted iterate near
     inversion (min det F below ``J_WARN``), naming its iteration in the
-    objective's curriculum stage, and counts the later ones, with their
-    lowest min det F; line-search probes count nothing.
+    objective's curriculum stage, and counts it and the later ones, with
+    their lowest min det F, in ``near``; line-search probes count nothing.
     """
 
     def __init__(self, problem, net, fraction=1.0):
@@ -82,7 +95,7 @@ class TrainingObjective:
         self.weights = LossWeights(problem.mask, has_traction=self.points.n_traction > 0)
         self.last_terms = np.zeros(N_TERMS)
         self.iteration = 0  # begin_iteration calls so far, i.e. in this stage
-        self.near_inverted, self.near_min_det_F = 0, np.inf  # min det F < J_WARN
+        self.near = NearInversion()
         self._held = None  # (point, breakdown, input Var) of the last finite probe
 
     def _breakdown(self, phi_array):
@@ -123,9 +136,9 @@ class TrainingObjective:
                 raise NonFiniteObjective(f"inverted state at iteration start: {err}") from err
         det_F = breakdown.det_F
         if det_F.min() < J_WARN:
-            self.near_inverted += 1
-            self.near_min_det_F = min(self.near_min_det_F, det_F.min())
-            if self.near_inverted == 1:
+            self.near.count += 1
+            self.near.min_det_F = min(self.near.min_det_F, det_F.min())
+            if self.near.count == 1:
                 log.warning(
                     "near-inverted state at iteration %d of this stage: "
                     "min det F = %.3e at point index %d",
@@ -166,23 +179,29 @@ def build_network(problem, *, hidden=(64, 64, 64), fourier_features=64,
 def train(problem, net, *, schedule=None, opt_config=None, phi0=None,
           timing=False):
     """Run the full training loop and return (phi, history); once it
-    returns or raises, count each stage's near-inverted iteration starts."""
+    returns or raises, count each stage's near-inverted iteration starts.
+
+    Of each stage's objective only its ``NearInversion`` record is kept
+    here, so a finished stage and the tape it holds are freed before the
+    next stage builds one, and no tape outlives ``train``.
+    """
     schedule = schedule or CurriculumSchedule()
     opt_config = opt_config or LBFGSConfig()
     phi = net.init_params() if phi0 is None else np.asarray(phi0, dtype=np.float64)
-    stages = []
+    near = []  # the NearInversion record of each stage begun
 
     def objective(fraction):
-        stages.append(TrainingObjective(problem, net, fraction))
-        return stages[-1]
+        obj = TrainingObjective(problem, net, fraction)
+        near.append(obj.near)
+        return obj
 
     try:
         return curriculum_train(schedule, objective, phi, opt_config, timing=timing)
     finally:
-        for k, obj in enumerate(stages):
-            if obj.near_inverted > 1:
+        for k, stage in enumerate(near):
+            if stage.count > 1:
                 log.warning("stage %d: %d iteration starts near-inverted, lowest min det F = %.3e",
-                            k, obj.near_inverted, obj.near_min_det_F)
+                            k, stage.count, stage.min_det_F)
 
 
 def _sample(net, phi, X, material):
@@ -235,6 +254,25 @@ def evaluate_fields(net, phi, X, material=None):
                 out[key] = np.empty((len(X),) + value.shape[1:], dtype=value.dtype)
             out[key][lo:hi] = value
     return out
+
+
+def sample_fields(net, phi, X):
+    """:func:`evaluate_fields` one chunk at a time, for a caller that
+    writes each chunk out and drops it before the next is sampled.
+
+    Yields ``(lo, hi, evaluate_fields(net, phi, X[lo:hi]))`` for the chunks
+    ``row_blocks(len(X), SAMPLE_CHUNK_POINTS)`` in order.  Each call samples
+    its rows in one chunk, the one a call on all of X samples them in, so
+    the values are those of that call bit for bit.  An inverted chunk
+    raises InvertedState with its ``point_index`` counted in rows of X.
+    """
+    for lo, hi in row_blocks(len(X), SAMPLE_CHUNK_POINTS):
+        try:
+            fields = evaluate_fields(net, phi, X[lo:hi])
+        except InvertedState as err:
+            err.point_index += lo
+            raise
+        yield lo, hi, fields
 
 
 def solution_l2(problem, net, phi):

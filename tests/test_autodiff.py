@@ -503,12 +503,17 @@ class TestTapeRelease:
                 gc.enable()
 
     @staticmethod
-    def objective():
+    def problem():
         from hyperelast.bvp import preset
-        from hyperelast.solver import TrainingObjective, build_network
+        from hyperelast.solver import build_network
 
         problem = preset("nh_cantilever_traction", grid=(3, 3, 3))
-        net = build_network(problem, hidden=(6,), fourier_features=2, seed=1)
+        return problem, build_network(problem, hidden=(6,), fourier_features=2, seed=1)
+
+    def objective(self):
+        from hyperelast.solver import TrainingObjective
+
+        problem, net = self.problem()
         phi = net.init_params()
         step = 1e-3 * np.random.default_rng(25).standard_normal(phi.shape)
         return TrainingObjective(problem, net), phi, step
@@ -543,6 +548,18 @@ class TestTapeRelease:
         f, _ = objective(bad)
         assert f == np.inf  # the probe stopped at InvertedState
         assert len(tapes) == 2 and self.alive(tapes) == []
+
+    def test_curriculum_frees_each_finished_stage(self, tapes):
+        # the tracked Tape checks at every evaluation, the second stage's
+        # first included, that no earlier tape is alive
+        from hyperelast.optim import CurriculumSchedule
+        from hyperelast.solver import train
+
+        problem, net = self.problem()
+        schedule = CurriculumSchedule(fractions=(0.5, 1.0), stage_iters=(2, 2))
+        _, history = train(problem, net, schedule=schedule)
+        assert [row.stage for row in history.rows] == [0, 0, 1, 1]
+        assert len(tapes) >= 4 and self.alive(tapes) == []
 
 
 class TestFdCheck:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hyperelast import autodiff as ad
 from hyperelast import cli, materials, solver
 from hyperelast.config import DEFAULTS, RunConfig, parse_override, read_file
 from hyperelast.errors import ConfigError
@@ -184,7 +185,7 @@ class TestFieldIO:
     def test_roundtrip_bit_for_bit(self, tmp_path):
         X, fields = self._fields()
         path = tmp_path / "fields.csv"
-        write_fields_csv(path, X, fields, metadata={"config_hash": "abc", "seed": 0})
+        write_fields_csv(path, [(X, fields)], metadata={"config_hash": "abc", "seed": 0})
         back = read_fields_csv(path)
         assert np.array_equal(back["X"], X)
         assert np.array_equal(back["u"], fields["u"])
@@ -195,7 +196,7 @@ class TestFieldIO:
         assert len(FIELD_COLUMNS) == 16
         X, fields = self._fields(4)
         path = tmp_path / "fields.csv"
-        write_fields_csv(path, X, fields)
+        write_fields_csv(path, [(X, fields)])
         rows = [l for l in path.read_text().strip().split("\n") if not l.startswith("#")]
         assert all(len(r.split(",")) == 16 for r in rows[1:])
         assert len(rows) == 5
@@ -203,7 +204,7 @@ class TestFieldIO:
     def test_metadata_comments(self, tmp_path):
         X, fields = self._fields(2)
         path = tmp_path / "fields.csv"
-        write_fields_csv(path, X, fields, metadata={"config_hash": "deadbeef"})
+        write_fields_csv(path, [(X, fields)], metadata={"config_hash": "deadbeef"})
         text = path.read_text()
         assert "# config_hash: deadbeef" in text
         assert text.startswith("# units:")
@@ -220,7 +221,7 @@ class TestFieldIO:
         path = tmp_path / "fields.csv"
         tracemalloc.start()
         try:
-            write_fields_csv(path, X, fields, metadata={"seed": 0})
+            write_fields_csv(path, [(X, fields)], metadata={"seed": 0})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -284,7 +285,7 @@ def test_writers_exact_text_for_edge_values(tmp_path):
     # exponent, a sum with no short decimal form, and a whole number
     table = np.resize([-0.0, 5e-324, 1e16, 0.1 + 0.2, 1.0], (2, 16))
     fields = {"u": table[:, 3:6], "P": table[:, 6:15], "von_mises": table[:, 15]}
-    write_fields_csv(tmp_path / "f.csv", table[:, :3], fields)
+    write_fields_csv(tmp_path / "f.csv", [(table[:, :3], fields)])
     a, b, c, d, e = "-0.0", "5e-324", "1e+16", "0.30000000000000004", "1.0"
     assert (tmp_path / "f.csv").read_text() == (
         "# units: X in m, u in m, P and von_mises in Pa\n"
@@ -711,6 +712,71 @@ class TestCLI:
             "--set", "export.grid=5,5,5", "--out", str(tmp_path / "fields"),
         ])
         assert code == 0
+
+    def _export(self, tmp_path, grid, name="fields"):
+        out = str(tmp_path / name)
+        code = cli.main(["export-fields", "--checkpoint", self.tiny_checkpoint(tmp_path),
+                         "--set", f"export.grid={grid}", "--out", out])
+        return code, out
+
+    def test_streamed_export_equals_whole_array_files(self, tmp_path):
+        # 17^3 = 4913 rows: a chunk of 2048 and a last one of 2865, the
+        # remainder joined to it; both files equal those written from one
+        # evaluate_fields call on every point
+        code, out = self._export(tmp_path, "17,17,17")
+        assert code == 0
+        cfg, phi = load_checkpoint(tmp_path / "checkpoint.json")
+        cfg = cfg.with_overrides({"export.grid": "17,17,17"})
+        problem = solver.problem_from_config(cfg)
+        net = solver.network_from_config(cfg, problem)
+        dims, X, spacing = cli._export_grid_points(cfg, problem.domain)
+        assert len(X) == 4913 and len(X) % solver.SAMPLE_CHUNK_POINTS > 0
+        fields = solver.evaluate_fields(net, phi, X)
+        meta = {"config_hash": cfg.hash(), "seed": cfg.get("network.seed"),
+                "problem": problem.name}
+        write_fields_csv(tmp_path / "want.csv", [(X, fields)], metadata=meta)
+        write_vtk_structured(tmp_path / "want.vtk", dims, spacing, fields, title=problem.name)
+        for name in ("csv", "vtk"):
+            with open(os.path.join(out, f"fields.{name}"), "rb") as got:
+                assert got.read() == (tmp_path / f"want.{name}").read_bytes(), name
+
+    def test_export_memory_does_not_grow_with_grid(self, tmp_path):
+        # grids of 2 and 16 chunks whose last chunk has the same 2448 rows:
+        # beyond the points and the u and von Mises arrays the VTK writer
+        # reorders, the export holds one chunk at a time
+        working = []
+        for n1 in (1124, 8292):
+            tracemalloc.start()
+            try:
+                code, _ = self._export(tmp_path, f"{n1},2,2", name=f"fields{n1}")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            n = 4 * n1
+            assert n % solver.SAMPLE_CHUNK_POINTS + solver.SAMPLE_CHUNK_POINTS == 2448
+            working.append(peak - n * (3 + 3 + 1) * 8)  # X, u and von Mises
+        assert working[1] <= 1.25 * working[0]
+
+    def test_inverted_export_chunk_leaves_no_table(self, tmp_path, capsys, monkeypatch):
+        # the second chunk inverts at its row 5: exit 3, the index counted
+        # in rows of the grid, and no partial fields.csv
+        inner, calls = solver.deformation_gradient, []
+
+        def deformation_gradient(grad_u):
+            calls.append(1)
+            if len(calls) == 2:
+                val = grad_u.val.data.copy()
+                val[5] = -np.eye(3)  # F = 0
+                grad_u = ad.Jet(ad.constant(val))
+            return inner(grad_u)
+
+        monkeypatch.setattr(solver, "deformation_gradient", deformation_gradient)
+        code, out = self._export(tmp_path, "17,17,17")
+        assert code == 3
+        assert f"(point index {solver.SAMPLE_CHUNK_POINTS + 5})" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "fields.csv"))
+        assert not os.path.exists(os.path.join(out, "fields.vtk"))
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HYPERELAST_OUT", str(tmp_path))

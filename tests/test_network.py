@@ -331,7 +331,8 @@ class TestForward:
 
 class TestPerceptronMemory:
     """What the perceptron node keeps for its vjp: per block and hidden
-    layer, the pre-activation jet Z (C, b, o) and t = tanh(Z[0]) (b, o)."""
+    layer, the pre-activation jet Z (C, b, o) with t = tanh(z) in its
+    value channel."""
 
     HIDDEN = 64
 
@@ -366,9 +367,9 @@ class TestPerceptronMemory:
         out, held = self._held(lambda: forward(spec, phi, stacks))
         n_hidden = len(spec.widths) - 2
         saved = sum(
-            (stack.shape[1] + 1) * len(stack) * self.HIDDEN * 8 * n_hidden for stack in stacks
+            stack.shape[1] * len(stack) * self.HIDDEN * 8 * n_hidden for stack in stacks
         )
-        # Z and the whole tanh jet T would be 2C channels instead of C + 1
+        # C channels: Z with a copy of t would be C + 1, Z with the tanh jet T 2C
         assert out.data.nbytes + saved <= held <= out.data.nbytes + 1.02 * saved
 
     def test_vjp_sweeps_twice_bit_for_bit(self, case):
