@@ -95,27 +95,25 @@ class PointSets:
     """All collocation data derived from one tensor grid.
 
     Rows are the strict-interior nodes, then the surface nodes, each in
-    grid (C) order, and every per-row array follows its point.  The
-    traction boundary is laid out once per grid, over F loaded faces in
-    (axis, side) order, so the loss only contracts these arrays.
+    grid (C) order, and every per-row array follows its point.  Each loss
+    term sums over all rows with one of the weight vectors, which are zero
+    off their family of rows.  The traction boundary is laid out once per
+    grid, over F loaded faces in (axis, side) order.
     """
 
     points: np.ndarray  # (N, 3)
-    vol_weights: np.ndarray  # (N,), sum = box volume
+    vol_weights: np.ndarray  # (N,) Simpson volume weights, sum = box volume
+    row_weights: np.ndarray  # (N,) 1/N: the mean over all rows
+    interior_weights: np.ndarray  # (N,) 1/n on rows [:n_interior], zero after
+    traction_weights: np.ndarray  # (N, F) 1/(point-face pairs) on each face, zero off it
     n_interior: int  # rows [:n_interior] are strictly inside, the rest on the surface
     normals: np.ndarray  # (F, 3) outward unit normal of each loaded face
     tbar: np.ndarray  # (N, F, 3) patch traction on each face, zero off it
-    member: np.ndarray  # (N, F) 1 where the point lies on the face
     load: np.ndarray  # (N, 3) nodal load: sum over faces of traction x surface weight
 
     @property
     def n_points(self):
         return self.points.shape[0]
-
-    @property
-    def n_traction(self):
-        """(point, face) pairs: an edge point counts once per loaded face."""
-        return int(self.member.sum())
 
 
 def build_point_sets(domain, patches=()):
@@ -123,8 +121,8 @@ def build_point_sets(domain, patches=()):
 
     Traction and interior points reuse the volume grid nodes, so one
     network forward pass per node serves every loss term.  The rows are
-    ordered interior first, so each family is a contiguous range of rows
-    or a weight vector over all of them.  Where patches on one face
+    ordered interior first.  An edge point lies on two faces and counts
+    once per loaded face in the traction mean.  Where patches on one face
     overlap, the first one listed covers the point.
     """
     grid, spacings = grid_points(domain.lengths, domain.counts)
@@ -146,7 +144,7 @@ def build_point_sets(domain, patches=()):
     n = points.shape[0]
     normals = np.zeros((len(faces), 3))
     tbar = np.zeros((n, len(faces), 3))
-    member = np.zeros((n, len(faces)))
+    on_face = np.zeros((n, len(faces)))
     load = np.zeros((n, 3))
     for f, (axis, side) in enumerate(faces):
         sl = [slice(None)] * 3
@@ -163,15 +161,17 @@ def build_point_sets(domain, patches=()):
         sw = (w1d[tangent[0]][:, None] * w1d[tangent[1]][None, :]).ravel()
         normals[f, axis] = 1.0 if side == "hi" else -1.0
         tbar[idx, f] = t
-        member[idx, f] = 1.0
+        on_face[idx, f] = 1.0
         load[idx] += t * sw[:, None]
     return PointSets(
         points=points,
         vol_weights=vol_w[order],
+        row_weights=np.full(n, 1.0 / n),
+        interior_weights=interior.ravel()[order] / interior.sum(),
+        traction_weights=on_face / on_face.sum(),
         n_interior=int(interior.sum()),
         normals=normals,
         tbar=tbar,
-        member=member,
         load=load,
     )
 

@@ -1,14 +1,14 @@
 """Six-term physics loss and coefficient-of-variation weighting.
 
-Term order everywhere: (energy, constitutive MSE, traction MSE from the
-displacement branch, traction MSE from the stress head, interior
-residual MSE from the displacement branch, interior residual MSE from
-the stress head).  The two "branches" refer to stress computed from the
-constitutive law applied to the displacement field versus stress read
-directly off the network head.  Each branch is a stress value P (N, 3, 3)
-and its row divergence (N, 3), the one derivative the strong-form
-residual needs.  Every term sums over all N rows of the point sets, each
-family of points selected by a weight vector that is zero off it.
+Term order everywhere is ``TERM_NAMES``.  The two "branches" refer to
+stress computed from the constitutive law applied to the displacement
+field versus stress read directly off the network head.  Each branch is
+a stress value P (N, 3, 3) and its row divergence (N, 3), the one
+derivative the strong-form residual needs.  Every term is one sum over
+all N rows of the point sets, weighted by a vector of
+:class:`hyperelast.bvp.PointSets` that is zero off the term's family of
+rows: psi by ``vol_weights``, each squared residual by ``row_weights``,
+``traction_weights`` or ``interior_weights``.
 """
 
 from __future__ import annotations
@@ -45,29 +45,28 @@ ENERGY_SHIFT_EPS = 1e-8
 
 @dataclass
 class LossBreakdown:
-    """The six tape scalars, and det F per point (plain values) for
-    inversion diagnostics."""
+    """The six tape scalars in ``TERM_NAMES`` order, and det F per point
+    (plain values) for inversion diagnostics."""
 
-    energy: ad.Var
-    mse_constitutive: ad.Var
-    mse_traction_u: ad.Var
-    mse_traction_net: ad.Var
-    mse_interior_u: ad.Var
-    mse_interior_net: ad.Var
+    terms: tuple
     det_F: np.ndarray
 
-    def terms(self):
-        return (
-            self.energy,
-            self.mse_constitutive,
-            self.mse_traction_u,
-            self.mse_traction_net,
-            self.mse_interior_u,
-            self.mse_interior_net,
-        )
-
     def values(self):
-        return np.array([float(t.data) for t in self.terms()])
+        return np.array([float(t.data) for t in self.terms])
+
+
+def check_rows(x, w):
+    """Raise LengthMismatch unless the tape value x has one row per row of
+    the weights w."""
+    if len(x.data) != len(w):
+        raise LengthMismatch(f"{len(x.data)} rows of values against {len(w)} weights")
+
+
+def mean_square(r, w):
+    """Weighted row sum of squares sum_n w_n |r_n|^2 of a residual r, where
+    w is (N,) or, for r (N, F, ...), one weight per row and face."""
+    check_rows(r, w)
+    return ad.inner(r, ad.scale(w, r))
 
 
 def potential_energy(u, problem, points, state=None):
@@ -80,52 +79,43 @@ def potential_energy(u, problem, points, state=None):
     if state is None:
         state = deformation_gradient(displacement_gradient(u))
     psi = problem.material.psi(state)
-    if psi.data.shape[0] != points.vol_weights.shape[0]:
-        raise LengthMismatch("energy density not aligned with volume weights")
+    check_rows(psi, points.vol_weights)
     internal = ad.inner(psi, points.vol_weights)
     load = points.load
     external = ad.inner(u.val, load) if np.any(load) else ad.constant(0.0)
     return ad.sub(internal, external), internal, external
 
 
-def mse_constitutive(P_net, P_u):
+def mse_constitutive(P_net, P_u, points):
     """Mean squared Frobenius mismatch between the two stress fields."""
-    if P_net.data.shape != P_u.data.shape:
-        raise LengthMismatch("stress fields sampled on different point sets")
-    d = ad.sub(P_net, P_u)
-    n_points = d.data.size // 9
-    return ad.mul(ad.inner(d, d), 1.0 / n_points)
+    return mean_square(ad.sub(P_net, P_u), points.row_weights)
 
 
 def mse_traction(P_u, P_net, points):
     """Traction residual mean ||P N - t||^2 for both stress branches.
 
-    Every traction-face point contributes once per face it belongs to,
-    with that face's outward normal and patch traction.  The residual
-    r = P N - t is formed for every point and face at once and summed
-    with the weights member / n_traction, which are zero off the faces.
+    The residual r = P N - t is formed for every point and loaded face at
+    once; the traction weights count every face point once per face it
+    belongs to and are zero off the faces.
     """
-    if not points.n_traction:
+    if not len(points.normals):
         z = ad.constant(0.0)
         return z, z
-    w = points.member / points.n_traction
+    w = points.traction_weights
     sums = []
     for P in (P_u, P_net):
+        check_rows(P, w)  # before P N - t is formed
         r = ad.sub(ad.contract(points.normals, P, (2,), dest=1), points.tbar)
-        sums.append(ad.inner(r, ad.scale(w, r)))
-    return sums[0], sums[1]
+        sums.append(mean_square(r, w))
+    return tuple(sums)
 
 
 def mse_interior(div_u, div_net, points):
     """Strong-form residual mean ||div P||^2 for both branches, from the
-    row divergences (N, 3): weight 1/n on the n interior rows and zero on
-    the surface rows, whose divergences are finite placeholders (see
+    row divergences (N, 3).  The interior weights are zero on the surface
+    rows, whose divergences are finite placeholders (see
     :mod:`hyperelast.network`), so they leave value and gradient exactly."""
-    n = points.n_interior
-    w = np.zeros(points.n_points)
-    w[:n] = 1.0 / n
-    sums = [ad.inner(div, ad.scale(w, div)) for div in (div_u, div_net)]
-    return sums[0], sums[1]
+    return tuple(mean_square(div, points.interior_weights) for div in (div_u, div_net))
 
 
 def assemble(u, P_net, div_net, problem, points):
@@ -134,18 +124,13 @@ def assemble(u, P_net, div_net, problem, points):
     state = deformation_gradient(displacement_gradient(u))
     P_u, div_u = problem.material.stress(state)
     energy, _, _ = potential_energy(u, problem, points, state=state)
-    mse_P = mse_constitutive(P_net, P_u)
-    mse_t_u, mse_t_net = mse_traction(P_u, P_net, points)
-    mse_i_u, mse_i_net = mse_interior(div_u, div_net, points)
-    return LossBreakdown(
-        energy=energy,
-        mse_constitutive=mse_P,
-        mse_traction_u=mse_t_u,
-        mse_traction_net=mse_t_net,
-        mse_interior_u=mse_i_u,
-        mse_interior_net=mse_i_net,
-        det_F=state.J.val.data,
+    terms = (
+        energy,
+        mse_constitutive(P_net, P_u, points),
+        *mse_traction(P_u, P_net, points),
+        *mse_interior(div_u, div_net, points),
     )
+    return LossBreakdown(terms, state.J.val.data)
 
 
 class CoVState:
@@ -239,5 +224,5 @@ class LossWeights:
     def total(self, breakdown):
         """Weighted sum of the active terms on the tape; the weights enter
         as constants, so no gradient flows through the weighting."""
-        terms = breakdown.terms()
-        return ad.inner(ad.stack([terms[i] for i in self.active]), self.values[list(self.active)])
+        terms = [breakdown.terms[i] for i in self.active]
+        return ad.inner(ad.stack(terms), self.values[list(self.active)])

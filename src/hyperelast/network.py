@@ -41,9 +41,9 @@ Training feeds two stacks, order 2 on the interior rows [:n_interior]
 and order 1 on the surface rows after them.  Contract: the Hessian
 channels are nonzero on rows [:n_interior] only, so the displacement
 branch's div P is a finite placeholder on the other rows.  Only the
-strong-form residuals read the divergences, with zero weight off the
-interior rows in ``losses.mse_interior``, so the skipped channels'
-adjoint is exactly zero and the gradient is unchanged.
+strong-form residuals read the divergences, and their weights
+``PointSets.interior_weights`` are zero off the interior rows, so the
+skipped channels' adjoint is exactly zero and the gradient is unchanged.
 """
 
 from __future__ import annotations

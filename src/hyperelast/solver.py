@@ -92,7 +92,7 @@ class TrainingObjective:
         # network serves every stage
         lift, lift_grad, *mask = problem.enforcer.bc_jets(X)
         self.bc = (fraction * lift, fraction * lift_grad, *mask)
-        self.weights = LossWeights(problem.mask, has_traction=self.points.n_traction > 0)
+        self.weights = LossWeights(problem.mask, has_traction=len(points.normals) > 0)
         self.last_terms = np.zeros(N_TERMS)
         self.iteration = 0  # begin_iteration calls so far, i.e. in this stage
         self.near = NearInversion()

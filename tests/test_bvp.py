@@ -103,7 +103,7 @@ class TestPointSets:
         vol_w = np.einsum("i,j,k->ijk", *w1d).ravel()
         flat = np.arange(grid.shape[0]).reshape(domain.counts)
         n, n_faces = grid.shape[0], ps.normals.shape[0]
-        tbar, member, load = np.zeros((n, n_faces, 3)), np.zeros((n, n_faces)), np.zeros((n, 3))
+        tbar, on_face, load = np.zeros((n, n_faces, 3)), np.zeros((n, n_faces)), np.zeros((n, 3))
         for f, normal in enumerate(ps.normals):
             (axis,) = np.flatnonzero(normal)
             side = "hi" if normal[axis] > 0 else "lo"
@@ -118,11 +118,13 @@ class TestPointSets:
                     assigned |= covered
             a, b = (k for k in range(3) if k != axis)
             tbar[idx, f] = t
-            member[idx, f] = 1.0
+            on_face[idx, f] = 1.0
             load[idx] += t * np.outer(w1d[a], w1d[b]).ravel()[:, None]
         assert np.array_equal(ps.vol_weights, vol_w[order])
         assert np.array_equal(ps.tbar, tbar[order])
-        assert np.array_equal(ps.member, member[order])
+        assert np.array_equal(ps.traction_weights, on_face[order] / on_face.sum())
+        assert np.array_equal(ps.interior_weights, interior[order] / interior.sum())
+        assert np.array_equal(ps.row_weights, np.full(n, 1.0 / n))
         assert np.array_equal(ps.load, load[order])
 
     def test_surface_weights_sum_to_area(self):
@@ -141,12 +143,44 @@ class TestPointSets:
         ps = problem.point_sets()
         d = problem.domain
         assert ps.normals.shape == (5, 3)
-        for normal, member in zip(ps.normals, ps.member.T):
+        # 25 nodes on each of the five loaded faces, edge nodes once per face
+        w = 1.0 / (5 * 25)
+        for normal, weights in zip(ps.normals, ps.traction_weights.T):
             (axis,) = np.flatnonzero(normal)
             assert abs(normal[axis]) == 1.0
             value = d.lengths[axis] if normal[axis] > 0 else 0.0
-            assert np.array_equal(member == 1.0, ps.points[:, axis] == value)
-            assert np.all((member == 0.0) | (member == 1.0))
+            assert np.array_equal(weights == w, ps.points[:, axis] == value)
+            assert np.all((weights == 0.0) | (weights == w))
+
+    @pytest.mark.parametrize("name, grid", [
+        ("nh_cantilever_traction", (9, 5, 3)),
+        ("nh_localized_traction", (11, 11, 11)),
+        ("nh_uniaxial_traction", (5, 7, 3)),
+        ("nh_simple_shear", (5, 5, 5)),
+    ])
+    def test_weight_families(self, name, grid):
+        # each family's weights sum to one (the volume weights to the box
+        # volume), are uniform over the family and zero off it
+        problem = preset(name, grid=grid)
+        ps = problem.point_sets()
+        n, n_in = ps.n_points, ps.n_interior
+        assert_allclose(ps.vol_weights.sum(), np.prod(problem.domain.lengths), rtol=1e-13)
+        assert np.all(ps.vol_weights > 0.0)
+        assert np.all(ps.row_weights == 1.0 / n)
+        assert np.all(ps.interior_weights[:n_in] == 1.0 / n_in)
+        assert np.all(ps.interior_weights[n_in:] == 0.0)
+        hi = np.asarray(problem.domain.lengths)
+        faces = np.zeros((n, len(ps.normals)), dtype=bool)
+        for f, normal in enumerate(ps.normals):
+            (axis,) = np.flatnonzero(normal)
+            faces[:, f] = ps.points[:, axis] == (hi[axis] if normal[axis] > 0 else 0.0)
+        w = ps.traction_weights
+        assert w.shape == (n, len(ps.normals))
+        assert np.all(w[faces] == 1.0 / max(faces.sum(), 1)) and np.all(w[~faces] == 0.0)
+        assert not np.any(ps.tbar[~faces]) and not np.any(ps.load[~faces.any(axis=1)])
+        assert_allclose(ps.row_weights.sum(), 1.0, rtol=1e-13)
+        assert_allclose(ps.interior_weights.sum(), 1.0, rtol=1e-13)
+        assert_allclose(w.sum(), 1.0 if len(ps.normals) else 0.0, rtol=1e-13)
 
     def test_even_grid_rejected(self):
         with pytest.raises(EvenCount):
@@ -237,7 +271,7 @@ class TestPresets:
         p = preset("nh_localized_traction", grid=(11, 11, 11))
         ps = p.point_sets()
         (f,) = np.flatnonzero(ps.normals[:, 0] == 1.0)  # the X1-hi face
-        on_face = ps.member[:, f] == 1.0
+        on_face = ps.traction_weights[:, f] != 0.0
         X, tbar = ps.points[on_face], ps.tbar[on_face, f]
         tol = 0.1 + 1e-9
         inside = (np.abs(X[:, 1] - 0.5) <= tol) & (np.abs(X[:, 2] - 0.5) <= tol)
@@ -264,7 +298,7 @@ class TestPresets:
             P0 = eval_stress(p.material, F0)
             # each loaded face's traction is the exact stress times its normal
             for f, normal in enumerate(ps.normals):
-                on_face = ps.member[:, f] == 1.0
+                on_face = ps.traction_weights[:, f] != 0.0
                 assert_allclose(ps.tbar[on_face, f], np.broadcast_to(P0 @ normal, (81, 3)),
                                 atol=1e-9)
             # the reference meets every roller: u_a = 0 on X_a = 0
@@ -286,7 +320,8 @@ class TestPresets:
         assert np.array_equal(pa.vol_weights, pb.vol_weights)
         assert a.material == b.material
         assert a.enforcer.faces == b.enforcer.faces
-        for name in ("normals", "tbar", "member", "load"):
+        for name in ("row_weights", "interior_weights", "traction_weights",
+                     "normals", "tbar", "load"):
             assert np.array_equal(getattr(pa, name), getattr(pb, name))
 
 

@@ -5,6 +5,9 @@ expected value here comes from hand algebra or a brute-force
 recomputation independent of the production code path.
 """
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,8 +25,11 @@ from hyperelast.errors import LengthMismatch, NonFiniteLoss
 from hyperelast.losses import (
     ENERGY_SHIFT_EPS,
     CoVState,
+    TERM_NAMES,
+    LossBreakdown,
     LossWeights,
     assemble,
+    mean_square,
     mse_constitutive,
     mse_interior,
     mse_traction,
@@ -105,17 +111,22 @@ class TestPotentialEnergy:
         assert_allclose(total.data, internal.data - external.data, rtol=1e-15)
 
 
+def rows(n):
+    """The constitutive mean's weights on n rows, as a point set carries them."""
+    return SimpleNamespace(row_weights=np.full(n, 1.0 / n))
+
+
 class TestMSEConstitutive:
     def test_equal_fields(self):
         X = np.zeros((4, 3))
         P, _ = const_stress(X, np.eye(3))
-        assert mse_constitutive(P, P).data == 0.0
+        assert mse_constitutive(P, P, rows(4)).data == 0.0
 
     def test_single_point_definition(self):
         X = np.zeros((1, 3))
         P1, _ = const_stress(X, 2.0 * np.outer([1, 0, 0], [1, 0, 0]))
         P0, _ = const_stress(X, np.zeros((3, 3)))
-        assert mse_constitutive(P1, P0).data == 4.0
+        assert mse_constitutive(P1, P0, rows(1)).data == 4.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
@@ -123,7 +134,7 @@ class TestMSEConstitutive:
         A = rng.standard_normal((N, 3, 3))
         B = rng.standard_normal((N, 3, 3))
         X = np.zeros((N, 3))
-        got = mse_constitutive(ad.constant(A), ad.constant(B)).data
+        got = mse_constitutive(ad.constant(A), ad.constant(B), rows(N)).data
         brute = 0.0
         for n in range(N):
             for i in range(3):
@@ -147,7 +158,8 @@ class TestMSETraction:
         tu, tn = mse_traction(Z, Z, ps)
         # 3 x 3 nodes on the loaded end; 9 + 4 * (5 x 3) (point, face) pairs
         assert np.count_nonzero(np.any(ps.tbar, axis=-1)) == 9
-        assert ps.n_traction == 69
+        w = ps.traction_weights
+        assert np.count_nonzero(w) == 69 and np.all(w[w != 0.0] == 1.0 / 69)
         expected = 9 * 25.0 / 69
         assert_allclose(tu.data, expected, rtol=1e-13)
         assert tn.data == tu.data
@@ -192,7 +204,8 @@ class TestMSETraction:
         A = rng.standard_normal((3, 3))
         P, _ = const_stress(ps.points, A)
         tu, tn = mse_traction(P, P, ps)
-        assert ps.n_traction == 9  # the 3 x 3 nodes of the X1-hi face
+        # the 3 x 3 nodes of the X1-hi face
+        assert np.count_nonzero(ps.traction_weights) == 9
         # every face point has the same residual, so the mean is one point's
         r = A @ np.array([1.0, 0.0, 0.0]) - np.asarray(tbar)
         brute = float(r @ r)
@@ -223,6 +236,10 @@ class TestMSETraction:
                         pairs += 1
             assert pairs == 5 * 7 + 3 * 7  # the 7 edge points counted twice
             assert_allclose(got.data, brute / pairs, rtol=1e-12)
+        w = ps.traction_weights
+        assert np.count_nonzero(w) == pairs and np.all(w[w != 0.0] == 1.0 / pairs)
+        edge = (ps.points[:, 0] == 1.0) & (ps.points[:, 1] == 1.0)
+        assert edge.sum() == 7 and np.all(w[edge] == 1.0 / pairs)
 
 
 class TestMSEInterior:
@@ -250,7 +267,80 @@ class TestMSEInterior:
         u = linear_u_jets(ps.points, G)
         P0 = np.zeros((3, 3))
         breakdown = assemble(u, *const_stress(ps.points, P0), problem, ps)
-        assert breakdown.mse_interior_u.data <= 1e-10
+        assert breakdown.terms[TERM_NAMES.index("mse_interior_u")].data <= 1e-10
+
+
+class TestRowAlignment:
+    """A residual sampled on other rows than its weights raises
+    LengthMismatch in every weighted term."""
+
+    def test_mean_square(self):
+        with pytest.raises(LengthMismatch):
+            mean_square(ad.constant(np.ones((4, 3))), np.full(5, 0.2))
+        with pytest.raises(LengthMismatch):
+            mean_square(ad.constant(np.ones((4, 2, 3))), np.full((5, 2), 0.1))
+
+    def test_every_term(self):
+        problem, ps = cantilever_points((5, 3, 3))
+        _, other = cantilever_points((7, 3, 3))
+        P, div = const_stress(ps.points, np.eye(3))
+        with pytest.raises(LengthMismatch):
+            potential_energy(zero_u_jets(ps.points), problem, other)
+        with pytest.raises(LengthMismatch):
+            mse_constitutive(P, P, other)
+        with pytest.raises(LengthMismatch):
+            mse_traction(P, P, other)
+        with pytest.raises(LengthMismatch):
+            mse_interior(div, div, other)
+        with pytest.raises(LengthMismatch):
+            assemble(zero_u_jets(ps.points), P, div, problem, other)
+
+
+def with_zero_weight_rows(ps, X):
+    """``ps`` with the rows X appended: zero in every weight vector, and
+    no traction or load on them."""
+
+    def pad(a):
+        return np.concatenate([a, np.zeros((len(X),) + a.shape[1:])])
+
+    return replace(
+        ps, points=np.concatenate([ps.points, X]),
+        **{name: pad(getattr(ps, name)) for name in (
+            "vol_weights", "row_weights", "interior_weights", "traction_weights",
+            "tbar", "load")},
+    )
+
+
+class TestZeroWeightRows:
+    def test_extra_rows_change_no_term_or_gradient(self):
+        # appended rows outside every family leave the loss alone
+        from hyperelast.solver import build_network
+
+        problem, ps = cantilever_points((5, 3, 3))
+        net = build_network(problem, hidden=(8, 8), fourier_features=2, seed=3)
+        rng = np.random.default_rng(11)
+        phi = net.init_params() + 0.01 * rng.standard_normal(net.n_params)
+        X = rng.uniform(0.0, 1.0, size=(7, 3)) * problem.domain.lengths
+        ext = with_zero_weight_rows(ps, X)
+
+        def terms_and_gradients(points):
+            X, n = points.points, points.n_interior
+            tape = ad.Tape()
+            p = tape.input(phi)
+            u, P, div = net.fields(
+                p, X, features=(net.rff.features(X[:n], 2), net.rff.features(X[n:], 1)),
+                bc=problem.enforcer.bc_jets(X),
+            )
+            br = assemble(u, P, div, problem, points)
+            return br.values(), [ad.reverse_gradient(t, p) for t in br.terms]
+
+        values, grads = terms_and_gradients(ps)
+        ext_values, ext_grads = terms_and_gradients(ext)
+        assert np.all(values != 0.0)
+        assert_allclose(ext_values, values, rtol=1e-12)
+        for name, g, ext_g in zip(TERM_NAMES, grads, ext_grads):
+            assert np.any(g != 0.0), name
+            assert_allclose(ext_g, g, rtol=1e-12, err_msg=name)
 
 
 class TestCoVUpdate:
@@ -350,14 +440,9 @@ class TestCoVUpdate:
             CoVState(3).update(np.ones(2))
 
 
-class ScriptedBreakdown:
+def scripted_breakdown(x):
     """Six loss terms read off a (6,) Var, taped or constant."""
-
-    def __init__(self, x):
-        self.x = x
-
-    def terms(self):
-        return tuple(ad.inner(self.x, np.eye(6)[i]) for i in range(6))
+    return LossBreakdown(tuple(ad.inner(x, np.eye(6)[i]) for i in range(6)), None)
 
 
 class TestTotalLoss:
@@ -367,7 +452,7 @@ class TestTotalLoss:
 
     def test_uniform_weights_unit_terms(self):
         # direct check of the weighted-sum identity on scripted scalars
-        total = LossWeights("full", has_traction=True).total(ScriptedBreakdown(np.ones(6)))
+        total = LossWeights("full", has_traction=True).total(scripted_breakdown(np.ones(6)))
         assert_allclose(total.data, 1.0, rtol=1e-15)
 
     def test_dem_mask_keeps_energy_only(self):
@@ -375,7 +460,7 @@ class TestTotalLoss:
         ps = problem.point_sets()
         br = self._unit_breakdown(problem, ps)
         total = LossWeights("dem", has_traction=True).total(br)
-        assert total.data == br.energy.data
+        assert total.data == br.terms[TERM_NAMES.index("energy")].data
 
     def test_dcm_mask_terms(self):
         for mask, has_traction, active in (
@@ -411,7 +496,7 @@ class TestTotalLoss:
         def total(x):
             tape = ad.Tape()
             xv = tape.input(x)
-            out = weights.total(ScriptedBreakdown(xv))
+            out = weights.total(scripted_breakdown(xv))
             return float(out.data), ad.reverse_gradient(out, xv)
 
         x = rng.uniform(0.1, 10.0, size=6)
