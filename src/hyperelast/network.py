@@ -11,22 +11,24 @@ are plain arrays, laid out once per point set by
 
 The perceptron's input jets have C channels per point: channel 0 holds
 the values, 1-3 the spatial gradient and 4-9 the packed Hessian (C = 10,
-or 4 without a Hessian).  For Fourier features every derivative channel
-is the value row or its quarter turn (-sin, cos) times fixed frequency
-factors, so :meth:`RFFMap.features` keeps only those two rows per point,
-a :class:`FeatureStack` (n, 2, w) standing for the dense (n, C, w) stack.
-The whole perceptron is one tape node that runs its forward pass and its
-vjp over blocks of ``BLOCK_POINTS`` points, so every temporary stays
-cache-sized and is reused instead of being allocated afresh.  Within a
-block the jets are (C, b, w), built from the stack per block: an affine
+or 4 without a Hessian).  For Fourier features channel c is the values
+times fixed frequency factors, on the gradient channels turned a quarter,
+(cos, sin) -> (-sin, cos), so a :class:`FeatureStack` keeps the values
+(n, w) only and stands for the dense (n, C, w) stack.  The turn is one
+of the row pairs of layer 0's weights, so :meth:`FeatureStack.fold`
+moves factors and turn into them and layer 0 is one product of the
+values with the folded weights: neither the forward pass nor the vjp
+builds input jets.  The whole perceptron is one tape node that runs its
+forward pass and its vjp over blocks of ``BLOCK_POINTS`` points, so
+every temporary stays cache-sized and is reused instead of being
+allocated afresh.  Within a block the jets are (C, b, o): an affine
 layer is one matrix product with the bias on channel 0, and the tanh
 rules scale whole contiguous channels by per-unit factors.  For its vjp
 a taped node keeps, per block and hidden layer, only the pre-activation
 jet Z, with the unit values t = tanh(z) in place of z, which no tanh
 rule reads: C channels, where Z and the tanh jet T would take 2C.  The
 vjp rebuilds each T from it once per sweep, by the forward's own
-elementwise rules, and a block's input jets once more when it reaches
-layer 0, so the gradient is unchanged bit for bit.
+elementwise rules, so the gradient is unchanged bit for bit.
 
 The node's output (N, C, 12) is read by one head node with one output
 per head field: the displacement jet u (N, 3) with gradient (N, 3, 3)
@@ -48,7 +50,6 @@ skipped channels' adjoint is exactly zero and the gradient is unchanged.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,56 +115,51 @@ class RFFMap:
         X = np.asarray(X, dtype=np.float64)
         W = 2.0 * np.pi * self.freq  # (m, 3)
         w = np.einsum("...d,md->...m", X, W, optimize=True)
-        c, s = np.cos(w), np.sin(w)
-        # the value row and its quarter turn (-sin, cos), interleaved once
-        rows = np.empty((len(X), 2, 2 * self.m))
-        val, turn = rows[:, 0], rows[:, 1]
-        val[:, 0::2] = c
-        val[:, 1::2] = s
-        np.negative(s, out=turn[:, 0::2])
-        turn[:, 1::2] = c
-        hess = None
+        values = np.empty((len(X), 2 * self.m))
+        values[:, 0::2] = np.cos(w)
+        values[:, 1::2] = np.sin(w)
+        factors = [np.ones((1, self.m)), W.T]
         if order == 2:
-            hess = np.repeat((W[:, ad.PACK_A] * W[:, ad.PACK_B]).T, 2, axis=-1)  # (6, 2m)
-        return FeatureStack(rows, np.repeat(W.T, 2, axis=-1), hess)
+            factors.append(-(W[:, ad.PACK_A] * W[:, ad.PACK_B]).T)
+        return FeatureStack(values, np.repeat(np.concatenate(factors), 2, axis=-1))
 
 
 @dataclass(frozen=True, eq=False)
 class FeatureStack:
-    """Fourier features of n points, kept as the rows that every channel
-    is a multiple of.
-
-    ``rows`` (n, 2, w) holds per point the value row and its quarter turn;
-    the gradient channel d is the turn times ``grad[d]`` and the packed
-    Hessian channel k minus the values times ``hess[k]``, the frequency
-    factors (3, w) and (6, w) repeated per cos/sin pair (``hess`` is None
-    at order 1).  ``shape`` and ``len`` are those of the dense stack
-    (n, C, w) it stands for; :meth:`jets` builds a block of it.
+    """Fourier features of n points: ``values`` (n, w), the cos/sin pairs
+    interleaved, and ``factors`` (C, w), a row of ones, the three gradient
+    factors and, at order 2, the six negated packed-Hessian factors, each
+    repeated per pair.  Channel c of the dense stack (n, C, w) is the
+    values times ``factors[c]``, on channels 1-3 turned a quarter, (cos,
+    sin) -> (-sin, cos).  ``shape`` and ``len`` are the dense stack's,
+    which is never built: :meth:`fold` moves factors and turn into W.
     """
 
-    rows: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray = None
+    values: np.ndarray
+    factors: np.ndarray
 
     @property
     def shape(self):
-        return (len(self.rows), 4 if self.hess is None else 10, self.rows.shape[-1])
+        return (len(self.values), len(self.factors), self.values.shape[-1])
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.values)
 
-    def jets(self, lo=0, hi=None, buf=None):
-        """The channel-major jets (C, b, w) of rows lo:hi, each channel
-        block one product of a row with its factors; written to the front
-        of the flat array ``buf`` when one is given."""
-        val, turn = self.rows[lo:hi, 0], self.rows[lo:hi, 1]
-        shape = (self.shape[1],) + val.shape
-        S = np.empty(shape) if buf is None else buf[:np.prod(shape)].reshape(shape)
-        S[0] = val
-        np.multiply(turn, self.grad[:, None, :], out=S[1:4])
-        if self.hess is not None:
-            np.multiply(np.negative(val), self.hess[:, None, :], out=S[4:])
-        return S
+    def fold(self, W):
+        """The weights M (C, w, o) with ``values @ M[c]`` channel c of the
+        dense stack times W.T, for W (o, w): the factors times W.T, whose
+        row pairs turn a quarter on channels 1-3 as the features would."""
+        M = self.factors[:, :, None] * W.T
+        pairs = M[1:4].reshape(3, -1, 2, len(W))
+        pairs[...] = pairs[:, :, ::-1] * [[1.0], [-1.0]]  # (a, b) -> (b, -a)
+        return M
+
+    def unfold(self, dM):
+        """The adjoint (o, w) of W under :meth:`fold` from that of M,
+        (C, w, o), which it overwrites."""
+        pairs = dM[1:4].reshape(3, -1, 2, dM.shape[-1])
+        pairs[...] = pairs[:, :, ::-1] * [[-1.0], [1.0]]
+        return np.multiply(dM, self.factors[:, :, None], out=dM).sum(axis=0).T
 
 
 @dataclass(frozen=True)
@@ -180,6 +176,8 @@ class MLPSpec:
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         if len(self.widths) < 2:
             raise ValueError("need at least input and output widths")
+        if min(self.widths) < 1:
+            raise ValueError(f"layer widths must be >= 1, got {self.widths}")
         if self.widths[-1] != N_OUTPUTS:
             raise ValueError(f"output width must be {N_OUTPUTS}, got {self.widths[-1]}")
 
@@ -283,62 +281,52 @@ def _tanh_jet_back(Z, factors, dT):
     return A
 
 
-def _block_forward(layers, S, out, rows, keep):
-    """One block of channel-major input jets S (C, b, i) through every
-    layer into the slice ``rows`` of ``out`` (N, >= C, 12).
+def _block_forward(layers, Z, out, rows, keep):
+    """One block's layer-0 pre-activation jet Z (C, b, o) through every
+    further layer into the slice ``rows`` of ``out`` (N, >= C, 12).
 
     With ``keep``, returns per hidden layer its pre-activation jet Z, all
-    the vjp needs besides the block's input, with t = tanh(z) in place of
-    its value channel z, which no tanh rule reads; the tanh jet T itself
-    feeds the next layer's product and is dropped.  Without, keeps
-    nothing.
+    the vjp needs, with t = tanh(z) in place of its value channel z,
+    which no tanh rule reads; the tanh jet T itself feeds the next
+    layer's product and is dropped.  Without, keeps nothing.
     """
     hidden = []
-    for W, bias in layers[:-1]:
-        Z = np.matmul(S, W.T)
-        Z[0] += bias
+    for W, bias in layers[1:]:
         S = np.empty_like(Z)
         t = np.tanh(Z[0], out=S[0])
         _tanh_jet(Z, t, S)
         if keep:
             Z[0] = t
             hidden.append(Z)
-    W, bias = layers[-1]
-    Y = np.matmul(S, W.T)
-    Y[0] += bias
-    out[rows, :Y.shape[0]] = Y.transpose(1, 0, 2)
+        Z = np.matmul(S, W.T)
+        Z[0] += bias
+    out[rows, :Z.shape[0]] = Z.transpose(1, 0, 2)
     return hidden
 
 
-def _block_backward(layers, inputs, hidden, dY, grads):
-    """Add one block's parameter adjoints into ``grads`` ((dW, db) views),
-    given ``inputs``, which builds the block's input jets (C, b, i) when
-    called, the ``hidden`` jets Z of :func:`_block_forward` and the
-    adjoint dY (b, C, 12) of its output.
+def _block_backward(layers, hidden, dY, grads):
+    """Add one block's adjoints of the parameters past layer 0 into
+    ``grads`` ((dW, db) views), given the ``hidden`` jets Z of
+    :func:`_block_forward` and the adjoint dY (b, C, 12) of its output;
+    returns the adjoint (C, b, o) of layer 0's pre-activation.
 
     Each hidden layer's tanh jet is rebuilt once, as the input of the next
-    layer's weight adjoint, and its factors serve the layer's tanh rule;
-    the input jets are built only for layer 0's weight adjoint.  Nothing
-    saved is written to, so the tape can be swept again.
+    layer's weight adjoint, and its factors serve the layer's tanh rule.
+    Nothing saved is written to, so the tape can be swept again.
     """
-    dY = dY.transpose(1, 0, 2)
-    factors = None
-    for li in range(len(layers) - 1, -1, -1):
+    A = dY.transpose(1, 0, 2)
+    for li in range(len(hidden), 0, -1):
         W = layers[li][0]
-        A = dY if li == len(hidden) else _tanh_jet_back(hidden[li], factors, dY)
-        if li > 0:
-            Z = hidden[li - 1]
-            S = np.empty_like(Z)
-            S[0] = Z[0]
-            factors = _tanh_jet(Z, S[0], S)
-        else:
-            S = inputs()
+        Z = hidden[li - 1]
+        S = np.empty_like(Z)
+        S[0] = Z[0]
+        factors = _tanh_jet(Z, S[0], S)
         A2 = A.reshape(-1, W.shape[0])
         dW, db = grads[li]
         dW += A2.T @ S.reshape(-1, W.shape[1])
         db += A[0].sum(axis=0)
-        if li > 0:  # the features are constants
-            dY = (A2 @ W).reshape(S.shape)
+        A = _tanh_jet_back(Z, factors, (A2 @ W).reshape(S.shape))
+    return A
 
 
 def forward(spec, phi, stacks):
@@ -350,16 +338,16 @@ def forward(spec, phi, stacks):
     a Var (N, C, 12) with C the largest C_k, whose Hessian channels are
     zero on the rows of an order-1 stack.  Each stack runs its own blocks
     of ``BLOCK_POINTS`` points at its order, forward and in the vjp, each
-    block reading and writing a slice of rows, and the blocks' parameter
-    adjoints are summed in block order.  A block's channel-major input
-    jets are built from its stack in the forward pass, into one buffer
-    per stack, and again when the vjp reaches layer 0.  Only a taped
-    ``phi`` keeps what its vjp needs: per block and hidden layer, the
-    pre-activation jet with the tanh values in its value channel; a
-    constant ``phi`` (the export) keeps nothing.  When every stack spans
-    a block, a row equals bit for bit that of an all-rows order-2 pass,
-    and a loss reading Hessians of order-2 rows only has the same
-    gradient.
+    block reading and writing a slice of rows.  Layer 0 of a block is one
+    product of its feature values with the stack's folded weights
+    (:meth:`FeatureStack.fold`); the vjp sums each stack's folded weight
+    adjoint over its blocks and unfolds it once, and the other parameter
+    adjoints are summed in block order.  Only a taped ``phi`` keeps what
+    its vjp needs: per block and hidden layer, the pre-activation jet
+    with the tanh values in its value channel; a constant ``phi`` (the
+    export) keeps nothing.  When every stack spans a block, a row equals
+    bit for bit that of an all-rows order-2 pass, and a loss reading
+    Hessians of order-2 rows only has the same gradient.
     """
     if phi.data.shape != (spec.n_params,):
         raise ShapeMismatch(
@@ -373,26 +361,32 @@ def forward(spec, phi, stacks):
     slices = spec.layer_slices()
     layers = [(phi.data[ws].reshape(fo, fi), phi.data[bs]) for ws, bs, fi, fo in slices]
     keep = phi.node is not None
-    saved = []  # (output rows, channels, input builder, hidden Z) per block
+    saved = []  # (stack, first output row, (lo, hi, hidden Z) per block) per stack
     start = 0
     for stack in stacks:
-        C = stack.shape[1]
-        blocks = row_blocks(len(stack), BLOCK_POINTS)
-        # one buffer for the input jets of every block of the stack: a
-        # fresh array per block is often page-faulted in afresh
-        buf = np.empty(C * max(hi - lo for lo, hi in blocks) * stack.shape[2])
-        for lo, hi in blocks:
-            sel = slice(start + lo, start + hi)
-            hidden = _block_forward(layers, stack.jets(lo, hi, buf), out, sel, keep)
-            if keep:
-                saved.append((sel, C, functools.partial(stack.jets, lo, hi), hidden))
+        M = stack.fold(layers[0][0])
+        blocks = []
+        for lo, hi in row_blocks(len(stack), BLOCK_POINTS):
+            Z = np.matmul(stack.values[lo:hi], M)
+            Z[0] += layers[0][1]
+            hidden = _block_forward(layers, Z, out, slice(start + lo, start + hi), keep)
+            blocks.append((lo, hi, hidden))
+        if keep:
+            saved.append((stack, start, blocks))
         start += len(stack)
 
     def back(adj):
         grad = np.zeros(spec.n_params)
         grads = [(grad[ws].reshape(fo, fi), grad[bs]) for ws, bs, fi, fo in slices]
-        for sel, C, inputs, hidden in saved:
-            _block_backward(layers, inputs, hidden, adj[sel, :C], grads)
+        dW, db = grads[0]
+        for stack, start, blocks in saved:
+            dM = 0.0  # the folded layer-0 weight adjoint, summed over blocks
+            for lo, hi, hidden in blocks:
+                dY = adj[start + lo:start + hi, :stack.shape[1]]
+                A = _block_backward(layers, hidden, dY, grads)
+                dM += stack.values[lo:hi].T @ A
+                db += A[0].sum(axis=0)
+            dW += stack.unfold(dM)
         return grad
 
     op = "mlp[val,grad,hess]" if n_channels > 4 else "mlp[val,grad]"

@@ -83,6 +83,8 @@ class LBFGSConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not 0.0 <= self.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be finite and >= 0, got {self.grad_tol}")
 
 
 @dataclass(frozen=True)

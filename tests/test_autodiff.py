@@ -11,33 +11,21 @@ import hyperelast.autodiff as ad
 from hyperelast.errors import DomainError, EmptyTape, InvertedState
 
 
-class DenseJets:
-    """Hand-made input jets (n, C, w) in the form network.forward takes."""
-
-    def __init__(self, stack):
-        self.stack = stack
-        self.shape = stack.shape
-
-    def __len__(self):
-        return len(self.stack)
-
-    def jets(self, lo=0, hi=None, buf=None):
-        return np.ascontiguousarray(self.stack[lo:hi].transpose(1, 0, 2))
-
-
 class TestJetPrimitives:
     def test_tanh_at_zero(self):
-        # one tanh unit per feature at z = 0 under identity weights:
-        # value 0, gradient G and Hessian t1 H + t2 G[A] G[B] = 0
-        from hyperelast.network import MLPSpec, forward
+        # one tanh unit per feature at z = 0: at X = 0 with frequencies
+        # I / 2 pi, unit weights on the sine columns give z = 0, gradient
+        # G = I and Hessian 0, so the unit's value is 0, its gradient G
+        # and its Hessian t1 H + t2 G[A] G[B] = 0
+        from hyperelast.network import MLPSpec, RFFMap, forward
 
-        spec = MLPSpec(widths=(3, 3, 12))
+        rff = RFFMap(m=3, sigma=1.0, seed=0)
+        object.__setattr__(rff, "freq", np.eye(3) / (2.0 * np.pi))
+        spec = MLPSpec(widths=(6, 3, 12))
         phi = np.zeros(spec.n_params)
-        phi[:9] = np.eye(3).ravel()
-        phi[12:48] = np.eye(12, 3).ravel()
-        stack = np.zeros((1, 10, 3))  # value 0, gradient I, Hessian 0
-        stack[0, 1:4] = np.eye(3)
-        j = forward(spec, ad.constant(phi), (DenseJets(stack),)).data
+        phi[:18].reshape(3, 6)[:, 1::2] = np.eye(3)
+        phi[21:57] = np.eye(12, 3).ravel()
+        j = forward(spec, ad.constant(phi), (rff.features(np.zeros((1, 3))),)).data
         assert np.all(j[0, 0] == 0.0)
         assert_allclose(j[0, 1:4, :3], np.eye(3))
         assert np.all(j[0, 4:] == 0.0)

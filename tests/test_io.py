@@ -442,6 +442,10 @@ class TestCLI:
         ["--set", "curriculum.fractions=0.5"],
         ["--set", "network.fourier_features=0"],
         ["--set", "network.hidden="],
+        ["--set", "network.hidden=0"],
+        ["--set", "network.hidden=4,-2"],
+        ["--set", "optimizer.grad_tol=nan"],
+        ["--set", "optimizer.grad_tol=-1"],
         ["--affine", "shear:abc"],
         ["--set", "optimizer.max_iters=0"],
         ["--set", "problem.grid=4,4,4"],

@@ -23,8 +23,15 @@ from hyperelast.network import (
 
 
 def dense(stack):
-    """The (n, C, w) channel stack a FeatureStack stands for."""
-    return stack.jets().transpose(1, 0, 2)
+    """The (n, C, w) channel stack a FeatureStack stands for: the values
+    times each factor row, on the gradient channels turned a quarter."""
+    v = stack.values
+    turned = np.empty_like(v)
+    np.negative(v[:, 1::2], out=turned[:, 0::2])
+    turned[:, 1::2] = v[:, 0::2]
+    S = v[:, None, :] * stack.factors
+    np.multiply(turned[:, None, :], stack.factors[1:4], out=S[:, 1:4])
+    return S
 
 
 def dense_features(rff, X, order):
@@ -105,24 +112,44 @@ class TestRFFMap:
         assert np.array_equal(dense(rff.features(X, order)), want)
 
     @pytest.mark.parametrize("order", [1, 2])
-    def test_block_jets_equal_to_dense_stack(self, order):
-        # a block's channel-major jets are bit for bit the rows of the dense
-        # stack, for every block of the perceptron (the last one with a
-        # merged sliver) and for arbitrary row ranges
+    def test_folded_weights_equal_to_dense_stack_product(self, order):
+        # a block's values times the folded weights are the rows of the
+        # dense stack times W.T on every channel, for every block of the
+        # perceptron (the last one with a merged sliver)
         rff = RFFMap(m=16, sigma=1.0, seed=12)
         n = 2 * BLOCK_POINTS + 5
-        X = np.random.default_rng(13).uniform(-1, 1, size=(n, 3))
+        rng = np.random.default_rng(13)
+        X = rng.uniform(-1, 1, size=(n, 3))
+        W = rng.standard_normal((24, 2 * rff.m))
         stack = rff.features(X, order)
-        want = dense_features(rff, X, order)
-        assert stack.shape == want.shape and len(stack) == n
+        want = dense_features(rff, X, order) @ W.T  # (n, C, o)
+        assert stack.shape == want.shape[:2] + (2 * rff.m,) and len(stack) == n
+        M = stack.fold(W)
+        assert M.shape == (stack.shape[1], 2 * rff.m, 24)
         blocks = row_blocks(n, BLOCK_POINTS)
         assert blocks[-1] == (BLOCK_POINTS, n)
-        buf = np.full(want.size, np.nan)
-        for lo, hi in blocks + [(0, n), (3, 17), (n - 1, n)]:
-            for jets in (stack.jets(lo, hi), stack.jets(lo, hi, buf)):
-                assert jets.flags.c_contiguous
-                assert np.array_equal(jets, want[lo:hi].transpose(1, 0, 2))
-        assert np.shares_memory(stack.jets(0, 1, buf), buf)
+        for lo, hi in blocks:
+            got = np.matmul(stack.values[lo:hi], M).transpose(1, 0, 2)
+            assert_allclose(got, want[lo:hi], rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_unfold_is_adjoint_of_fold(self, order):
+        rff = RFFMap(m=5, sigma=1.0, seed=14)
+        rng = np.random.default_rng(15)
+        stack = rff.features(rng.uniform(-1, 1, size=(3, 3)), order)
+        W = rng.standard_normal((7, 2 * rff.m))
+        dM = rng.standard_normal(stack.fold(W).shape)
+        lhs = np.vdot(stack.fold(W), dM)
+        rhs = np.vdot(W, stack.unfold(dM.copy()))
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_stack_keeps_values_only(self, order):
+        # n x 2m values per point set, whatever the channel count C
+        rff = RFFMap(m=6, sigma=1.0, seed=16)
+        stack = rff.features(np.zeros((40, 3)), order)
+        assert stack.values.shape == (40, 12)
+        assert stack.factors.shape == (stack.shape[1], 12)
 
     @pytest.mark.parametrize("order", [0, 3])
     def test_rejects_other_orders(self, order):
@@ -252,7 +279,9 @@ class TestForward:
     def test_matches_generic_chain_rule_across_blocks(self):
         # reference: the same perceptron composed from generic tape
         # primitives, with t' = 1 - t^2 and t'' = -2 t t', on a batch of
-        # three full blocks and a ragged one
+        # three full blocks and a ragged one; its layer 0 is grouped as
+        # the node's, the feature values times the folded weights, so the
+        # gradient also checks the node's unfold
         rff = RFFMap(m=3, sigma=1.0, seed=41)
         spec = MLPSpec(widths=(6, 5, 4, 12))
         rng = np.random.default_rng(42)
@@ -271,16 +300,24 @@ class TestForward:
 
         tape = ad.Tape()
         phi = tape.input(x)
-        y = ad.Jet(*(ad.constant(a) for a in slots(dense(stack))))
+        f = stack.factors
         slices = spec.layer_slices()
         for li, (ws, bs, fi, fo) in enumerate(slices):
             W = ad.reshape(ad.take(phi, np.arange(ws.start, ws.stop)), (fo, fi))
             b = ad.take(phi, np.arange(bs.start, bs.stop))
-            z = ad.Jet(
-                ad.add(ad.contract(W, y.val, (1,), dest=1), b),
-                ad.contract(W, y.grad, (1,), dest=1),
-                ad.contract(W, y.hess, (1,), dest=1),
-            )
+            if li == 0:
+                # the factors times W, whose column pairs turn a quarter,
+                # (a, b) -> (b, -a), on the gradient channels
+                turned = ad.mul(ad.take(W, np.arange(fi) ^ 1, axis=1), np.tile([1.0, -1.0], fi // 2))
+                folded = (
+                    ad.mul(W, f[0]),
+                    ad.mul(ad.reshape(turned, (fo, 1, fi)), f[1:4]),
+                    ad.mul(ad.reshape(W, (fo, 1, fi)), f[4:]),
+                )
+                val, grad, hess = (ad.contract(stack.values, M, (-1,)) for M in folded)
+            else:
+                val, grad, hess = (ad.contract(W, a, (1,), dest=1) for a in (y.val, y.grad, y.hess))
+            z = ad.Jet(ad.add(val, b), grad, hess)
             y = z
             if li == len(slices) - 1:
                 continue
